@@ -181,9 +181,8 @@ void BM_BiquadCascade(benchmark::State& state) {
 }
 BENCHMARK(BM_BiquadCascade)->Arg(1)->Arg(4)->Arg(8);
 
-// Register-blocked batch GEMV: the per-lot regression evaluation the batch
-// pipeline issues once per batch. Row count matches the pipeline's batch
-// window; the per-device cost here is the floor BM_CalibrationPredict's
+// Register-blocked batch GEMV (CalibrationModel::predict_batch) over 32 and
+// 240 rows; the per-device cost here is the floor BM_CalibrationPredict's
 // one-at-a-time path is compared against.
 void BM_PredictBatchGemv(benchmark::State& state) {
   stats::Rng rng(5);

@@ -1,29 +1,35 @@
-// Throughput table: batched test-cell pipeline vs the serial guarded flow.
+// Throughput table: the device-parallel lot engine vs the serial guarded
+// flow.
 //
 // The paper's pitch is test-time economics, and a production test cell does
-// not test one part at a time: sigtest::BatchRuntime streams the lot
-// through acquire -> screen -> predict with per-stage worker teams and one
-// regression GEMV per batch. This bench measures devices/sec both ways, on
-// a clean chain and under a composed fault scenario, and -- the part CI
-// gates on -- verifies the batched dispositions are bit-identical to the
-// serial guarded reference (same derived per-device rng streams) before
-// reporting any speedup. A fast pipeline that changes a single disposition
-// is a broken pipeline.
+// not test one part at a time: sigtest::BatchRuntime tests the lot's
+// devices side by side on the worker pool, each device running the full
+// guarded test. This bench measures devices/sec both ways, on a clean chain
+// and under a composed fault scenario, and -- the part CI gates on --
+// verifies the lot dispositions are bit-identical to the serial guarded
+// reference (same derived per-device rng streams) before reporting any
+// speedup. A fast engine that changes a single disposition is a broken
+// engine.
 //
 // Exit status is non-zero on any disposition divergence. With --out FILE a
-// google-benchmark-compatible JSON is written so tools/bench_report.py can
-// track the serial/batched ratio across runs (on 1-core CI the ratio is
-// ~1x -- parity, not regression; multicore runners see the speedup).
+// google-benchmark-compatible JSON is written, with a host-context block
+// (nproc, build type, SIGTEST_CHECKED, SIMD backend, STF_THREADS), so
+// tools/bench_report.py can track the serial/batched ratio across runs (on
+// 1-core CI the ratio is ~1x -- parity, not regression; multicore runners
+// see the speedup).
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/lna900.hpp"
 #include "common.hpp"
 #include "core/parallel.hpp"
+#include "core/simd.hpp"
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
 #include "sigtest/batch.hpp"
@@ -159,8 +165,18 @@ int main(int argc, char** argv) {
                    out_path.c_str());
       return 1;
     }
+    const char* threads_env = std::getenv("STF_THREADS");
     out << "{\n  \"context\": {\"threads\": " << core::thread_count()
-        << ", \"lot_devices\": " << lot.size() << "},\n  \"benchmarks\": [\n";
+        << ", \"lot_devices\": " << lot.size()
+        << ", \"nproc\": " << std::thread::hardware_concurrency()
+        << ", \"build_type\": \"" << STF_BENCH_BUILD_TYPE
+        << "\", \"sigtest_checked\": \"" << STF_BENCH_CHECKED
+        << "\", \"simd_backend\": \"" << core::simd::backend_name()
+        << "\", \"simd_runtime\": \""
+        << (core::simd::runtime_enabled() ? "on" : "off")
+        << "\", \"stf_threads\": \""
+        << (threads_env != nullptr ? threads_env : "(unset)")
+        << "\"},\n  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < bench_times.size(); ++i) {
       const double ns = bench_times[i].second * 1e9;
       const double dps =

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   policy.outlier_threshold = 2.5;
   auto runtime = std::make_shared<sigtest::BatchRuntime>(
       config, stimulus, circuit::LnaSpecs::names(), policy,
-      sigtest::BatchOptions{8, 2});
+      sigtest::BatchOptions{8});
   {
     const auto cal = rf::make_lna_population(40, 0.2, 21);
     stats::Rng cal_rng(7);

@@ -3,7 +3,8 @@
 // clients and multiplexes them onto one shared sigtest::BatchRuntime.
 //
 // Thread structure (all I/O threads; device testing itself happens inside
-// BatchRuntime, which owns its own pipeline workers):
+// BatchRuntime::test_lot, which the lot workers run on the shared
+// parallel_for pool, taking turns like any other pool caller):
 //
 //   accept thread   -- admits connections (kTooManyClients past the cap)
 //                      and spawns one reader per session

@@ -1,22 +1,18 @@
-// Batched test-cell runtime: streams a device lot through the guarded
-// validation pipeline in batches, overlapping acquisition with screening
-// and amortizing the regression into one GEMV-style predict per batch.
+// Lot test-cell runtime: tests a whole device lot device-parallel on the
+// shared worker pool.
 //
 // A production test cell does not see one device at a time: handlers index
-// strips/trays of parts, so the natural unit is the batch. BatchRuntime
-// keeps GuardedRuntime's per-device semantics (finiteness firewall,
-// railing, outlier screen, bounded retest with escalating averaging,
-// routing) but restructures the lot-level loop as a three-stage
-// core::run_pipeline:
-//
-//   batch.acquire  -- raw captures + fault injection (the simulated-tester
-//                     front end; the wide stage, most workers)
-//   batch.screen   -- time/signature-domain validation and the retest loop
-//   batch.predict  -- one CalibrationModel::predict_batch per batch over
-//                     the SoA signature matrix
+// strips/trays of parts, so the natural unit is the lot. BatchRuntime keeps
+// GuardedRuntime's per-device semantics (finiteness firewall, railing,
+// outlier screen, bounded retest with escalating averaging, routing) and
+// runs them as one core::parallel_for over the lot's devices, claiming
+// BatchOptions::batch_size devices per chunk. Every device, retests
+// included, runs on whichever pool thread claimed it, so a faulted lot's
+// retest loops spread over every core. test_lot spawns no threads:
+// concurrent callers take turns on the pool like any parallel_for caller.
 //
 // Determinism contract: dispositions are BIT-IDENTICAL, at every
-// STF_THREADS setting, to the serial reference
+// STF_THREADS setting and batch size, to the serial reference
 //
 //   for (i = 0; i < lot.size(); ++i) {
 //     stats::Rng child = rng.derive(first_sequence + i);
@@ -25,8 +21,9 @@
 //
 // Each device owns the derived child stream rng.derive(first_sequence + i)
 // and its fault sequence number, so no rng draw ever crosses a device
-// boundary; predict_batch preserves predict()'s accumulation order. Tests
-// assert this equivalence on clean and faulted lots.
+// boundary, and the lot runs that very loop body against the calibration
+// version pinned at lot entry. Tests assert this equivalence on clean and
+// faulted lots.
 #pragma once
 
 #include <cstddef>
@@ -42,13 +39,12 @@
 
 namespace stf::sigtest {
 
-/// Knobs of the batched lot pipeline.
+/// Knobs of the lot engine.
 struct BatchOptions {
-  /// Devices per pipeline item. Larger batches amortize the predict GEMV
-  /// and queue hops; smaller batches drain the pipeline sooner.
+  /// Devices a pool thread claims at a time. Larger chunks cut dispatch
+  /// overhead; smaller ones balance uneven (retest-heavy) lots better. A
+  /// lot of at most batch_size devices runs inline on the caller.
   std::size_t batch_size = 16;
-  /// Inter-stage queue bound (in batches); see core::run_pipeline.
-  std::size_t queue_capacity = 4;
 };
 
 /// One tested lot: per-device dispositions (lot order) plus outcome tallies.
@@ -65,7 +61,7 @@ struct LotResult {
   std::size_t devices() const { return dispositions.size(); }
 };
 
-/// GuardedRuntime plus the batched lot-streaming machinery.
+/// GuardedRuntime plus the device-parallel lot engine.
 class BatchRuntime {
  public:
   BatchRuntime(const SignatureTestConfig& config,
@@ -96,7 +92,7 @@ class BatchRuntime {
 
   /// Per-call batching override: same dispositions as every other overload
   /// (batch size is a throughput knob, never a results knob -- tests assert
-  /// the invariance), with the pipeline shaped by `batch` instead of the
+  /// the invariance), with the pool claims sized by `batch` instead of the
   /// constructor-time options. The service front end uses this to honor a
   /// request's batch field on a shared runtime.
   LotResult test_lot(const std::vector<const stf::rf::RfDut*>& lot,

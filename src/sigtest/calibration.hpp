@@ -72,8 +72,7 @@ class CalibrationModel {
   /// Batched predict: one signature per row (n x signature_length), one
   /// prediction per row (n x n_specs) out. The per-row accumulation order
   /// matches predict() exactly, so batched results are bit-identical to
-  /// calling predict() row by row -- the batch pipeline's disposition
-  /// parity rests on this.
+  /// calling predict() row by row.
   stf::la::Matrix predict_batch(const stf::la::Matrix& signatures) const;
 
   bool fitted() const { return fitted_; }

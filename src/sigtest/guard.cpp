@@ -207,11 +207,17 @@ CaptureFlaw GuardedRuntime::screen_signature(const OutlierScreen& screen,
 TestDisposition GuardedRuntime::test_device(
     const stf::rf::RfDut& dut, stf::stats::Rng& rng,
     const stf::rf::FaultInjector* faults, std::uint64_t sequence) const {
-  STF_TRACE_SPAN("guard.test_device");
-  STF_COUNT("guard.devices");
   // Pin this device's calibration version once at entry: a concurrent
   // hot-swap must never mix versions inside one device's screen + predict.
-  const CalibrationVersion cal = calibration();
+  return test_device(calibration(), dut, rng, faults, sequence);
+}
+
+TestDisposition GuardedRuntime::test_device(
+    const CalibrationVersion& cal, const stf::rf::RfDut& dut,
+    stf::stats::Rng& rng, const stf::rf::FaultInjector* faults,
+    std::uint64_t sequence) const {
+  STF_TRACE_SPAN("guard.test_device");
+  STF_COUNT("guard.devices");
   STF_REQUIRE(cal.model != nullptr && cal.screen != nullptr,
               "GuardedRuntime::test_device: not calibrated");
 

@@ -29,7 +29,8 @@
 // Calibration versions and hot-swap: the model + outlier screen pair is an
 // immutable, versioned CalibrationVersion published RCU-style behind
 // shared_ptr<const>. test_device() snapshots the current version once at
-// entry and finishes on it, so a concurrent swap_calibration() (the online
+// entry, or takes the one a lot pinned, and finishes on it, so a
+// concurrent swap_calibration() (the online
 // recalibration path, src/store/recalibrate.hpp) never stops or tears an
 // in-flight test -- (seed, lot, model-version) stays bit-reproducible.
 // Swapping resets the drift monitor: a fresh model must not inherit the
@@ -156,10 +157,20 @@ class GuardedRuntime {
   /// Guarded production test of one device. `faults` (optional) simulates a
   /// degraded measurement chain; `sequence` is the device's lot position
   /// (drives slow-drift faults). Deterministic: same seed, same scenario,
-  /// same disposition, at any STF_THREADS.
+  /// same disposition, at any STF_THREADS. Snapshots calibration() and
+  /// forwards to the version-pinned overload.
   TestDisposition test_device(const stf::rf::RfDut& dut, stf::stats::Rng& rng,
                               const stf::rf::FaultInjector* faults = nullptr,
                               std::uint64_t sequence = 0) const;
+
+  /// Version-pinned test of one device: screens and predicts on `cal` (a
+  /// calibration() snapshot of this runtime) instead of the current
+  /// version, so every device of a lot runs on the version pinned once at
+  /// lot entry (BatchRuntime::test_lot), whatever swaps happen meanwhile.
+  TestDisposition test_device(const CalibrationVersion& cal,
+                              const stf::rf::RfDut& dut, stf::stats::Rng& rng,
+                              const stf::rf::FaultInjector* faults,
+                              std::uint64_t sequence) const;
 
   /// Measure a golden (known-good, stable) device and update the EWMA drift
   /// monitor. When the smoothed outlier score crosses
@@ -203,9 +214,9 @@ class GuardedRuntime {
   std::shared_ptr<const OutlierScreen> screen() const;
   const GuardPolicy& policy() const { return policy_; }
 
-  // Building blocks of test_device(), exposed so BatchRuntime can replay
-  // the exact per-device validation sequence (same rng draws, same
-  // counters) while batching the predict step across devices.
+  // Building blocks of test_device(). They stay public so the benchmark
+  // probes can time each validation step on its own and the tests can pin
+  // each one.
 
   /// Acquire and average n_avg captures of one device, validating each in
   /// the time domain before it contributes. Identical acquisition/fault/rng
@@ -227,8 +238,8 @@ class GuardedRuntime {
                                double* score) const;
 
   /// Epoch-pinned variant: screens against an explicit snapshot's screen
-  /// instead of the current one, so a lot that started before a hot-swap
-  /// keeps validating against the version it started with (BatchRuntime).
+  /// instead of the current one, so a test that started before a hot-swap
+  /// keeps validating against the version it started with.
   CaptureFlaw screen_signature(const OutlierScreen& screen,
                                std::span<const double> signature,
                                double* score) const;

@@ -82,7 +82,7 @@ class FastestRuntime {
 
   /// Batched regression evaluation: one signature per row in, one
   /// prediction per row out. Bit-identical to predict() row by row (see
-  /// CalibrationModel::predict_batch); the batch runtime's throughput path.
+  /// CalibrationModel::predict_batch).
   stf::la::Matrix predict_batch(const stf::la::Matrix& signatures) const;
 
   /// Test every validation device and compare predictions against their

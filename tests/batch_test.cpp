@@ -1,20 +1,25 @@
-// Unit tests for the batched test-cell runtime (sigtest/batch.hpp): the
-// determinism contract (batched dispositions bit-identical to the serial
+// Unit tests for the lot test-cell runtime (sigtest/batch.hpp): the
+// determinism contract (lot dispositions bit-identical to the serial
 // guarded reference at 1 and 4 threads, clean and faulted), batch-size
 // invariance, first_sequence offsets, the ate flow overload that consumes
-// lot dispositions, and empty-lot/degenerate handling.
+// lot dispositions, empty-lot/degenerate handling, and that repeated lots
+// run on the persistent pool instead of fresh threads.
 #include "sigtest/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "ate/flow.hpp"
 #include "circuit/lna900.hpp"
 #include "core/parallel.hpp"
+#include "core/telemetry.hpp"
 #include "dsp/pwl.hpp"
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
@@ -43,7 +48,7 @@ class BatchRuntimeTest : public ::testing::Test {
     explicit World(std::size_t batch_size)
         : runtime(sigtest::SignatureTestConfig::simulation_study(),
                   stimulus(), circuit::LnaSpecs::names(), policy(),
-                  sigtest::BatchOptions{batch_size, 2}),
+                  sigtest::BatchOptions{batch_size}),
           lot(rf::make_lna_population(24, 0.2, 77)) {
       const auto cal = rf::make_lna_population(40, 0.2, 21);
       stats::Rng cal_rng(7);
@@ -140,7 +145,7 @@ TEST_F(BatchRuntimeTest, BatchSizeDoesNotChangeDispositions) {
     sigtest::BatchRuntime runtime(
         sigtest::SignatureTestConfig::simulation_study(), World::stimulus(),
         circuit::LnaSpecs::names(), World::policy(),
-        sigtest::BatchOptions{batch_size, 2});
+        sigtest::BatchOptions{batch_size});
     const auto cal = rf::make_lna_population(40, 0.2, 21);
     stats::Rng cal_rng(7);
     runtime.calibrate(cal, cal_rng);
@@ -193,16 +198,56 @@ TEST_F(BatchRuntimeTest, EmptyLotReturnsEmptyResult) {
   EXPECT_EQ(r.predicted + r.retried + r.routed, 0u);
 }
 
+/// The top-level "threads" field of telemetry::to_json(): how many threads
+/// have registered a telemetry log in this process.
+std::size_t telemetry_threads() {
+  const std::string json = core::telemetry::to_json();
+  const std::string key = "\"threads\":";
+  const std::size_t at = json.find(key);  // the top-level field comes first
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "to_json() has no threads field: " << json;
+    return 0;
+  }
+  return std::stoul(json.substr(at + key.size()));
+}
+
+TEST_F(BatchRuntimeTest, RepeatedLotsRegisterNoNewTelemetryThreads) {
+  // Lots must run on the persistent pool: a lot that spawned its own
+  // threads would, with telemetry on, register per-thread logs that live
+  // for the rest of the process, so a long-running server grows them
+  // without bound.
+  namespace telemetry = core::telemetry;
+  if (!telemetry::compiled())
+    GTEST_SKIP() << "built with SIGTEST_TELEMETRY=OFF";
+  ThreadCountGuard guard(4);
+  World& w = world();
+  telemetry::set_enabled(true);
+  // Have every pool thread record an event before the baseline: four
+  // one-index chunks that each wait until all four are claimed can only
+  // finish with the caller and each of the three workers holding one.
+  std::atomic<std::size_t> arrived{0};
+  core::parallel_for(
+      0, 4,
+      [&](std::size_t) {
+        arrived.fetch_add(1);
+        while (arrived.load() < 4) std::this_thread::yield();
+      },
+      1);
+  w.runtime.test_lot(w.lot, stats::Rng(9001));  // warm-up lot
+  const std::size_t before = telemetry_threads();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed)
+    w.runtime.test_lot(w.lot, stats::Rng(seed));
+  const std::size_t after = telemetry_threads();
+  telemetry::set_enabled(false);
+  telemetry::reset();
+  EXPECT_EQ(after, before);
+}
+
 TEST_F(BatchRuntimeTest, RejectsInvalidOptionsAndUncalibratedUse) {
   EXPECT_THROW(sigtest::BatchRuntime(
                    sigtest::SignatureTestConfig::simulation_study(),
                    World::stimulus(), circuit::LnaSpecs::names(),
-                   World::policy(), sigtest::BatchOptions{0, 2}),
-               std::invalid_argument);
-  EXPECT_THROW(sigtest::BatchRuntime(
-                   sigtest::SignatureTestConfig::simulation_study(),
-                   World::stimulus(), circuit::LnaSpecs::names(),
-                   World::policy(), sigtest::BatchOptions{4, 0}),
+                   World::policy(), sigtest::BatchOptions{0}),
                std::invalid_argument);
   sigtest::BatchRuntime uncalibrated(
       sigtest::SignatureTestConfig::simulation_study(), World::stimulus(),

@@ -83,7 +83,7 @@ class ServiceTest : public ::testing::Test {
         : runtime(std::make_shared<sigtest::BatchRuntime>(
               sigtest::SignatureTestConfig::simulation_study(), stimulus(),
               circuit::LnaSpecs::names(), policy(),
-              sigtest::BatchOptions{5, 2})),
+              sigtest::BatchOptions{5})),
           lot(rf::make_lna_population(kLotSize, 0.2, 77)) {
       const auto cal = rf::make_lna_population(40, 0.2, 21);
       stats::Rng cal_rng(7);
@@ -605,7 +605,7 @@ TEST(ScenarioTest, PopulationCacheHitsReturnTheSamePopulation) {
 /// inputs and serial_reference() applies to it unchanged.
 service::RegistryOptions world_registry_options() {
   auto options = service::RegistryOptions::lna_defaults();
-  options.batch = sigtest::BatchOptions{5, 2};
+  options.batch = sigtest::BatchOptions{5};
   return options;
 }
 

@@ -435,9 +435,8 @@ TEST(Calibration, ConstantBinHandledGracefully) {
 }
 
 TEST(Calibration, PredictBatchMatchesPredictExactly) {
-  // predict_batch is the batched pipeline's one-GEMV-per-batch path; the
-  // determinism contract requires it to reproduce predict() bit for bit,
-  // so the comparison is EXPECT_EQ, not NEAR.
+  // predict_batch is documented to reproduce predict() bit for bit, so
+  // the comparison is EXPECT_EQ, not NEAR.
   stf::stats::Rng rng(21);
   const std::size_t n = 50, m = 4;
   stf::la::Matrix sig(n, m), specs(n, 3);

@@ -68,9 +68,9 @@ int usage() {
       "  --guard            test the lot with the guarded runtime (capture\n"
       "                     validation, retry/escalation, outlier routing)\n"
       "                     instead of trusting every prediction\n"
-      "  --batch N          with --guard: stream the lot through the batched\n"
-      "                     test-cell pipeline (acquire/screen/predict, N\n"
-      "                     devices per batch) and report devices/sec\n");
+      "  --batch N          with --guard: test the lot device-parallel on the\n"
+      "                     worker pool (N devices per pool claim) and\n"
+      "                     report devices/sec\n");
   return 2;
 }
 
@@ -164,8 +164,8 @@ int run_faulted_lot(const bench::SimStudyResult& study,
 
   ate::FlowResult flow;
   if (guard && batch > 0) {
-    // Batched test-cell pipeline: same guard semantics, lot streamed through
-    // acquire -> screen -> predict with one regression GEMV per batch.
+    // Lot engine: same guard semantics, the lot's devices tested side by
+    // side on the worker pool, `batch` devices per claim.
     sigtest::GuardPolicy policy;
     policy.outlier_threshold = 2.5;
     sigtest::BatchOptions bopts;
