@@ -25,21 +25,44 @@ BiquadCascade::BiquadCascade(std::vector<Biquad> sections)
 
 namespace {
 
-// Direct form II transposed, one-shot over the whole buffer. This is the
-// scalar reference the vector kernel must reproduce bit for bit: every
-// per-sample operation below appears in the same order in the lane code.
-template <class T>
-void run_cascade_inplace(const std::vector<Biquad>& sections, T* x,
-                         std::size_t n) {
-  for (const Biquad& s : sections) {
-    T z1{}, z2{};
-    for (std::size_t i = 0; i < n; ++i) {
-      const T in = x[i];
-      const T out = s.b0 * in + z1;
-      z1 = s.b1 * in - s.a1 * out + z2;
-      z2 = s.b2 * in - s.a2 * out;
-      x[i] = out;
+// Direct form II transposed, one-shot over the whole buffer, for G
+// consecutive sections in one pass over time: at each sample, section k
+// filters section k-1's output of the same instant. A section's recurrence
+// depends only on its own state, so the G recurrences overlap in the
+// pipeline instead of running back to back, while every section performs
+// the reference operations below in the reference order -- each output is
+// bit-identical to filtering one whole section at a time. The coefficients
+// are copied to locals so stores to x cannot alias them.
+template <std::size_t G>
+void run_sections_fused(const Biquad* sections, double* x, std::size_t n) {
+  Biquad s[G];
+  for (std::size_t k = 0; k < G; ++k) s[k] = sections[k];
+  double z1[G] = {};
+  double z2[G] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    double in = x[i];
+    for (std::size_t k = 0; k < G; ++k) {
+      const double out = s[k].b0 * in + z1[k];
+      z1[k] = s[k].b1 * in - s[k].a1 * out + z2[k];
+      z2[k] = s[k].b2 * in - s[k].a2 * out;
+      in = out;
     }
+    x[i] = in;
+  }
+}
+
+// The whole cascade, up to four sections per pass: the board's
+// Butterworth orders through 8 take a single pass over the signal.
+void run_cascade_fused(const std::vector<Biquad>& sections, double* x,
+                       std::size_t n) {
+  const Biquad* s = sections.data();
+  std::size_t left = sections.size();
+  for (; left >= 4; left -= 4, s += 4) run_sections_fused<4>(s, x, n);
+  switch (left) {
+    case 3: run_sections_fused<3>(s, x, n); break;
+    case 2: run_sections_fused<2>(s, x, n); break;
+    case 1: run_sections_fused<1>(s, x, n); break;
+    default: break;
   }
 }
 
@@ -108,7 +131,7 @@ std::vector<std::complex<double>> BiquadCascade::filter(
 }
 
 void BiquadCascade::filter_inplace(std::span<double> x) const {
-  run_cascade_inplace(sections_, x.data(), x.size());
+  run_cascade_fused(sections_, x.data(), x.size());
 }
 
 void BiquadCascade::filter_inplace(

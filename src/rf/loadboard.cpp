@@ -109,33 +109,48 @@ std::vector<double> LoadBoard::run(const std::vector<double>& stimulus,
 void LoadBoard::run_into(std::span<const double> stimulus, double fs_sim,
                          const RfDut& dut, stf::stats::Rng* rng,
                          std::span<double> out) const {
-  STF_REQUIRE(!stimulus.empty(), "LoadBoard::run: empty stimulus");
-  STF_REQUIRE(fs_sim > 2.0 * config_.lpf_cutoff_hz,
-              "LoadBoard::run: fs_sim must exceed twice the LPF cutoff");
   STF_REQUIRE(out.size() == stimulus.size(),
               "LoadBoard::run_into: out length must match the stimulus");
-  const std::size_t n = stimulus.size();
-
   // One envelope buffer from the per-thread arena carries the signal
   // through every board stage in place; the scope rewinds it on exit.
   stf::core::Arena& arena = stf::core::capture_arena();
   const stf::core::ArenaScope scope(arena);
-  stf::core::ArenaVector<Cplx> env(n, Cplx{},
+  stf::core::ArenaVector<Cplx> env(stimulus.size(), Cplx{},
                                    stf::core::ArenaAllocator<Cplx>(&arena));
-  const std::span<Cplx> env_span(env.data(), n);
+  const std::span<Cplx> env_span(env.data(), env.size());
+  upconvert_into(stimulus, env_span);
+  run_upconverted_into(env_span, fs_sim, dut, rng, out);
+}
 
+void LoadBoard::upconvert_into(std::span<const double> stimulus,
+                               std::span<Cplx> env) const {
+  STF_REQUIRE(!stimulus.empty(), "LoadBoard::run: empty stimulus");
+  STF_REQUIRE(env.size() == stimulus.size(),
+              "LoadBoard::upconvert_into: env length must match the "
+              "stimulus");
   // Mixer 1: x_t(t) * sin(w1 t) -- in envelope terms the stimulus *is* the
   // envelope at the carrier; the mixer contributes gain/compression.
-  for (std::size_t i = 0; i < n; ++i) env[i] = Cplx(stimulus[i], 0.0);
-  {
-    STF_TRACE_SPAN("board.upconvert");
-    config_.up_mixer.apply(env_span);
-  }
+  STF_TRACE_SPAN("board.upconvert");
+  for (std::size_t i = 0; i < env.size(); ++i)
+    env[i] = Cplx(stimulus[i], 0.0);
+  config_.up_mixer.apply(env);
+}
+
+void LoadBoard::run_upconverted_into(std::span<Cplx> env, double fs_sim,
+                                     const RfDut& dut, stf::stats::Rng* rng,
+                                     std::span<double> out) const {
+  STF_REQUIRE(!env.empty(), "LoadBoard::run_upconverted_into: empty envelope");
+  STF_REQUIRE(fs_sim > 2.0 * config_.lpf_cutoff_hz,
+              "LoadBoard::run: fs_sim must exceed twice the LPF cutoff");
+  STF_REQUIRE(out.size() == env.size(),
+              "LoadBoard::run_upconverted_into: out length must match the "
+              "envelope");
+  const std::size_t n = env.size();
 
   // The device under test (in place: the models are memoryless).
   {
     STF_TRACE_SPAN("board.dut");
-    dut.process_into(env_span, fs_sim, rng, env_span);
+    dut.process_into(env, fs_sim, rng, env);
   }
 
   // Mixer 2 at f2 = f1 - lo_offset with path phase phi: the real product
@@ -144,7 +159,7 @@ void LoadBoard::run_into(std::span<const double> stimulus, double fs_sim,
   // DC offset from LO self-mixing appears at the demodulator output.
   {
     STF_TRACE_SPAN("board.downconvert");
-    config_.down_mixer.apply(env_span);
+    config_.down_mixer.apply(env);
     const double dphi =
         2.0 * std::numbers::pi * config_.lo_offset_hz / fs_sim;
     const auto& rot = rotation_table(n, dphi, config_.path_phase_rad);

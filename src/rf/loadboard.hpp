@@ -36,6 +36,9 @@ struct MixerModel {
   /// Span variant of apply() for envelopes in caller-managed storage;
   /// vectorized across samples, bit-identical to the scalar reference.
   void apply(std::span<Cplx> x) const;
+
+  /// Equal mixers transform every envelope identically (a cache key).
+  bool operator==(const MixerModel&) const = default;
 };
 
 /// Signature-path configuration (paper Section 4.1 defaults).
@@ -53,7 +56,12 @@ struct LoadBoardConfig {
 ///
 /// Immutable after construction; run() is const and thread-safe, so one
 /// board instance serves concurrent acquisitions (the parallel GA objective
-/// evaluates many candidate stimuli against a shared acquirer).
+/// evaluates many candidate stimuli against a shared acquirer). The path
+/// splits after mixer 1, the last stage that depends on the stimulus
+/// alone: upconvert_into() produces the drive envelope and
+/// run_upconverted_into() takes it through the DUT, mixer 2 and the LPF,
+/// so a caller that replays one stimulus can upconvert it once and start
+/// every capture from a copy. run_into() is the two in sequence.
 class LoadBoard {
  public:
   /// planned_fs_hz > 0 designs the anti-alias lowpass once, up front, for
@@ -77,6 +85,20 @@ class LoadBoard {
   void run_into(std::span<const double> stimulus, double fs_sim,
                 const RfDut& dut, stf::stats::Rng* rng,
                 std::span<double> out) const;
+
+  /// Mixer 1: the rendered stimulus as the envelope at the carrier, through
+  /// the up-mixer's gain and compression, into `env` (same length as
+  /// `stimulus`). Depends on nothing but the stimulus and config().up_mixer.
+  void upconvert_into(std::span<const double> stimulus,
+                      std::span<Cplx> env) const;
+
+  /// The board after mixer 1: the DUT, mixer 2 and the LPF. Consumes the
+  /// upconverted envelope `env` (overwritten in place) and writes the
+  /// analog signature at fs_sim into `out` (same length, no aliasing).
+  /// Bit-identical to the tail of run_into().
+  void run_upconverted_into(std::span<Cplx> env, double fs_sim,
+                            const RfDut& dut, stf::stats::Rng* rng,
+                            std::span<double> out) const;
 
   const LoadBoardConfig& config() const { return config_; }
 

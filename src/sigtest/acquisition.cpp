@@ -1,5 +1,7 @@
 #include "sigtest/acquisition.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -52,57 +54,71 @@ SignatureAcquirer::SignatureAcquirer(const SignatureTestConfig& config,
               "SignatureAcquirer: capture_s must be > 0");
 }
 
-SignatureAcquirer::SignatureAcquirer(const SignatureAcquirer& other)
-    : config_(other.config_),
-      max_bins_(other.max_bins_),
-      board_(other.board_) {
-  const stf::core::LockGuard lock(other.render_mutex_);
-  render_key_ = other.render_key_;
-  render_cache_ = other.render_cache_;
+namespace {
+
+// Samples of the simulated analog capture window.
+std::size_t sim_length(const SignatureTestConfig& config) {
+  return static_cast<std::size_t>(
+             std::floor(config.capture_s * config.fs_sim_hz)) +
+         1;
 }
 
-SignatureAcquirer& SignatureAcquirer::operator=(
-    const SignatureAcquirer& other) {
-  if (this == &other) return *this;
-  config_ = other.config_;
-  max_bins_ = other.max_bins_;
-  board_ = other.board_;
-  std::vector<stf::dsp::PwlPoint> key;
-  std::shared_ptr<const std::vector<double>> cache;
-  {
-    const stf::core::LockGuard lock(other.render_mutex_);
-    key = other.render_key_;
-    cache = other.render_cache_;
-  }
-  const stf::core::LockGuard lock(render_mutex_);
-  render_key_ = std::move(key);
-  render_cache_ = std::move(cache);
-  return *this;
+// A thread's prepared stimulus: the rendered PWL already through mixer 1,
+// the last board stage that depends on the stimulus alone, under the key
+// of everything that determines it. Each thread owns its entry, so lookups
+// take no lock and concurrent GA candidates never evict one another (the
+// rotation_table idiom of rf/loadboard.cpp).
+struct PreparedStimulus {
+  std::vector<stf::dsp::PwlPoint> points;
+  double fs_sim = 0.0;
+  std::size_t n_sim = 0;
+  stf::rf::MixerModel up_mixer;
+  bool valid = false;
+  std::vector<stf::rf::Cplx> env;
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
+
+// Breakpoints match bitwise: -0.0 == 0.0, yet they can render different
+// bits.
+bool same_points(const std::vector<stf::dsp::PwlPoint>& a,
+                 const std::vector<stf::dsp::PwlPoint>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const stf::dsp::PwlPoint& p,
+                       const stf::dsp::PwlPoint& q) {
+                      return same_bits(p.t, q.t) && same_bits(p.v, q.v);
+                    });
+}
+
+// The calling thread's upconverted envelope of `stimulus` on `board`,
+// rendered and upconverted on a miss. Valid until this thread's next call.
+std::span<const stf::rf::Cplx> prepared_stimulus(
+    const stf::rf::LoadBoard& board, const stf::dsp::PwlWaveform& stimulus,
+    double fs_sim, std::size_t n_sim) {
+  thread_local PreparedStimulus t;
+  const stf::rf::MixerModel& mixer = board.config().up_mixer;
+  if (!t.valid || t.fs_sim != fs_sim || t.n_sim != n_sim ||
+      t.up_mixer != mixer || !same_points(t.points, stimulus.points())) {
+    t.valid = false;  // a throwing render or mixer leaves no stale entry
+    const std::vector<double> rendered = stimulus.render(fs_sim, n_sim);
+    t.env.resize(n_sim);
+    board.upconvert_into(rendered, t.env);
+    t.points = stimulus.points();
+    t.fs_sim = fs_sim;
+    t.n_sim = n_sim;
+    t.up_mixer = mixer;
+    t.valid = true;
+  }
+  return t.env;
+}
+
+}  // namespace
 
 std::size_t SignatureAcquirer::capture_length() const {
-  const auto n_sim = static_cast<std::size_t>(
-                         std::floor(config_.capture_s * config_.fs_sim_hz)) +
-                     1;
-  return config_.digitizer.capture_length(n_sim, config_.fs_sim_hz);
-}
-
-std::shared_ptr<const std::vector<double>>
-SignatureAcquirer::rendered_stimulus(const stf::dsp::PwlWaveform& stimulus,
-                                     std::size_t n_sim) const {
-  STF_REQUIRE(n_sim != 0, "SignatureAcquirer: n_sim must be > 0");
-  const std::vector<stf::dsp::PwlPoint>& pts = stimulus.points();
-  const stf::core::LockGuard lock(render_mutex_);
-  bool hit = render_cache_ != nullptr && render_cache_->size() == n_sim &&
-             render_key_.size() == pts.size();
-  for (std::size_t i = 0; hit && i < pts.size(); ++i)
-    hit = render_key_[i].t == pts[i].t && render_key_[i].v == pts[i].v;
-  if (!hit) {
-    render_key_ = pts;
-    render_cache_ = std::make_shared<const std::vector<double>>(
-        stimulus.render(config_.fs_sim_hz, n_sim));
-  }
-  return render_cache_;
+  return config_.digitizer.capture_length(sim_length(config_),
+                                          config_.fs_sim_hz);
 }
 
 // The ctor validates config_; a null rng selects the noiseless path.
@@ -123,26 +139,35 @@ void SignatureAcquirer::raw_capture_into(const stf::rf::RfDut& dut,
   STF_REQUIRE(out.size() == capture_length(),
               "SignatureAcquirer::raw_capture_into: out length must be "
               "capture_length()");
-  const auto n_sim = static_cast<std::size_t>(
-                         std::floor(config_.capture_s * config_.fs_sim_hz)) +
-                     1;
-  std::shared_ptr<const std::vector<double>> rendered;
-  {
-    STF_TRACE_SPAN("acq.render");
-    rendered = rendered_stimulus(stimulus, n_sim);
-  }
+  const std::size_t n_sim = sim_length(config_);
   stf::core::Arena& arena = stf::core::capture_arena();
   const stf::core::ArenaScope scope(arena);
+  // The board consumes its drive envelope in place, so every capture
+  // starts from an arena copy of this thread's prepared stimulus.
+  stf::core::ArenaVector<stf::rf::Cplx> env{
+      stf::core::ArenaAllocator<stf::rf::Cplx>(&arena)};
+  {
+    STF_TRACE_SPAN("acq.render");
+    const std::span<const stf::rf::Cplx> prepared =
+        prepared_stimulus(board_, stimulus, config_.fs_sim_hz, n_sim);
+    env.assign(prepared.begin(), prepared.end());
+  }
   stf::core::ArenaVector<double> analog(
-      rendered->size(), 0.0, stf::core::ArenaAllocator<double>(&arena));
-  board_.run_into(*rendered, config_.fs_sim_hz, dut, rng,
-                  {analog.data(), analog.size()});
+      n_sim, 0.0, stf::core::ArenaAllocator<double>(&arena));
+  board_.run_upconverted_into({env.data(), env.size()}, config_.fs_sim_hz,
+                              dut, rng, {analog.data(), analog.size()});
   STF_TRACE_SPAN("acq.digitize");
   config_.digitizer.capture_into({analog.data(), analog.size()},
                                  config_.fs_sim_hz, rng, out);
 }
 
 namespace {
+
+// Bins averaged into each pooled output when n bins are capped at
+// max_bins: 1 when they fit, else the ceil-division group.
+std::size_t pool_group(std::size_t n, std::size_t max_bins) {
+  return n <= max_bins ? 1 : (n + max_bins - 1) / max_bins;
+}
 
 // Group-average `bins` down to out.size() entries (ceil-division groups of
 // size derived from max_bins, exactly the historical pool_bins semantics).
@@ -153,8 +178,7 @@ void pool_bins_into(std::span<const double> bins, std::size_t max_bins,
     for (std::size_t i = 0; i < bins.size(); ++i) out[i] = bins[i];
     return;
   }
-  const std::size_t group =
-      (bins.size() + max_bins - 1) / max_bins;  // ceil division
+  const std::size_t group = pool_group(bins.size(), max_bins);
   std::size_t o = 0;
   for (std::size_t i = 0; i < bins.size(); i += group) {
     const std::size_t end = std::min(i + group, bins.size());
@@ -168,8 +192,7 @@ void pool_bins_into(std::span<const double> bins, std::size_t max_bins,
 
 // Output count pool_bins_into produces for n input bins.
 std::size_t pooled_count(std::size_t n, std::size_t max_bins) {
-  if (n <= max_bins) return n;
-  const std::size_t group = (n + max_bins - 1) / max_bins;
+  const std::size_t group = pool_group(n, max_bins);
   return (n + group - 1) / group;
 }
 
@@ -181,18 +204,20 @@ Signature SignatureAcquirer::signature_from_capture(
 }
 
 // Pure length arithmetic: any n_capture (including 0, which yields 0 bins)
-// maps to a well-defined count. stf-analyze: allow(api-contract)
+// maps to a well-defined count.
 std::size_t SignatureAcquirer::signature_length_for(
     std::size_t n_capture) const {
   if (!config_.use_fft_magnitude) return pooled_count(n_capture, max_bins_);
-  const std::size_t n_fft = stf::dsp::next_pow2(n_capture);
+  return pooled_count(kept_bins(stf::dsp::next_pow2(n_capture)), max_bins_);
+}
+
+std::size_t SignatureAcquirer::kept_bins(std::size_t n_fft) const {
   const double band = config_.signature_band_hz > 0.0
                           ? config_.signature_band_hz
                           : config_.digitizer.fs_hz / 2.0;
-  auto n_keep = static_cast<std::size_t>(
+  const auto n_keep = static_cast<std::size_t>(
       band / config_.digitizer.fs_hz * static_cast<double>(n_fft));
-  n_keep = std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
-  return pooled_count(n_keep, max_bins_);
+  return std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
 }
 
 Signature SignatureAcquirer::acquire(const stf::rf::RfDut& dut,
@@ -251,13 +276,7 @@ void SignatureAcquirer::signature_into(std::span<const double> capture,
     padded[i] = stf::dsp::cplx(capture[i], 0.0);
   stf::dsp::fft_pow2_inplace({padded.data(), padded.size()});
 
-  const double band = config_.signature_band_hz > 0.0
-                          ? config_.signature_band_hz
-                          : config_.digitizer.fs_hz / 2.0;
-  auto n_keep = static_cast<std::size_t>(
-      band / config_.digitizer.fs_hz * static_cast<double>(n_fft));
-  n_keep = std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
-
+  const std::size_t n_keep = kept_bins(n_fft);
   if (n_keep == out.size()) {
     // No pooling: write the normalized magnitudes straight into out.
     for (std::size_t k = 0; k < n_keep; ++k)
@@ -297,38 +316,18 @@ Signature SignatureAcquirer::acquire(const stf::rf::RfDut& dut,
 }
 
 std::size_t SignatureAcquirer::signature_length() const {
-  const auto n_cap = static_cast<std::size_t>(std::floor(
-                         config_.capture_s * config_.digitizer.fs_hz)) +
-                     1;
-  if (!config_.use_fft_magnitude) return std::min(n_cap, max_bins_);
-  const std::size_t n_fft = stf::dsp::next_pow2(n_cap);
-  const double band = config_.signature_band_hz > 0.0
-                          ? config_.signature_band_hz
-                          : config_.digitizer.fs_hz / 2.0;
-  auto n_keep = static_cast<std::size_t>(
-      band / config_.digitizer.fs_hz * static_cast<double>(n_fft));
-  n_keep = std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
-  return std::min(n_keep, max_bins_);
+  return signature_length_for(capture_length());
 }
 
 double SignatureAcquirer::expected_bin_noise_sigma() const {
-  const auto n_cap = static_cast<std::size_t>(std::floor(
-                         config_.capture_s * config_.digitizer.fs_hz)) +
-                     1;
   const double sigma_t = config_.digitizer.noise_rms_v;
   if (!config_.use_fft_magnitude) return sigma_t;
   // White time-domain noise of std sigma_t spreads across the FFT: each
   // normalized complex bin has std sigma_t / sqrt(n); group-averaging g
   // bins reduces it by sqrt(g) more.
-  const std::size_t n_fft = stf::dsp::next_pow2(n_cap);
-  const std::size_t len = signature_length();
-  const double band = config_.signature_band_hz > 0.0
-                          ? config_.signature_band_hz
-                          : config_.digitizer.fs_hz / 2.0;
-  auto n_keep = static_cast<std::size_t>(
-      band / config_.digitizer.fs_hz * static_cast<double>(n_fft));
-  n_keep = std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
-  const double group = static_cast<double>((n_keep + len - 1) / len);
+  const std::size_t n_cap = capture_length();
+  const std::size_t n_keep = kept_bins(stf::dsp::next_pow2(n_cap));
+  const double group = static_cast<double>(pool_group(n_keep, max_bins_));
   return sigma_t / std::sqrt(static_cast<double>(n_cap) * group);
 }
 

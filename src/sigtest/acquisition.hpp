@@ -4,11 +4,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "dsp/pwl.hpp"
 #include "rf/dut.hpp"
 #include "rf/faults.hpp"
@@ -24,10 +22,17 @@ using Signature = std::vector<double>;
 
 /// Runs the full signature pipeline for one DUT and one stimulus.
 ///
-/// Immutable after construction: acquire() is const and thread-safe, so a
-/// single acquirer is shared by the parallel sensitivity/optimizer loops.
-/// The load board and its LPF design are hoisted into the constructor and
-/// reused across every acquisition.
+/// Immutable after construction and holds no lock: acquire() is const and
+/// thread-safe, so a single acquirer is shared by the parallel
+/// sensitivity/optimizer loops. The load board and its LPF design are
+/// hoisted into the constructor and reused across every acquisition. The
+/// stimulus is rendered and upconverted (mixer 1) once per thread: each
+/// thread keeps its last prepared stimulus, keyed by the breakpoints,
+/// fs_sim, the sample count and the up-mixer, and starts every capture
+/// from a copy of it. A production lot replays one stimulus and a GA
+/// objective evaluation acquires its candidate 2k times on one thread, so
+/// nearly every capture hits; acquirers of other configurations on the
+/// same thread miss rather than share.
 class SignatureAcquirer {
  public:
   /// max_bins caps the signature dimension; longer captures are
@@ -35,12 +40,6 @@ class SignatureAcquirer {
   /// well-posed for small calibration sets.
   explicit SignatureAcquirer(const SignatureTestConfig& config,
                              std::size_t max_bins = 64);
-
-  /// Copyable (the guarded runtimes are copied in tests): the render-cache
-  /// mutex is per-instance and never copied; the cached rendered stimulus
-  /// is immutable and shared with the source.
-  SignatureAcquirer(const SignatureAcquirer& other);
-  SignatureAcquirer& operator=(const SignatureAcquirer& other);
 
   /// Acquire a signature. rng enables DUT + digitizer noise; nullptr gives
   /// the noiseless response used for sensitivity estimation.
@@ -64,7 +63,7 @@ class SignatureAcquirer {
                                   stf::stats::Rng* rng) const;
 
   /// Allocation-free raw_capture into caller storage (out.size() must be
-  /// capture_length()). The rendered stimulus is cached across calls and
+  /// capture_length()). The upconverted stimulus is cached per thread and
   /// all intermediate buffers come from the per-thread capture arena, so
   /// steady-state acquisitions allocate nothing on the heap.
   void raw_capture_into(const stf::rf::RfDut& dut,
@@ -101,20 +100,13 @@ class SignatureAcquirer {
   /// Signature length signature_into() produces for an n_capture-sample
   /// capture (pool_bins ceil-division semantics).
   std::size_t signature_length_for(std::size_t n_capture) const;
-  /// The rendered stimulus, cached: production tests replay one waveform
-  /// across the whole lot, so rendering is hoisted out of the per-device
-  /// path. Thread-safe; the returned buffer is immutable and shared.
-  std::shared_ptr<const std::vector<double>> rendered_stimulus(
-      const stf::dsp::PwlWaveform& stimulus, std::size_t n_sim) const;
+  /// In-band bins the FFT signature keeps of an n_fft-point spectrum,
+  /// before pooling down to max_bins.
+  std::size_t kept_bins(std::size_t n_fft) const;
 
   SignatureTestConfig config_;
   std::size_t max_bins_;
   stf::rf::LoadBoard board_;
-  mutable stf::core::Mutex render_mutex_;
-  mutable std::vector<stf::dsp::PwlPoint> render_key_
-      STF_GUARDED_BY(render_mutex_);
-  mutable std::shared_ptr<const std::vector<double>> render_cache_
-      STF_GUARDED_BY(render_mutex_);
 };
 
 }  // namespace stf::sigtest

@@ -166,4 +166,34 @@ TEST(ThreadDeterminism, ParallelNoisyAcquisitionWithDerivedStreams) {
   EXPECT_EQ(run(1), run(4));
 }
 
+TEST(ThreadDeterminism, SharedAcquirerInterleavingStimuliIsBitIdentical) {
+  // The GA's access pattern: one shared acquirer, every pool thread
+  // acquiring a different stimulus, so each thread's prepared stimulus
+  // keeps changing under concurrent use. Item i takes stimulus i % 3 on
+  // its own derived noise stream.
+  const auto config = sigtest::SignatureTestConfig::simulation_study();
+  const sigtest::SignatureAcquirer acquirer(config, 16);
+  const auto dut = rf::extract_lna_dut(circuit::Lna900::nominal()).dut;
+  const std::vector<dsp::PwlWaveform> stimuli = {
+      dsp::PwlWaveform::uniform(config.capture_s, {0.0, 0.2, -0.2, 0.1, 0.0}),
+      dsp::PwlWaveform::uniform(config.capture_s, {0.1, -0.3, 0.3, -0.1}),
+      dsp::PwlWaveform::uniform(config.capture_s,
+                                {0.0, 0.25, 0.0, -0.25, 0.0, 0.15})};
+  const stats::Rng base(2024);
+  const std::size_t n = 24;
+  const auto acquire = [&](std::size_t i) {
+    stats::Rng item = base.derive(i);
+    return acquirer.acquire(*dut, stimuli[i % stimuli.size()], &item);
+  };
+
+  std::vector<sigtest::Signature> serial(n);
+  for (std::size_t i = 0; i < n; ++i) serial[i] = acquire(i);
+  std::vector<sigtest::Signature> parallel(n);
+  {
+    ThreadCountGuard guard(4);
+    core::parallel_for(0, n, [&](std::size_t i) { parallel[i] = acquire(i); });
+  }
+  EXPECT_EQ(serial, parallel);
+}
+
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for FIR/IIR filters, PWL waveforms, and resampling.
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -136,6 +137,36 @@ TEST(Iir, InvalidParamsThrow) {
                std::invalid_argument);
   EXPECT_THROW(stf::dsp::BiquadCascade{std::vector<stf::dsp::Biquad>{}},
                std::invalid_argument);
+}
+
+TEST(Iir, OnePassCascadeMatchesSectionAtATimeBitwise) {
+  // filter_inplace runs the sections together in one pass over time; each
+  // output must equal filtering one whole section after another. Odd
+  // orders include the first-order section; orders above 8 need more than
+  // one pass.
+  stf::stats::Rng rng(23);
+  std::vector<double> x(401);
+  for (auto& v : x) v = rng.normal();
+  for (std::size_t order = 1; order <= 10; ++order) {
+    const auto lpf = stf::dsp::butterworth_lowpass(order, 10e6, 80e6);
+    std::vector<double> want = x;
+    for (const stf::dsp::Biquad& s : lpf.sections()) {
+      double z1 = 0.0;
+      double z2 = 0.0;
+      for (double& v : want) {
+        const double in = v;
+        const double out = s.b0 * in + z1;
+        z1 = s.b1 * in - s.a1 * out + z2;
+        z2 = s.b2 * in - s.a2 * out;
+        v = out;
+      }
+    }
+    std::vector<double> got = x;
+    lpf.filter_inplace(got);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), x.size() * sizeof(double)),
+              0)
+        << "order " << order;
+  }
 }
 
 TEST(Iir, ComplexFilterActsPerComponent) {

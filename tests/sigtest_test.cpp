@@ -29,12 +29,57 @@ stf::dsp::PwlWaveform test_stimulus(double duration, double amp = 0.2) {
 // ------------------------------------------------------------- acquisition --
 
 TEST(Acquisition, SignatureLengthMatchesAcquire) {
-  const auto cfg = SignatureTestConfig::simulation_study();
-  SignatureAcquirer acq(cfg, 16);
+  // signature_length() must be the pooled count acquire() returns, also
+  // when the group size does not divide the kept bins evenly (24 and 48
+  // bins of the simulation study's 64, 64 of the hardware study's 3276).
   stf::rf::IdealGainDut dut(Cplx(2.0, 0.0));
-  const auto sig = acq.acquire(dut, test_stimulus(cfg.capture_s), nullptr);
-  EXPECT_EQ(sig.size(), acq.signature_length());
-  EXPECT_EQ(sig.size(), 16u);
+  for (const auto& cfg : {SignatureTestConfig::simulation_study(),
+                          SignatureTestConfig::hardware_study()}) {
+    for (std::size_t bins : {16u, 24u, 48u, 64u}) {
+      const SignatureAcquirer acq(cfg, bins);
+      const auto sig = acq.acquire(dut, test_stimulus(cfg.capture_s), nullptr);
+      EXPECT_EQ(acq.signature_length(), sig.size())
+          << "capture_s=" << cfg.capture_s << " max_bins=" << bins;
+    }
+  }
+  const auto cfg = SignatureTestConfig::simulation_study();
+  EXPECT_EQ(SignatureAcquirer(cfg, 16).signature_length(), 16u);
+}
+
+// A fresh acquirer's signature of `stimulus`, taken after the thread's
+// prepared stimulus was switched to another waveform, so the reference
+// cannot come from an entry another configuration left behind.
+Signature fresh_signature(const SignatureTestConfig& cfg,
+                          const stf::rf::RfDut& dut,
+                          const stf::dsp::PwlWaveform& stimulus) {
+  const SignatureAcquirer fresh(cfg, 16);
+  (void)fresh.acquire(dut, stimulus.scaled(0.5), nullptr);
+  return fresh.acquire(dut, stimulus, nullptr);
+}
+
+TEST(Acquisition, AlternatingConfigurationsDoNotShareThePreparedStimulus) {
+  // Two acquirers replay one waveform on one thread, taking turns. Their
+  // configurations differ only in the up-mixer gain, then only in fs_sim
+  // (80.1 MHz keeps the 401-sample window), so a cache keyed on the
+  // breakpoints alone would hand one the other's upconverted stimulus.
+  const auto base = SignatureTestConfig::simulation_study();
+  auto gain = base;
+  gain.board.up_mixer.conversion_gain_db += 3.0;
+  auto rate = base;
+  rate.fs_sim_hz = 80.1e6;
+  const auto stimulus = test_stimulus(base.capture_s);
+  stf::rf::IdealGainDut dut(Cplx(2.0, 0.0));
+  for (const auto& other : {gain, rate}) {
+    const Signature want_a = fresh_signature(base, dut, stimulus);
+    const Signature want_b = fresh_signature(other, dut, stimulus);
+    ASSERT_NE(want_a, want_b);
+    const SignatureAcquirer a(base, 16);
+    const SignatureAcquirer b(other, 16);
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(a.acquire(dut, stimulus, nullptr), want_a) << round;
+      EXPECT_EQ(b.acquire(dut, stimulus, nullptr), want_b) << round;
+    }
+  }
 }
 
 TEST(Acquisition, NoiselessAcquisitionIsDeterministic) {
