@@ -158,6 +158,28 @@ void BM_SignatureAcquisition(benchmark::State& state) {
 }
 BENCHMARK(BM_SignatureAcquisition);
 
+// One capture's measurement noise: 903 draws, the LNA's 802 (re and im of
+// 401 samples) plus the digitizer's 101. Arg 0 is the per-call
+// `x += normal(0.0, sigma)` loop, Arg 1 the bulk add_normal the capture path
+// uses; both produce the same values bitwise.
+void BM_NormalNoise(benchmark::State& state) {
+  const bool bulk = state.range(0) != 0;
+  stats::Rng rng(17);
+  std::vector<double> x(903, 0.0);
+  for (auto _ : state) {
+    if (bulk) {
+      rng.add_normal(x, 1e-3);
+    } else {
+      for (double& v : x) v += rng.normal(0.0, 1e-3);
+    }
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_NormalNoise)->Arg(0)->Arg(1);
+
 // Butterworth cascade over interleaved channels: the SIMD biquad kernel's
 // home turf. Arg is the channel count -- 1 is the scalar recurrence floor,
 // lane-multiple widths run fully vectorized, and the interleaved/scalar

@@ -91,17 +91,15 @@ void BehavioralLna::process_into(std::span<const Cplx> in, double fs,
     // (F - 1) * 4 k T Rs (V^2/Hz as a source EMF), amplified by |H|^2.
     // Complex envelope noise in the simulation bandwidth fs has per-sample
     // variance PSD * fs (so each real quadrature carries PSD * fs / 2).
-    // The draws stay scalar and strictly ordered (re before im): the rng
-    // stream is part of the determinism contract.
+    // The draws stay strictly ordered (re before im, sample by sample):
+    // the rng stream is part of the determinism contract, and `out` viewed
+    // as interleaved doubles is exactly that order.
     const double f_lin = std::pow(10.0, nf_db_ / 10.0);
     const double psd_in = (f_lin - 1.0) * 4.0 * stf::circuit::kBoltzmann *
                           stf::circuit::kNoiseTemperature * rs_ohms_;
     const double sigma = std::sqrt(psd_in * fs / 2.0) * std::abs(gain_);
-    for (auto& v : out) {
-      const double nr = rng->normal(0.0, sigma);
-      const double ni = rng->normal(0.0, sigma);
-      v += Cplx(nr, ni);
-    }
+    rng->add_normal({reinterpret_cast<double*>(out.data()), 2 * out.size()},
+                    sigma);
   }
 }
 

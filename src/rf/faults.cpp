@@ -30,10 +30,66 @@ FaultSpec FaultSpec::gain_drift(double drift_per_device) {
   return {FaultKind::kGainDrift, drift_per_device, 0.0};
 }
 
-FaultInjector::FaultInjector(std::vector<FaultSpec> faults)
-    : faults_(std::move(faults)) {}
+namespace {
 
-void FaultInjector::add(const FaultSpec& fault) { faults_.push_back(fault); }
+const char* kind_name(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kLoDrift: return "lo";
+    case FaultKind::kClip: return "clip";
+    case FaultKind::kStuckSample: return "stuck";
+    case FaultKind::kDroppedSample: return "drop";
+    case FaultKind::kContactNoise: return "contact";
+    case FaultKind::kBaselineWander: return "wander";
+    case FaultKind::kGainDrift: return "gain";
+  }
+  return "?";
+}
+
+// The one check every fault passes before an injector holds it (parse, add
+// and the vector constructor all come here): apply() feeds these
+// parameters to std distributions whose preconditions they must meet, and
+// a server parses them off the wire. Explicit throws, so the check stays in
+// builds with SIGTEST_CHECKED=OFF.
+void validate_fault(const FaultSpec& f) {
+  const auto bad = [&f](const char* why) {
+    std::ostringstream os;
+    os << "FaultSpec " << kind_name(f.kind) << '(' << f.p1 << ", " << f.p2
+       << "): " << why;
+    throw std::invalid_argument(os.str());
+  };
+  if (!std::isfinite(f.p1) || !std::isfinite(f.p2))
+    bad("parameters must be finite");
+  switch (f.kind) {
+    case FaultKind::kStuckSample:
+    case FaultKind::kDroppedSample:
+    case FaultKind::kContactNoise:
+      // bernoulli_distribution(p) requires 0 <= p <= 1.
+      if (!(f.p1 >= 0.0 && f.p1 <= 1.0)) bad("probability must be in [0, 1]");
+      break;
+    case FaultKind::kLoDrift:
+      // uniform(-p, p) requires -p <= p and a finite width 2p.
+      if (!(f.p1 >= 0.0 && f.p2 >= 0.0) || !std::isfinite(2.0 * f.p1) ||
+          !std::isfinite(2.0 * f.p2))
+        bad("LO error ranges must be >= 0 with a finite width");
+      break;
+    case FaultKind::kClip:
+    case FaultKind::kBaselineWander:
+    case FaultKind::kGainDrift:
+      break;
+  }
+}
+
+}  // namespace
+
+FaultInjector::FaultInjector(std::vector<FaultSpec> faults)
+    : faults_(std::move(faults)) {
+  for (const FaultSpec& f : faults_) validate_fault(f);
+}
+
+void FaultInjector::add(const FaultSpec& fault) {
+  validate_fault(fault);
+  faults_.push_back(fault);
+}
 
 namespace {
 
@@ -92,23 +148,6 @@ void FaultInjector::apply(std::vector<double>& capture, double fs_hz,
                           stf::stats::Rng& rng) const {
   apply(std::span<double>(capture), fs_hz, sequence, rng);
 }
-
-namespace {
-
-const char* kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kLoDrift: return "lo";
-    case FaultKind::kClip: return "clip";
-    case FaultKind::kStuckSample: return "stuck";
-    case FaultKind::kDroppedSample: return "drop";
-    case FaultKind::kContactNoise: return "contact";
-    case FaultKind::kBaselineWander: return "wander";
-    case FaultKind::kGainDrift: return "gain";
-  }
-  return "?";
-}
-
-}  // namespace
 
 FaultInjector FaultInjector::parse(const std::string& spec) {
   FaultInjector inj;

@@ -70,6 +70,12 @@ struct FaultSpec {
 
 /// Composable fault model for the capture path. Faults apply in the order
 /// they were added, each transforming the capture in place.
+///
+/// Every fault is checked on entry (constructor, add, parse) and rejected
+/// with std::invalid_argument -- in every build, SIGTEST_CHECKED or not --
+/// unless both parameters are finite, a stuck/drop/contact probability lies
+/// in [0, 1], and the LO frequency and phase ranges are >= 0 with a finite
+/// width 2p.
 class FaultInjector {
  public:
   FaultInjector() = default;
@@ -94,7 +100,7 @@ class FaultInjector {
   /// Parse a CLI scenario: comma-separated `name:p1[:p2]` terms, e.g.
   /// "clip:0.1,lo:2e3:0.8,contact:0.02:0.5". Names: lo, clip, stuck, drop,
   /// contact, wander, gain. Throws std::invalid_argument on a malformed
-  /// spec or unknown name.
+  /// spec, an unknown name or a parameter outside its domain.
   static FaultInjector parse(const std::string& spec);
 
   /// Human-readable scenario summary, e.g. "clip(rail=0.1) + gain(2e-3)".

@@ -221,8 +221,7 @@ void Digitizer::capture_into(std::span<const double> analog, double fs_in,
                              std::span<double> out) const {
   STF_REQUIRE(fs_hz > 0.0, "Digitizer: fs_hz must be > 0");
   stf::dsp::resample_linear_into(analog, fs_in, fs_hz, out);
-  if (rng != nullptr && noise_rms_v > 0.0)
-    for (auto& v : out) v += rng->normal(0.0, noise_rms_v);
+  if (rng != nullptr && noise_rms_v > 0.0) rng->add_normal(out, noise_rms_v);
   if (bits > 0) {
     const double levels = std::pow(2.0, bits - 1);
     const double lsb = full_scale_v / levels;

@@ -33,7 +33,7 @@ Signature acquire_analog_signature(const stf::circuit::Netlist& netlist,
   Signature samples = stf::dsp::resample_linear(
       response, 1.0 / config.sim_dt, config.fs_capture_hz);
   if (rng != nullptr && config.noise_rms_v > 0.0)
-    for (double& v : samples) v += rng->normal(0.0, config.noise_rms_v);
+    rng->add_normal(samples, config.noise_rms_v);
   return samples;
 }
 

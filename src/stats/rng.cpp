@@ -1,5 +1,6 @@
 #include "stats/rng.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
@@ -7,6 +8,34 @@
 #include "core/contracts.hpp"
 
 namespace stf::stats {
+
+Mt19937_64::Mt19937_64(result_type seed) : index_(kStateWords) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kStateWords; ++i)
+    state_[i] =
+        6364136223846793005ULL * (state_[i - 1] ^ (state_[i - 1] >> 62)) + i;
+}
+
+void Mt19937_64::twist() {
+  constexpr std::size_t kShift = 156;  // the recurrence's middle word offset
+  constexpr result_type kUpper = ~result_type{0} << 31;
+  constexpr result_type kMatrixA = 0xB5026F5AA96619E9ULL;
+  // The low bit of y selects kMatrixA through a mask, not a branch: the bit
+  // is a coin flip, so a branch would mispredict on every other word.
+  const auto next = [](result_type word, result_type succ, result_type mid) {
+    const result_type y = (word & kUpper) | (succ & ~kUpper);
+    return mid ^ (y >> 1) ^ ((result_type{0} - (y & 1)) & kMatrixA);
+  };
+  std::size_t k = 0;
+  for (; k < kStateWords - kShift; ++k)
+    state_[k] = next(state_[k], state_[k + 1], state_[k + kShift]);
+  for (; k < kStateWords - 1; ++k)
+    state_[k] =
+        next(state_[k], state_[k + 1], state_[k + kShift - kStateWords]);
+  state_[k] = next(state_[k], state_[0], state_[kShift - 1]);
+  index_ = 0;
+}
+
 namespace detail {
 namespace {
 
@@ -70,8 +99,50 @@ const ZigTables& tables() {
   return t;
 }
 
-double uniform53(std::mt19937_64& engine) {
+double uniform53(Mt19937_64& engine) {
   return static_cast<double>(engine() >> 11) * kTwoPow53Inv;
+}
+
+// The ~1% of draws the fast path rejects: `bits` is the engine word it
+// read and `x` the magnitude it built from it.
+[[gnu::noinline]] double ziggurat_reject(Mt19937_64& engine,
+                                         const ZigTables& t,
+                                         std::uint64_t bits, double x) {
+  const int i = static_cast<int>(bits & 0xFF);
+  const bool negative = (bits & 0x100) != 0;
+  if (i == 0) {
+    // Base strip overflow: exact sample from the tail beyond kR via
+    // Marsaglia's exponential rejection. 1-u keeps the logs finite.
+    double xx;
+    double yy;
+    do {
+      xx = -std::log(1.0 - uniform53(engine)) / kR;
+      yy = -std::log(1.0 - uniform53(engine));
+    } while (yy + yy < xx * xx);
+    const double tail = kR + xx;
+    return negative ? -tail : tail;
+  }
+  // Wedge: accept x in [x[i+1], x[i]) iff a uniform height between the
+  // strip's floor and ceiling falls under the density.
+  const double y = t.f[i] + uniform53(engine) * (t.f[i + 1] - t.f[i]);
+  if (y < std::exp(-0.5 * x * x)) return negative ? -x : x;
+  // A miss discards the word and starts a fresh draw.
+  return ziggurat_normal(engine);
+}
+
+// The common case of every normal draw, inlined into both callers. One
+// engine word supplies the layer index (low 8 bits), the sign (bit 8) and a
+// 53-bit uniform magnitude; the draw is accepted whenever it lands strictly
+// inside the layer above's width. x >= 0 there, so XOR-ing bit 8 into the
+// sign bit is exactly `negative ? -x : x` without a 50/50 branch.
+inline double ziggurat_draw(Mt19937_64& engine, const ZigTables& t) {
+  const std::uint64_t bits = engine();
+  const std::size_t i = bits & 0xFF;
+  const double x = static_cast<double>(bits >> 11) * kTwoPow53Inv * t.x[i];
+  if (x < t.x[i + 1]) [[likely]]
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
+                                 ((bits & 0x100) << 55));
+  return ziggurat_reject(engine, t, bits, x);
 }
 
 }  // namespace
@@ -79,33 +150,17 @@ double uniform53(std::mt19937_64& engine) {
 // Total over its domain: any engine state yields a valid standard-normal
 // draw, so there is no input contract to state.
 // stf-analyze: allow(api-contract)
-double ziggurat_normal(std::mt19937_64& engine) {
-  const ZigTables& t = tables();
-  for (;;) {
-    const std::uint64_t bits = engine();
-    const int i = static_cast<int>(bits & 0xFF);
-    const bool negative = (bits & 0x100) != 0;
-    const double u = static_cast<double>(bits >> 11) * kTwoPow53Inv;
-    const double x = u * t.x[i];
-    if (x < t.x[i + 1]) return negative ? -x : x;  // inside the layer above
-    if (i == 0) {
-      // Base strip overflow: exact sample from the tail beyond kR via
-      // Marsaglia's exponential rejection. 1-u keeps the logs finite.
-      double xx;
-      double yy;
-      do {
-        xx = -std::log(1.0 - uniform53(engine)) / kR;
-        yy = -std::log(1.0 - uniform53(engine));
-      } while (yy + yy < xx * xx);
-      const double tail = kR + xx;
-      return negative ? -tail : tail;
-    }
-    // Wedge: accept x in [x[i+1], x[i]) iff a uniform height between the
-    // strip's floor and ceiling falls under the density.
-    const double y = t.f[i] + uniform53(engine) * (t.f[i + 1] - t.f[i]);
-    if (y < std::exp(-0.5 * x * x)) return negative ? -x : x;
-  }
+double ziggurat_normal(Mt19937_64& engine) {
+  return ziggurat_draw(engine, tables());
 }
 
 }  // namespace detail
+
+void Rng::add_normal(std::span<double> x, double sigma) {
+  STF_REQUIRE(!(sigma < 0.0), "Rng::add_normal: sigma must not be negative");
+  const detail::ZigTables& t = detail::tables();
+  const double mean = 0.0;  // normal(0.0, sigma)'s `mean + sigma * z`
+  for (double& v : x) v += mean + sigma * detail::ziggurat_draw(engine_, t);
+}
+
 }  // namespace stf::stats

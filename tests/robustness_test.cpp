@@ -339,6 +339,27 @@ TEST(FaultParse, RoundTripAndErrors) {
   EXPECT_THROW(rf::FaultInjector::parse("unknown:1"), std::invalid_argument);
   EXPECT_THROW(rf::FaultInjector::parse("clip"), std::invalid_argument);
   EXPECT_THROW(rf::FaultInjector::parse("clip:abc"), std::invalid_argument);
+
+  // Parameters outside the domain of the std distributions apply() feeds
+  // them to, and non-finite ones, are rejected on every entry path.
+  for (const char* spec :
+       {"stuck:nan", "stuck:-0.1", "drop:-0.5", "drop:1.5", "contact:1.5:0.05",
+        "contact:0.02:nan", "lo:-100", "lo:100:-0.5", "lo:1e308", "lo:inf",
+        "clip:inf", "wander:0.05:inf", "gain:nan"})
+    EXPECT_THROW(rf::FaultInjector::parse(spec), std::invalid_argument)
+        << spec;
+  rf::FaultInjector inj2;
+  EXPECT_THROW(inj2.add(rf::FaultSpec::dropped_sample(2.0)),
+               std::invalid_argument);
+  EXPECT_TRUE(inj2.empty());
+  EXPECT_THROW(rf::FaultInjector({rf::FaultSpec::clip(0.1),
+                                  rf::FaultSpec::lo_drift(-1.0)}),
+               std::invalid_argument);
+  // The boundaries are valid.
+  EXPECT_EQ(rf::FaultInjector::parse("stuck:0,drop:1,contact:1:-0.05,lo:0:0")
+                .faults()
+                .size(),
+            4u);
 }
 
 TEST(SeedRobustness2, HardwareStudyQualityHoldsAcrossPopulations) {

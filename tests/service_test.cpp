@@ -396,6 +396,13 @@ TEST_F(ServiceTest, BadRequestsAreTypedAndNeverKillTheServer) {
   ASSERT_EQ(r2.status, net::ClientStatus::kRejected);
   EXPECT_EQ(r2.reject_code, net::RejectCode::kBadRequest);
 
+  // A well-formed spec whose probability bernoulli_distribution cannot take.
+  net::LotRequest bad_probability = request_for(4, 9001);
+  bad_probability.fault_spec = "contact:1.5:0.05";
+  const auto r3 = client.run_lot(bad_probability);
+  ASSERT_EQ(r3.status, net::ClientStatus::kRejected);
+  EXPECT_EQ(r3.reject_code, net::RejectCode::kBadRequest);
+
   // Malformed bytes on a raw connection: that connection dies, the server
   // does not.
   {

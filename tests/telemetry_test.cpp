@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -223,18 +224,46 @@ TEST_F(TelemetryTest, WorkerSpansAttachUnderDispatchingRegion) {
         1);
   }
   ASSERT_EQ(arrived.load(), 4);
-  // parallel_for unblocks once every chunk is done, but each worker records
-  // its participation span only after leaving the job -- wait (bounded) for
-  // the stragglers to flush before asserting.
-  const auto flush_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (telem::span_stats("test.region/workers").count < 3 &&
-         std::chrono::steady_clock::now() < flush_deadline)
-    std::this_thread::yield();
+  // Each worker records its participation span before its last chunk is
+  // counted, so all three are there as soon as parallel_for returns.
   const telem::SpanStats workers = telem::span_stats("test.region/workers");
   EXPECT_EQ(workers.count, 3u);
   EXPECT_EQ(workers.threads, 3u);
   EXPECT_EQ(telem::span_stats("test.region").count, 1u);
+}
+
+TEST_F(TelemetryTest, EveryWorkerSpanIsRecordedWhenParallelForReturns) {
+  // Many small loops, each checked the moment parallel_for returns: the
+  // trace must already hold one "parallel_for/workers" span per pool thread
+  // that ran an index, and nothing may arrive later (a late span would land
+  // after the reset and be counted against the next loop).
+  ThreadCountGuard guard(4);
+  constexpr std::size_t kItems = 8;
+  std::vector<std::thread::id> ran_on(kItems);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t loops_with_workers = 0;
+  for (int call = 0; call < 20000; ++call) {
+    stf::core::parallel_for(
+        0, kItems,
+        [&](std::size_t i) {
+          ran_on[i] = std::this_thread::get_id();
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(1);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+        },
+        1);
+    std::vector<std::thread::id> workers;
+    for (const std::thread::id id : ran_on)
+      if (id != caller &&
+          std::find(workers.begin(), workers.end(), id) == workers.end())
+        workers.push_back(id);
+    // The body opens no spans, so every non-flow event is a worker span.
+    ASSERT_EQ(telem::span_event_count(), workers.size()) << "call " << call;
+    loops_with_workers += workers.empty() ? 0 : 1;
+    telem::reset();
+  }
+  EXPECT_GT(loops_with_workers, 0u);
 }
 
 TEST_F(TelemetryTest, ChromeTraceIsValidJsonWithExpectedEvents) {
