@@ -333,20 +333,20 @@ ParallelRegion parallel_region_begin(const char* fallback_name) {
 }
 
 std::uint64_t parallel_worker_begin(const ParallelRegion& region) {
-  if (!region.active) return 0;
+  STF_REQUIRE(region.active && region.name != nullptr,
+              "parallel_worker_begin: region is not active");
   thread_log().open.push_back(region.name);
   return now_ns();
 }
 
 void parallel_worker_end(const ParallelRegion& region, std::uint64_t start_ns,
                          std::size_t chunks) {
-  STF_REQUIRE(!region.active || region.name != nullptr,
-              "parallel_worker_end: active region lost its name");
-  if (!region.active) return;
+  STF_REQUIRE(region.active && region.name != nullptr,
+              "parallel_worker_end: region is not active");
+  STF_REQUIRE(chunks != 0, "parallel_worker_end: worker claimed no chunk");
   const std::uint64_t end = now_ns();
   ThreadLog& log = thread_log();
   if (!log.open.empty()) log.open.pop_back();
-  if (chunks == 0) return;  // woke up after the loop drained: nothing to show
   Event e;
   e.name = region.name;
   e.start_ns = start_ns;
