@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,47 @@ void BM_SignatureAcquisition(benchmark::State& state) {
     benchmark::DoNotOptimize(acq.acquire(*ch.dut, stim, &rng));
 }
 BENCHMARK(BM_SignatureAcquisition);
+
+// Sixteen devices that share one stimulus, captured the way the lot engine
+// and the GA objective capture them. Arg 0 picks the path: 0 is sixteen
+// per-device raw_capture_into calls, 1 one raw_capture_lanes call, whose
+// board stages run one device per vector lane. Arg 1 picks noiseless (0,
+// the GA's perturbed devices) or noisy (1, a production lot, each device on
+// its own stream). Both paths produce the same captures bitwise.
+void BM_CaptureLanes(benchmark::State& state) {
+  const bool lanes = state.range(0) != 0;
+  const bool noisy = state.range(1) != 0;
+  const auto cfg = sigtest::SignatureTestConfig::simulation_study();
+  const sigtest::SignatureAcquirer acq(cfg, 16);
+  const auto stim = dsp::PwlWaveform::uniform(
+      cfg.capture_s, {0.0, 0.2, -0.2, 0.1, -0.1, 0.25, -0.25, 0.0});
+  const auto devices = rf::make_lna_population(16, 0.2, 5);
+  std::vector<const rf::RfDut*> duts;
+  std::vector<stats::Rng> rngs;
+  std::vector<stats::Rng*> streams;
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    duts.push_back(devices[i].dut.get());
+    rngs.push_back(stats::Rng(100).derive(i));
+  }
+  for (stats::Rng& r : rngs) streams.push_back(noisy ? &r : nullptr);
+  const std::size_t n_cap = acq.capture_length();
+  std::vector<double> captures(duts.size() * n_cap);
+  for (auto _ : state) {
+    if (lanes) {
+      acq.raw_capture_lanes(duts, stim, streams, captures);
+    } else {
+      for (std::size_t i = 0; i < duts.size(); ++i)
+        acq.raw_capture_into(*duts[i], stim, streams[i],
+                             std::span<double>(captures).subspan(i * n_cap,
+                                                                 n_cap));
+    }
+    benchmark::DoNotOptimize(captures.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(duts.size()));
+}
+BENCHMARK(BM_CaptureLanes)->ArgsProduct({{0, 1}, {0, 1}});
 
 // One capture's measurement noise: 903 draws, the LNA's 802 (re and im of
 // 401 samples) plus the digitizer's 101. Arg 0 is the per-call

@@ -25,94 +25,93 @@ BiquadCascade::BiquadCascade(std::vector<Biquad> sections)
 
 namespace {
 
+// One channel per pass: a scalar lane.
+struct ScalarLane {
+  using V = double;
+  static V broadcast(double x) { return x; }
+  static V load(const double* p) { return *p; }
+  static void store(double* p, V v) { *p = v; }
+};
+
+// simd::kLanes channels per pass, one per vector lane.
+struct VectorLane {
+  using V = simd::VecD;
+  static V broadcast(double x) { return simd::broadcast(x); }
+  static V load(const double* p) { return simd::load(p); }
+  static void store(double* p, V v) { simd::store(p, v); }
+};
+
 // Direct form II transposed, one-shot over the whole buffer, for G
 // consecutive sections in one pass over time: at each sample, section k
 // filters section k-1's output of the same instant. A section's recurrence
 // depends only on its own state, so the G recurrences overlap in the
 // pipeline instead of running back to back, while every section performs
 // the reference operations below in the reference order -- each output is
-// bit-identical to filtering one whole section at a time. The coefficients
-// are copied to locals so stores to x cannot alias them.
-template <std::size_t G>
-void run_sections_fused(const Biquad* sections, double* x, std::size_t n) {
-  Biquad s[G];
-  for (std::size_t k = 0; k < G; ++k) s[k] = sections[k];
-  double z1[G] = {};
-  double z2[G] = {};
-  for (std::size_t i = 0; i < n; ++i) {
-    double in = x[i];
+// bit-identical to filtering one whole section at a time. x[t * stride] is
+// the channel's sample t; with the vector lane, the kLanes channels from x
+// on step through time together, each lane running exactly the scalar
+// operations (products, then the same sum/difference chain, no FMA -- this
+// TU compiles with -ffp-contract=off). The coefficients are copied to
+// locals so stores to x cannot alias them.
+template <class L, std::size_t G>
+void run_sections_fused(const Biquad* sections, double* x, std::size_t n,
+                        std::size_t stride) {
+  using V = typename L::V;
+  V b0[G], b1[G], b2[G], a1[G], a2[G], z1[G], z2[G];
+  for (std::size_t k = 0; k < G; ++k) {
+    b0[k] = L::broadcast(sections[k].b0);
+    b1[k] = L::broadcast(sections[k].b1);
+    b2[k] = L::broadcast(sections[k].b2);
+    a1[k] = L::broadcast(sections[k].a1);
+    a2[k] = L::broadcast(sections[k].a2);
+    z1[k] = L::broadcast(0.0);
+    z2[k] = L::broadcast(0.0);
+  }
+  for (std::size_t i = 0; i < n; ++i, x += stride) {
+    V in = L::load(x);
     for (std::size_t k = 0; k < G; ++k) {
-      const double out = s[k].b0 * in + z1[k];
-      z1[k] = s[k].b1 * in - s[k].a1 * out + z2[k];
-      z2[k] = s[k].b2 * in - s[k].a2 * out;
+      const V out = b0[k] * in + z1[k];
+      z1[k] = b1[k] * in - a1[k] * out + z2[k];
+      z2[k] = b2[k] * in - a2[k] * out;
       in = out;
     }
-    x[i] = in;
+    L::store(x, in);
   }
 }
 
 // The whole cascade, up to four sections per pass: the board's
 // Butterworth orders through 8 take a single pass over the signal.
+template <class L>
 void run_cascade_fused(const std::vector<Biquad>& sections, double* x,
-                       std::size_t n) {
+                       std::size_t n, std::size_t stride) {
   const Biquad* s = sections.data();
   std::size_t left = sections.size();
-  for (; left >= 4; left -= 4, s += 4) run_sections_fused<4>(s, x, n);
+  for (; left >= 4; left -= 4, s += 4)
+    run_sections_fused<L, 4>(s, x, n, stride);
   switch (left) {
-    case 3: run_sections_fused<3>(s, x, n); break;
-    case 2: run_sections_fused<2>(s, x, n); break;
-    case 1: run_sections_fused<1>(s, x, n); break;
+    case 3: run_sections_fused<L, 3>(s, x, n, stride); break;
+    case 2: run_sections_fused<L, 2>(s, x, n, stride); break;
+    case 1: run_sections_fused<L, 1>(s, x, n, stride); break;
     default: break;
   }
 }
 
 // Channel-interleaved cascade: data[t * k + c] is channel c at time t.
 // Channels are independent recurrences, so lane-sized channel groups step
-// through time together; within each lane the operation order matches the
-// scalar reference exactly (products, then the same sum/difference chain,
-// no FMA -- this TU compiles with -ffp-contract=off).
+// through time together; the remaining channels (all of them on the scalar
+// backend or with the runtime switch off) run the reference recurrence one
+// channel at a time. Either way each channel is bit-identical to
+// filter_inplace on that channel alone.
 void run_interleaved(const std::vector<Biquad>& sections, double* x,
                      std::size_t k, std::size_t n) {
   std::size_t c0 = 0;
   if constexpr (simd::kLanes >= 2) {
     if (simd::enabled()) {
-      for (; c0 + simd::kLanes <= k; c0 += simd::kLanes) {
-        for (const Biquad& s : sections) {
-          const simd::VecD b0 = simd::broadcast(s.b0);
-          const simd::VecD b1 = simd::broadcast(s.b1);
-          const simd::VecD b2 = simd::broadcast(s.b2);
-          const simd::VecD a1 = simd::broadcast(s.a1);
-          const simd::VecD a2 = simd::broadcast(s.a2);
-          simd::VecD z1 = simd::broadcast(0.0);
-          simd::VecD z2 = simd::broadcast(0.0);
-          double* p = x + c0;
-          for (std::size_t t = 0; t < n; ++t, p += k) {
-            const simd::VecD in = simd::load(p);
-            const simd::VecD out = b0 * in + z1;
-            z1 = (b1 * in - a1 * out) + z2;
-            z2 = b2 * in - a2 * out;
-            simd::store(p, out);
-          }
-        }
-      }
+      for (; c0 + simd::kLanes <= k; c0 += simd::kLanes)
+        run_cascade_fused<VectorLane>(sections, x + c0, n, k);
     }
   }
-  // Remaining channels (all of them on the scalar backend or with the
-  // runtime switch off): the reference recurrence, one channel at a time.
-  for (; c0 < k; ++c0) {
-    for (const Biquad& s : sections) {
-      double z1 = 0.0;
-      double z2 = 0.0;
-      double* p = x + c0;
-      for (std::size_t t = 0; t < n; ++t, p += k) {
-        const double in = *p;
-        const double out = s.b0 * in + z1;
-        z1 = s.b1 * in - s.a1 * out + z2;
-        z2 = s.b2 * in - s.a2 * out;
-        *p = out;
-      }
-    }
-  }
+  for (; c0 < k; ++c0) run_cascade_fused<ScalarLane>(sections, x + c0, n, k);
 }
 
 }  // namespace
@@ -131,7 +130,7 @@ std::vector<std::complex<double>> BiquadCascade::filter(
 }
 
 void BiquadCascade::filter_inplace(std::span<double> x) const {
-  run_cascade_fused(sections_, x.data(), x.size());
+  run_cascade_fused<ScalarLane>(sections_, x.data(), x.size(), 1);
 }
 
 void BiquadCascade::filter_inplace(

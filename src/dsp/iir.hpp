@@ -51,7 +51,10 @@ class BiquadCascade {
   /// interleaved (x[t * n_channels + c] is channel c at time t). Channels
   /// are independent; lane-sized channel groups run vectorized and the
   /// remainder runs scalar, with per-channel results bit-identical either
-  /// way. x.size() must be a multiple of n_channels.
+  /// way. Like filter_inplace, every section of the cascade (up to four per
+  /// pass) advances in one pass over time. The device-lane capture path
+  /// filters one device per channel. x.size() must be a multiple of
+  /// n_channels.
   void filter_interleaved(std::span<double> x, std::size_t n_channels) const;
 
   /// Combined complex frequency response.

@@ -30,6 +30,14 @@ std::vector<double> resample_linear(const std::vector<double>& x, double fs_in,
 void resample_linear_into(std::span<const double> x, double fs_in,
                           double fs_out, std::span<double> out);
 
+/// resample_linear_into over `n_channels` equal-length channels stored
+/// interleaved (x[t * n_channels + c] is channel c at time t; out likewise).
+/// Each channel is bit-identical to resample_linear_into on that channel
+/// alone.
+void resample_interleaved_into(std::span<const double> x,
+                               std::size_t n_channels, double fs_in,
+                               double fs_out, std::span<double> out);
+
 /// Complex variant of resample_linear.
 std::vector<std::complex<double>> resample_linear(
     const std::vector<std::complex<double>>& x, double fs_in, double fs_out);

@@ -86,20 +86,79 @@ void BehavioralLna::process_into(std::span<const Cplx> in, double fs,
     out[i] = Cplx((v.real() * gr - v.imag() * gi) / denom,
                   (v.imag() * gr + v.real() * gi) / denom);
   }
-  if (rng != nullptr && nf_db_ > 0.0) {
-    // Excess input-referred noise PSD over the source floor:
-    // (F - 1) * 4 k T Rs (V^2/Hz as a source EMF), amplified by |H|^2.
-    // Complex envelope noise in the simulation bandwidth fs has per-sample
-    // variance PSD * fs (so each real quadrature carries PSD * fs / 2).
+  if (rng != nullptr && noisy()) {
     // The draws stay strictly ordered (re before im, sample by sample):
     // the rng stream is part of the determinism contract, and `out` viewed
     // as interleaved doubles is exactly that order.
-    const double f_lin = std::pow(10.0, nf_db_ / 10.0);
-    const double psd_in = (f_lin - 1.0) * 4.0 * stf::circuit::kBoltzmann *
-                          stf::circuit::kNoiseTemperature * rs_ohms_;
-    const double sigma = std::sqrt(psd_in * fs / 2.0) * std::abs(gain_);
     rng->add_normal({reinterpret_cast<double*>(out.data()), 2 * out.size()},
-                    sigma);
+                    noise_sigma(fs));
+  }
+}
+
+double BehavioralLna::noise_sigma(double fs) const {
+  STF_REQUIRE(fs > 0.0, "BehavioralLna::noise_sigma: fs must be > 0");
+  // Excess input-referred noise PSD over the source floor:
+  // (F - 1) * 4 k T Rs (V^2/Hz as a source EMF), amplified by |H|^2.
+  // Complex envelope noise in the simulation bandwidth fs has per-sample
+  // variance PSD * fs (so each real quadrature carries PSD * fs / 2).
+  const double f_lin = std::pow(10.0, nf_db_ / 10.0);
+  const double psd_in = (f_lin - 1.0) * 4.0 * stf::circuit::kBoltzmann *
+                        stf::circuit::kNoiseTemperature * rs_ohms_;
+  return std::sqrt(psd_in * fs / 2.0) * std::abs(gain_);
+}
+
+void BehavioralLna::process_lanes(std::span<const BehavioralLna* const> duts,
+                                  std::span<const Cplx> in,
+                                  std::span<double> out) {
+  const std::size_t k = duts.size();
+  STF_REQUIRE(k != 0, "BehavioralLna::process_lanes: no devices");
+  STF_REQUIRE(out.size() == 2 * in.size() * k,
+              "BehavioralLna::process_lanes: out must hold 2 * in.size() "
+              "quadratures per device");
+  for (const BehavioralLna* d : duts)
+    STF_REQUIRE(d != nullptr, "BehavioralLna::process_lanes: null device");
+  // Each lane runs process_into's reference operations on the shared input
+  // sample: |v|^2 is the same for every lane, so it is computed once, and
+  // only the gain and 1/A^2 differ per lane.
+  const auto inv_a2 = [](const BehavioralLna& d) {
+    return std::isinf(d.iip3_v_) ? 0.0 : 1.0 / (d.iip3_v_ * d.iip3_v_);
+  };
+  double* dst = out.data();
+  if constexpr (simd::kLanes >= 2) {
+    if (k == simd::kLanes && simd::enabled()) {
+      double gr[simd::kLanes], gi[simd::kLanes], ia2[simd::kLanes];
+      for (std::size_t d = 0; d < k; ++d) {
+        gr[d] = duts[d]->gain_.real();
+        gi[d] = duts[d]->gain_.imag();
+        ia2[d] = inv_a2(*duts[d]);
+      }
+      const simd::VecD g_re = simd::load(gr);
+      const simd::VecD g_im = simd::load(gi);
+      const simd::VecD lane_ia2 = simd::load(ia2);
+      const simd::VecD one = simd::broadcast(1.0);
+      for (const Cplx v : in) {
+        const double mag2 = v.real() * v.real() + v.imag() * v.imag();
+        const simd::VecD denom =
+            simd::sqrt(one + simd::broadcast(2.0 * mag2) * lane_ia2);
+        const simd::VecD re = simd::broadcast(v.real());
+        const simd::VecD im = simd::broadcast(v.imag());
+        simd::store(dst, (re * g_re - im * g_im) / denom);
+        simd::store(dst + k, (im * g_re + re * g_im) / denom);
+        dst += 2 * k;
+      }
+      return;
+    }
+  }
+  for (const Cplx v : in) {
+    const double mag2 = v.real() * v.real() + v.imag() * v.imag();
+    for (std::size_t d = 0; d < k; ++d) {
+      const double gr = duts[d]->gain_.real();
+      const double gi = duts[d]->gain_.imag();
+      const double denom = std::sqrt(1.0 + 2.0 * mag2 * inv_a2(*duts[d]));
+      dst[d] = (v.real() * gr - v.imag() * gi) / denom;
+      dst[k + d] = (v.imag() * gr + v.real() * gi) / denom;
+    }
+    dst += 2 * k;
   }
 }
 

@@ -62,6 +62,24 @@ class BehavioralLna : public RfDut {
   void process_into(std::span<const Cplx> in, double fs, stf::stats::Rng* rng,
                     std::span<Cplx> out) const override;
 
+  /// Whether process_into adds noise when given an rng (nf_db > 0).
+  bool noisy() const { return nf_db_ > 0.0; }
+
+  /// Standard deviation of the excess noise process_into adds to each
+  /// quadrature of an envelope at rate fs (meaningful when noisy()).
+  double noise_sigma(double fs) const;
+
+  /// Device lanes: the noiseless AM/AM of K = duts.size() devices driven by
+  /// one shared input envelope, one device per lane. Device d's quadrature
+  /// q (0 = I, 1 = Q) of sample t lands in out[(2 t + q) * K + d], so
+  /// out.size() must be 2 * in.size() * K. Each device's outputs are
+  /// bit-identical to its process_into with a null rng; the caller adds
+  /// each device's noise (noise_sigma) from its own stream. K equal to the
+  /// vector width runs in vector lanes, any other K runs the scalar
+  /// reference per lane.
+  static void process_lanes(std::span<const BehavioralLna* const> duts,
+                            std::span<const Cplx> in, std::span<double> out);
+
   Cplx gain() const { return gain_; }
   double iip3_v() const { return iip3_v_; }
   double nf_db() const { return nf_db_; }

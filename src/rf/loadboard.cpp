@@ -18,37 +18,31 @@ void MixerModel::apply(EnvelopeSignal& s) const {
   apply(std::span<Cplx>(s.x));
 }
 
-void MixerModel::apply(std::span<Cplx> x) const {
-  const double g = std::pow(10.0, conversion_gain_db / 20.0);
-  const double a_ip3 = iip3_dbm_to_source_amplitude(iip3_dbm);
+namespace {
+
+// The mixer's AM/AM constants: linear gain and 1/A^2 of its IP3 amplitude.
+struct MixerCoeffs {
+  double g;
+  double inv_a2;
+};
+
+MixerCoeffs mixer_coeffs(const MixerModel& m) {
+  const double a_ip3 = iip3_dbm_to_source_amplitude(m.iip3_dbm);
   STF_REQUIRE(a_ip3 > 0.0, "MixerModel::apply: IP3 amplitude must be > 0");
-  const double inv_a2 = 1.0 / (a_ip3 * a_ip3);
+  return {std::pow(10.0, m.conversion_gain_db / 20.0), 1.0 / (a_ip3 * a_ip3)};
+}
+
+}  // namespace
+
+void MixerModel::apply(std::span<Cplx> x) const {
+  const auto [g, inv_a2] = mixer_coeffs(*this);
   // Saturating AM/AM with the same third-order expansion as the classic
   // cubic (see BehavioralLna). The gain is real, so both quadratures scale
-  // by g / sqrt(1 + 2|v|^2/A^2): lanes hold interleaved (re, im) pairs and
-  // run exactly the scalar operation order; the tail (and the SIMD-off
-  // path) is the scalar reference.
-  std::size_t i = 0;
-  if constexpr (simd::kLanes >= 2) {
-    if (simd::enabled()) {
-      constexpr std::size_t kC = simd::kLanes / 2;  // complexes per vector
-      const simd::VecD gv = simd::broadcast(g);
-      const simd::VecD one = simd::broadcast(1.0);
-      const simd::VecD two = simd::broadcast(2.0);
-      const simd::VecD ia2 = simd::broadcast(inv_a2);
-      double* p = reinterpret_cast<double*>(x.data());
-      for (; i + kC <= x.size(); i += kC, p += simd::kLanes) {
-        const simd::VecD v = simd::load(p);
-        const simd::VecD mag2 = simd::dup_even(v) * simd::dup_even(v) +
-                                simd::dup_odd(v) * simd::dup_odd(v);
-        const simd::VecD denom = simd::sqrt(one + two * mag2 * ia2);
-        simd::store(p, gv * v / denom);
-      }
-    }
-  }
-  for (; i < x.size(); ++i) {
-    const double mag2 = std::norm(x[i]);
-    x[i] = g * x[i] / std::sqrt(1.0 + 2.0 * mag2 * inv_a2);
+  // by g / sqrt(1 + 2|v|^2/A^2). This loop is the reference the device-lane
+  // path (LoadBoard::capture_lanes) reproduces per lane.
+  for (auto& v : x) {
+    const double mag2 = std::norm(v);
+    v = g * v / std::sqrt(1.0 + 2.0 * mag2 * inv_a2);
   }
 }
 
@@ -191,16 +185,137 @@ void LoadBoard::run_upconverted_into(std::span<Cplx> env, double fs_sim,
           feed;
   }
 
-  // Post-mixer anti-alias lowpass, in place: the planned design when the
-  // rate matches, an identical on-the-fly design otherwise.
+  // Post-mixer anti-alias lowpass, in place.
   STF_TRACE_SPAN("board.lpf");
-  if (planned_lpf_ && fs_sim == planned_fs_hz_) {
-    planned_lpf_->filter_inplace(out);
-    return;
+  std::optional<stf::dsp::BiquadCascade> unplanned;
+  lpf_at(fs_sim, unplanned).filter_inplace(out);
+}
+
+const stf::dsp::BiquadCascade& LoadBoard::lpf_at(
+    double fs_sim, std::optional<stf::dsp::BiquadCascade>& unplanned) const {
+  // The planned design when the rate matches, an identical on-the-fly
+  // design otherwise.
+  if (planned_lpf_ && fs_sim == planned_fs_hz_) return *planned_lpf_;
+  unplanned = stf::dsp::butterworth_lowpass(config_.lpf_order,
+                                            config_.lpf_cutoff_hz, fs_sim);
+  return *unplanned;
+}
+
+std::size_t LoadBoard::lane_width() {
+  return simd::enabled() ? simd::kLanes : 1;
+}
+
+void LoadBoard::capture_lanes(std::span<const Cplx> env, double fs_sim,
+                              std::span<const BehavioralLna* const> duts,
+                              std::span<stf::stats::Rng* const> rngs,
+                              const Digitizer& digitizer,
+                              std::span<const std::span<double>> out) const {
+  constexpr std::size_t kK = simd::kLanes;
+  const std::size_t g = duts.size();
+  STF_REQUIRE(g >= 1 && g <= kK,
+              "LoadBoard::capture_lanes: 1 to simd::kLanes devices per group");
+  STF_REQUIRE(rngs.size() == g && out.size() == g,
+              "LoadBoard::capture_lanes: one rng slot and one output per "
+              "device");
+  STF_REQUIRE(!env.empty(), "LoadBoard::capture_lanes: empty envelope");
+  STF_REQUIRE(fs_sim > 2.0 * config_.lpf_cutoff_hz,
+              "LoadBoard::run: fs_sim must exceed twice the LPF cutoff");
+  const std::size_t n = env.size();
+  const std::size_t n_cap = digitizer.capture_length(n, fs_sim);
+  for (const std::span<double> o : out)
+    STF_REQUIRE(o.size() == n_cap,
+                "LoadBoard::capture_lanes: every output must be "
+                "capture_length() long");
+  STF_TRACE_SPAN("board.lanes");
+  STF_COUNT("board.lane_groups");
+
+  // Device d of the group runs in lane d; spare lanes repeat device 0,
+  // draw no noise, and are dropped at the end. Every buffer is
+  // device-interleaved: lane d of sample t sits at [t * kK + d].
+  stf::core::Arena& arena = stf::core::capture_arena();
+  const stf::core::ArenaScope scope(arena);
+  const BehavioralLna* lane[kK];
+  for (std::size_t d = 0; d < kK; ++d) lane[d] = duts[d < g ? d : 0];
+  stf::core::ArenaVector<double> quad(
+      2 * n * kK, 0.0, stf::core::ArenaAllocator<double>(&arena));
+  stf::core::ArenaVector<double> analog(
+      n * kK, 0.0, stf::core::ArenaAllocator<double>(&arena));
+  stf::core::ArenaVector<double> capture(
+      n_cap * kK, 0.0, stf::core::ArenaAllocator<double>(&arena));
+
+  // The DUT: the shared envelope through each device's AM/AM, then each
+  // device's noise from its own stream, added to its lane exactly as
+  // process_into adds it (re before im, sample by sample).
+  {
+    STF_TRACE_SPAN("board.lanes.dut");
+    BehavioralLna::process_lanes({lane, kK}, env, {quad.data(), quad.size()});
+    for (std::size_t d = 0; d < g; ++d)
+      if (rngs[d] != nullptr && duts[d]->noisy())
+        rngs[d]->add_normal({quad.data() + d, quad.size() - d},
+                            duts[d]->noise_sigma(fs_sim), kK);
   }
-  const auto lpf = stf::dsp::butterworth_lowpass(
-      config_.lpf_order, config_.lpf_cutoff_hz, fs_sim);
-  lpf.filter_inplace(out);
+
+  // Mixer 2 and the beat rotation, per lane: MixerModel::apply's AM/AM,
+  // then Re{y * rot} + feedthrough, with run_upconverted_into's operations
+  // in its order. The rotation phasor is the same for every lane.
+  {
+    STF_TRACE_SPAN("board.lanes.downconvert");
+    const auto [g_mix, inv_a2] = mixer_coeffs(config_.down_mixer);
+    const double dphi =
+        2.0 * std::numbers::pi * config_.lo_offset_hz / fs_sim;
+    const auto& rot = rotation_table(n, dphi, config_.path_phase_rad);
+    const double feed = config_.down_mixer.lo_feedthrough_v;
+    const double* q = quad.data();
+    double* a = analog.data();
+    std::size_t t = 0;
+    if constexpr (kK >= 2) {
+      if (simd::enabled()) {
+        const simd::VecD gv = simd::broadcast(g_mix);
+        const simd::VecD one = simd::broadcast(1.0);
+        const simd::VecD two = simd::broadcast(2.0);
+        const simd::VecD ia2 = simd::broadcast(inv_a2);
+        const simd::VecD fv = simd::broadcast(feed);
+        for (; t < n; ++t, q += 2 * kK, a += kK) {
+          const simd::VecD re = simd::load(q);
+          const simd::VecD im = simd::load(q + kK);
+          const simd::VecD denom =
+              simd::sqrt(one + two * (re * re + im * im) * ia2);
+          const simd::VecD yr = gv * re / denom;
+          const simd::VecD yi = gv * im / denom;
+          simd::store(a, (yr * simd::broadcast(rot[t].real()) -
+                          yi * simd::broadcast(rot[t].imag())) +
+                             fv);
+        }
+      }
+    }
+    for (; t < n; ++t, q += 2 * kK, a += kK) {
+      for (std::size_t d = 0; d < kK; ++d) {
+        const double denom = std::sqrt(
+            1.0 + 2.0 * (q[d] * q[d] + q[kK + d] * q[kK + d]) * inv_a2);
+        const double yr = g_mix * q[d] / denom;
+        const double yi = g_mix * q[kK + d] / denom;
+        a[d] = (yr * rot[t].real() - yi * rot[t].imag()) + feed;
+      }
+    }
+  }
+
+  // The LPF with one device per channel, then the digitizer's resampling.
+  {
+    STF_TRACE_SPAN("board.lanes.lpf");
+    std::optional<stf::dsp::BiquadCascade> unplanned;
+    lpf_at(fs_sim, unplanned)
+        .filter_interleaved({analog.data(), analog.size()}, kK);
+  }
+  STF_TRACE_SPAN("board.lanes.digitize");
+  stf::dsp::resample_interleaved_into({analog.data(), analog.size()}, kK,
+                                      fs_sim, digitizer.fs_hz,
+                                      {capture.data(), capture.size()});
+  // Out of the lanes: the rest of the digitizer runs per device, on that
+  // device's stream after its DUT noise, as capture_into runs it.
+  for (std::size_t d = 0; d < g; ++d) {
+    for (std::size_t i = 0; i < n_cap; ++i) out[d][i] = capture[i * kK + d];
+    digitizer.noise_and_quantize(out[d], rngs[d]);
+  }
 }
 
 std::size_t Digitizer::capture_length(std::size_t n_in, double fs_in) const {
@@ -221,6 +336,14 @@ void Digitizer::capture_into(std::span<const double> analog, double fs_in,
                              std::span<double> out) const {
   STF_REQUIRE(fs_hz > 0.0, "Digitizer: fs_hz must be > 0");
   stf::dsp::resample_linear_into(analog, fs_in, fs_hz, out);
+  noise_and_quantize(out, rng);
+}
+
+// Total over its inputs: any span, a null rng and any noise level are
+// valid (add_normal only runs for noise_rms_v > 0).
+// stf-analyze: allow(api-contract)
+void Digitizer::noise_and_quantize(std::span<double> out,
+                                   stf::stats::Rng* rng) const {
   if (rng != nullptr && noise_rms_v > 0.0) rng->add_normal(out, noise_rms_v);
   if (bits > 0) {
     const double levels = std::pow(2.0, bits - 1);

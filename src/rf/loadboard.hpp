@@ -33,8 +33,7 @@ struct MixerModel {
   /// Apply gain + cubic compression to an envelope in place.
   void apply(EnvelopeSignal& s) const;
 
-  /// Span variant of apply() for envelopes in caller-managed storage;
-  /// vectorized across samples, bit-identical to the scalar reference.
+  /// Span variant of apply() for envelopes in caller-managed storage.
   void apply(std::span<Cplx> x) const;
 
   /// Equal mixers transform every envelope identically (a cache key).
@@ -52,6 +51,8 @@ struct LoadBoardConfig {
   double lpf_cutoff_hz = 10e6;   ///< Post-mixer anti-alias lowpass.
 };
 
+struct Digitizer;
+
 /// The analog signature path: stimulus -> mixer1 -> DUT -> mixer2 -> LPF.
 ///
 /// Immutable after construction; run() is const and thread-safe, so one
@@ -62,6 +63,15 @@ struct LoadBoardConfig {
 /// run_upconverted_into() takes it through the DUT, mixer 2 and the LPF,
 /// so a caller that replays one stimulus can upconvert it once and start
 /// every capture from a copy. run_into() is the two in sequence.
+///
+/// Device lanes: every device of a lot, and every perturbed device of a GA
+/// candidate, shares the stimulus and every board stage but its DUT and
+/// its noise. capture_lanes() takes a group of up to lane_width()
+/// BehavioralLna devices through the DUT, mixer 2, the beat rotation, the
+/// LPF and the digitizer's resampling together, one device per vector
+/// lane, and hands each device its capture bit-identical to
+/// run_upconverted_into() plus Digitizer::capture_into(), stream position
+/// included. The per-device path stays the scalar reference.
 class LoadBoard {
  public:
   /// planned_fs_hz > 0 designs the anti-alias lowpass once, up front, for
@@ -100,9 +110,34 @@ class LoadBoard {
                             const RfDut& dut, stf::stats::Rng* rng,
                             std::span<double> out) const;
 
+  /// Devices capture_lanes() takes per group: the vector width of the
+  /// board kernels, or 1 when this build has no vector backend or the
+  /// runtime STF_SIMD switch is off.
+  static std::size_t lane_width();
+
+  /// Device lanes: run_upconverted_into() and then `digitizer`'s
+  /// capture_into() for each of 1 to simd::kLanes devices that share the
+  /// upconverted envelope `env` (read only). Device i draws its DUT noise
+  /// and then its digitizer noise from rngs[i] (null: noiseless); the
+  /// streams must be distinct. out[i] receives device i's capture
+  /// (digitizer.capture_length(env.size(), fs_sim) samples), and it and
+  /// rngs[i] end bit-identical to the per-device path. Scratch comes from
+  /// the per-thread capture arena.
+  void capture_lanes(std::span<const Cplx> env, double fs_sim,
+                     std::span<const BehavioralLna* const> duts,
+                     std::span<stf::stats::Rng* const> rngs,
+                     const Digitizer& digitizer,
+                     std::span<const std::span<double>> out) const;
+
   const LoadBoardConfig& config() const { return config_; }
 
  private:
+  /// The anti-alias lowpass at fs_sim: the planned design when the rate
+  /// matches, else a design built into `unplanned`.
+  const stf::dsp::BiquadCascade& lpf_at(
+      double fs_sim,
+      std::optional<stf::dsp::BiquadCascade>& unplanned) const;
+
   LoadBoardConfig config_;
   double planned_fs_hz_ = 0.0;
   std::optional<stf::dsp::BiquadCascade> planned_lpf_;
@@ -128,6 +163,11 @@ struct Digitizer {
   /// capture_length(analog.size(), fs_in)). Bit-identical to capture().
   void capture_into(std::span<const double> analog, double fs_in,
                     stf::stats::Rng* rng, std::span<double> out) const;
+
+  /// The digitizer after resampling, in place: the additive noise (when
+  /// rng is non-null), then the quantizer. capture_into() is resampling
+  /// followed by this.
+  void noise_and_quantize(std::span<double> out, stf::stats::Rng* rng) const;
 };
 
 }  // namespace stf::rf

@@ -161,6 +161,75 @@ void SignatureAcquirer::raw_capture_into(const stf::rf::RfDut& dut,
                                  config_.fs_sim_hz, rng, out);
 }
 
+void SignatureAcquirer::raw_capture_lanes(
+    std::span<const stf::rf::RfDut* const> duts,
+    const stf::dsp::PwlWaveform& stimulus,
+    std::span<stf::stats::Rng* const> rngs, std::span<double> out) const {
+  const std::size_t n_cap = capture_length();
+  STF_REQUIRE(rngs.size() == duts.size(),
+              "SignatureAcquirer::raw_capture_lanes: one rng slot per device");
+  STF_REQUIRE(out.size() == duts.size() * n_cap,
+              "SignatureAcquirer::raw_capture_lanes: out must hold one "
+              "capture per device");
+  for (const stf::rf::RfDut* dut : duts)
+    STF_REQUIRE(dut != nullptr,
+                "SignatureAcquirer::raw_capture_lanes: null device");
+  const auto capture = [&](std::size_t i) {
+    return out.subspan(i * n_cap, n_cap);
+  };
+  const std::size_t width = stf::rf::LoadBoard::lane_width();
+  if (width == 1 || duts.size() == 1) {
+    for (std::size_t i = 0; i < duts.size(); ++i)
+      raw_capture_into(*duts[i], stimulus, rngs[i], capture(i));
+    return;
+  }
+  STF_TRACE_SPAN("acq.capture_lanes");
+  stf::core::Arena& arena = stf::core::capture_arena();
+  const stf::core::ArenaScope scope(arena);
+  // The devices the lane kernel models, in set order; any other model
+  // takes the per-device path.
+  stf::core::ArenaVector<std::size_t> lanes{
+      stf::core::ArenaAllocator<std::size_t>(&arena)};
+  lanes.reserve(duts.size());
+  for (std::size_t i = 0; i < duts.size(); ++i) {
+    if (dynamic_cast<const stf::rf::BehavioralLna*>(duts[i]) != nullptr)
+      lanes.push_back(i);
+    else
+      raw_capture_into(*duts[i], stimulus, rngs[i], capture(i));
+  }
+  // This TU builds without the kernels' ISA flags, so its simd::kLanes
+  // can be narrower than theirs: the group arrays take the kernels' width.
+  stf::core::ArenaVector<const stf::rf::BehavioralLna*> group(
+      width, nullptr,
+      stf::core::ArenaAllocator<const stf::rf::BehavioralLna*>(&arena));
+  stf::core::ArenaVector<stf::stats::Rng*> group_rngs(
+      width, nullptr, stf::core::ArenaAllocator<stf::stats::Rng*>(&arena));
+  stf::core::ArenaVector<std::span<double>> group_out(
+      width, std::span<double>{},
+      stf::core::ArenaAllocator<std::span<double>>(&arena));
+  // The shared drive envelope is read in place, with no per-device copy.
+  // A group of one below looks the same entry up again, so it stays valid.
+  const std::span<const stf::rf::Cplx> env = prepared_stimulus(
+      board_, stimulus, config_.fs_sim_hz, sim_length(config_));
+  for (std::size_t g0 = 0; g0 < lanes.size(); g0 += width) {
+    const std::size_t g = std::min(width, lanes.size() - g0);
+    if (g == 1) {
+      raw_capture_into(*duts[lanes[g0]], stimulus, rngs[lanes[g0]],
+                       capture(lanes[g0]));
+      continue;
+    }
+    for (std::size_t d = 0; d < g; ++d) {
+      const std::size_t i = lanes[g0 + d];
+      group[d] = static_cast<const stf::rf::BehavioralLna*>(duts[i]);
+      group_rngs[d] = rngs[i];
+      group_out[d] = capture(i);
+    }
+    board_.capture_lanes(env, config_.fs_sim_hz, {group.data(), g},
+                         {group_rngs.data(), g}, config_.digitizer,
+                         {group_out.data(), g});
+  }
+}
+
 namespace {
 
 // Bins averaged into each pooled output when n bins are capped at

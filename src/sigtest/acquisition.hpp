@@ -33,6 +33,14 @@ using Signature = std::vector<double>;
 /// objective evaluation acquires its candidate 2k times on one thread, so
 /// nearly every capture hits; acquirers of other configurations on the
 /// same thread miss rather than share.
+///
+/// Device lanes: raw_capture_lanes() captures a whole set of devices that
+/// share the stimulus, grouping BehavioralLna devices one per vector lane
+/// through the board (rf::LoadBoard::capture_lanes). The lot engine runs
+/// each attempt's captures through it and the GA's Eq. 10 objective its
+/// perturbed devices; every capture, and every stream position after it,
+/// is bit-identical to raw_capture_into() on that device alone, which
+/// stays the scalar reference.
 class SignatureAcquirer {
  public:
   /// max_bins caps the signature dimension; longer captures are
@@ -69,6 +77,22 @@ class SignatureAcquirer {
   void raw_capture_into(const stf::rf::RfDut& dut,
                         const stf::dsp::PwlWaveform& stimulus,
                         stf::stats::Rng* rng, std::span<double> out) const;
+
+  /// raw_capture_into() for every device of a set that shares `stimulus`:
+  /// device i draws from rngs[i] (null: noiseless; non-null streams must be
+  /// distinct) and its capture lands in out[i * capture_length(), ...), so
+  /// out.size() must be duts.size() * capture_length(). BehavioralLna
+  /// devices run through the board in groups of rf::LoadBoard::lane_width()
+  /// (callers that split a set over threads split it in multiples of that);
+  /// other device models, a group of one, and a build or run without
+  /// vector lanes take raw_capture_into() one device at a time. Each
+  /// capture and each stream's position afterwards are bit-identical to
+  /// raw_capture_into() on that device alone. Scratch comes from the
+  /// per-thread capture arena.
+  void raw_capture_lanes(std::span<const stf::rf::RfDut* const> duts,
+                         const stf::dsp::PwlWaveform& stimulus,
+                         std::span<stf::stats::Rng* const> rngs,
+                         std::span<double> out) const;
 
   /// Number of samples in one digitized capture.
   std::size_t capture_length() const;

@@ -1,12 +1,23 @@
 #include "sigtest/batch.hpp"
 
+#include <algorithm>
 #include <utility>
 
+#include "core/arena.hpp"
 #include "core/contracts.hpp"
 #include "core/parallel.hpp"
 #include "core/telemetry.hpp"
 
 namespace stf::sigtest {
+
+namespace {
+
+// Devices a pool thread tests together: four lane groups at the widest
+// backend, and a bound on the capture arena a chunk takes whatever the
+// batch size.
+constexpr std::size_t kLaneBlock = 16;
+
+}  // namespace
 
 BatchRuntime::BatchRuntime(const SignatureTestConfig& config,
                            stf::dsp::PwlWaveform stimulus,
@@ -57,18 +68,35 @@ LotResult BatchRuntime::test_lot(const std::vector<const stf::rf::RfDut*>& lot,
   STF_COUNT("batch.lots");
   STF_COUNT("batch.devices", lot.size());
 
-  // Device i runs the guarded test on its own derived stream and fault
-  // sequence and writes only its own slot, so how the pool splits the lot
-  // never changes a disposition (see header).
+  // A pool thread claims batch_size devices and tests them attempt by
+  // attempt, at most kLaneBlock at a time so the arena scratch stays
+  // bounded. Device i runs on its own derived stream and fault sequence
+  // and writes only its own slot, so how the pool splits the lot never
+  // changes a disposition (see header).
+  const std::size_t chunks =
+      (lot.size() + batch.batch_size - 1) / batch.batch_size;
   stf::core::parallel_for(
-      0, lot.size(),
-      [&](std::size_t i) {
-        const std::uint64_t sequence = first_sequence + i;
-        stf::stats::Rng child = rng.derive(sequence);
-        result.dispositions[i] =
-            guarded_.test_device(cal, *lot[i], child, faults, sequence);
+      0, chunks,
+      [&](std::size_t chunk) {
+        const std::size_t begin = chunk * batch.batch_size;
+        const std::size_t end =
+            std::min(begin + batch.batch_size, lot.size());
+        for (std::size_t lo = begin; lo < end; lo += kLaneBlock) {
+          const std::size_t n = std::min(kLaneBlock, end - lo);
+          stf::core::Arena& arena = stf::core::capture_arena();
+          const stf::core::ArenaScope scope(arena);
+          stf::core::ArenaVector<stf::stats::Rng> children{
+              stf::core::ArenaAllocator<stf::stats::Rng>(&arena)};
+          children.reserve(n);
+          for (std::size_t i = lo; i < lo + n; ++i)
+            children.push_back(rng.derive(first_sequence + i));
+          guarded_.test_devices(cal, {lot.data() + lo, n},
+                                {children.data(), n}, faults,
+                                first_sequence + lo,
+                                {result.dispositions.data() + lo, n});
+        }
       },
-      batch.batch_size);
+      1);
 
   for (const TestDisposition& d : result.dispositions) {
     switch (d.kind) {

@@ -5,11 +5,15 @@
 // strips/trays of parts, so the natural unit is the lot. BatchRuntime keeps
 // GuardedRuntime's per-device semantics (finiteness firewall, railing,
 // outlier screen, bounded retest with escalating averaging, routing) and
-// runs them as one core::parallel_for over the lot's devices, claiming
-// BatchOptions::batch_size devices per chunk. Every device, retests
-// included, runs on whichever pool thread claimed it, so a faulted lot's
-// retest loops spread over every core. test_lot spawns no threads:
-// concurrent callers take turns on the pool like any parallel_for caller.
+// runs them as one core::parallel_for over the lot, a pool thread claiming
+// BatchOptions::batch_size devices per chunk. The thread tests its chunk
+// attempt by attempt (GuardedRuntime::test_devices): for each capture of
+// an attempt, every device of the chunk still in play captures together,
+// so the board runs them one device per vector lane, and retests regroup
+// by attempt. Faults, inspection, the signature, screening and prediction
+// run per device. A faulted lot's retest loops spread over every core.
+// test_lot spawns no threads: concurrent callers take turns on the pool
+// like any parallel_for caller.
 //
 // Determinism contract: dispositions are BIT-IDENTICAL, at every
 // STF_THREADS setting and batch size, to the serial reference
@@ -21,9 +25,10 @@
 //
 // Each device owns the derived child stream rng.derive(first_sequence + i)
 // and its fault sequence number, so no rng draw ever crosses a device
-// boundary, and the lot runs that very loop body against the calibration
-// version pinned at lot entry. Tests assert this equivalence on clean and
-// faulted lots.
+// boundary, and test_device is the same attempt loop over that one device,
+// run against the calibration version pinned at lot entry. Tests assert
+// this equivalence on clean and faulted lots, and golden digests pin the
+// dispositions themselves.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +47,9 @@ namespace stf::sigtest {
 /// Knobs of the lot engine.
 struct BatchOptions {
   /// Devices a pool thread claims at a time. Larger chunks cut dispatch
-  /// overhead; smaller ones balance uneven (retest-heavy) lots better. A
-  /// lot of at most batch_size devices runs inline on the caller.
+  /// overhead and fill more device lanes per capture; smaller ones balance
+  /// uneven (retest-heavy) lots better. A lot of at most batch_size devices
+  /// runs inline on the caller.
   std::size_t batch_size = 16;
 };
 

@@ -1,7 +1,10 @@
 #include "sigtest/guard.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -23,6 +26,16 @@ GuardedRuntime::GuardedRuntime(const SignatureTestConfig& config,
   STF_REQUIRE(policy_.max_attempts >= 1, "GuardedRuntime: max_attempts < 1");
   STF_REQUIRE(policy_.escalation_averages >= 1,
               "GuardedRuntime: escalation_averages < 1");
+  // The last attempt averages escalation_averages^(max_attempts - 1)
+  // captures, an int count: it must not overflow.
+  std::int64_t last_attempt_captures = 1;
+  for (int a = 1; a < policy_.max_attempts && policy_.escalation_averages > 1;
+       ++a) {
+    last_attempt_captures *= policy_.escalation_averages;
+    STF_REQUIRE(last_attempt_captures <= std::numeric_limits<int>::max(),
+                "GuardedRuntime: escalation_averages^(max_attempts - 1) "
+                "overflows int");
+  }
   STF_REQUIRE(policy_.outlier_threshold > 0.0,
               "GuardedRuntime: outlier_threshold <= 0");
   STF_REQUIRE(policy_.rail_fraction_limit > 0.0,
@@ -142,12 +155,30 @@ CaptureFlaw GuardedRuntime::inspect_capture(
   return CaptureFlaw::kNone;
 }
 
+CaptureFlaw GuardedRuntime::take_capture(std::span<double> capture,
+                                         const stf::rf::FaultInjector* faults,
+                                         std::uint64_t sequence,
+                                         stf::stats::Rng& rng,
+                                         std::span<double> scratch,
+                                         std::span<double> sum) const {
+  STF_REQUIRE(scratch.size() == sum.size(),
+              "GuardedRuntime: signature length mismatch");
+  const SignatureAcquirer& acq = runtime_.acquirer();
+  if (faults != nullptr)
+    faults->apply(capture, acq.config().digitizer.fs_hz, sequence, rng);
+  const CaptureFlaw flaw = inspect_capture(capture);
+  if (flaw != CaptureFlaw::kNone) return flaw;
+  acq.signature_into(capture, scratch);
+  for (std::size_t j = 0; j < sum.size(); ++j) sum[j] += scratch[j];
+  return CaptureFlaw::kNone;
+}
+
 CaptureAttempt GuardedRuntime::capture_attempt(
     const stf::rf::RfDut& dut, stf::stats::Rng& rng,
     const stf::rf::FaultInjector* faults, std::uint64_t sequence,
     int n_avg) const {
+  STF_REQUIRE(n_avg >= 1, "GuardedRuntime::capture_attempt: n_avg < 1");
   const SignatureAcquirer& acq = runtime_.acquirer();
-  const double fs = acq.config().digitizer.fs_hz;
   const std::size_t m = acq.signature_length();
 
   // Acquire (and average) this attempt's captures, validating each one in
@@ -168,12 +199,9 @@ CaptureAttempt GuardedRuntime::capture_attempt(
   for (int c = 0; c < n_avg; ++c) {
     acq.raw_capture_into(dut, runtime_.stimulus(), &rng, cap_span);
     ++a.captures;
-    if (faults != nullptr) faults->apply(cap_span, fs, sequence, rng);
-    a.flaw = inspect_capture(cap_span);
+    a.flaw = take_capture(cap_span, faults, sequence, rng,
+                          {sig.data(), sig.size()}, a.signature);
     if (a.flaw != CaptureFlaw::kNone) return a;
-    acq.signature_into(cap_span, {sig.data(), sig.size()});
-    STF_ASSERT(sig.size() == m, "GuardedRuntime: signature length mismatch");
-    for (std::size_t j = 0; j < m; ++j) a.signature[j] += sig[j];
   }
   for (double& v : a.signature) v /= static_cast<double>(n_avg);
   return a;
@@ -217,48 +245,137 @@ TestDisposition GuardedRuntime::test_device(
     stf::stats::Rng& rng, const stf::rf::FaultInjector* faults,
     std::uint64_t sequence) const {
   STF_TRACE_SPAN("guard.test_device");
-  STF_COUNT("guard.devices");
+  TestDisposition d;
+  const stf::rf::RfDut* const device = &dut;
+  test_devices(cal, {&device, 1}, {&rng, 1}, faults, sequence, {&d, 1});
+  return d;
+}
+
+void GuardedRuntime::test_devices(const CalibrationVersion& cal,
+                                  std::span<const stf::rf::RfDut* const> duts,
+                                  std::span<stf::stats::Rng> rngs,
+                                  const stf::rf::FaultInjector* faults,
+                                  std::uint64_t first_sequence,
+                                  std::span<TestDisposition> out) const {
   STF_REQUIRE(cal.model != nullptr && cal.screen != nullptr,
               "GuardedRuntime::test_device: not calibrated");
+  STF_REQUIRE(rngs.size() == duts.size() && out.size() == duts.size(),
+              "GuardedRuntime::test_devices: one stream and one disposition "
+              "per device");
+  const std::size_t n = duts.size();
+  STF_COUNT("guard.devices", n);
+  const SignatureAcquirer& acq = runtime_.acquirer();
+  const std::size_t m = acq.signature_length();
+  const std::size_t n_cap = acq.capture_length();
 
-  TestDisposition d;
+  // Device i keeps to the per-device loop -- attempts, captures within an
+  // attempt, and every draw from rngs[i] in that order -- but the devices
+  // still in play take each capture together, so their board passes run in
+  // lane groups. Nothing a device computes depends on another, so every
+  // disposition is the one test_device() gives it alone.
+  stf::core::Arena& arena = stf::core::capture_arena();
+  const stf::core::ArenaScope scope(arena);
+  const auto doubles = [&](std::size_t count) {
+    return stf::core::ArenaVector<double>(
+        count, 0.0, stf::core::ArenaAllocator<double>(&arena));
+  };
+  const auto indices = [&] {
+    stf::core::ArenaVector<std::size_t> v{
+        stf::core::ArenaAllocator<std::size_t>(&arena)};
+    v.reserve(n);
+    return v;
+  };
+  stf::core::ArenaVector<double> sums = doubles(n * m);
+  stf::core::ArenaVector<double> captures = doubles(n * n_cap);
+  stf::core::ArenaVector<double> scratch = doubles(m);
+  stf::core::ArenaVector<CaptureFlaw> flaws(
+      n, CaptureFlaw::kNone, stf::core::ArenaAllocator<CaptureFlaw>(&arena));
+  stf::core::ArenaVector<const stf::rf::RfDut*> capture_duts(
+      n, nullptr, stf::core::ArenaAllocator<const stf::rf::RfDut*>(&arena));
+  stf::core::ArenaVector<stf::stats::Rng*> capture_rngs(
+      n, nullptr, stf::core::ArenaAllocator<stf::stats::Rng*>(&arena));
+  // live: devices with an attempt to make; capturing: those whose current
+  // attempt has not yet hit a flawed capture.
+  stf::core::ArenaVector<std::size_t> live = indices();
+  stf::core::ArenaVector<std::size_t> capturing = indices();
+  stf::core::ArenaVector<std::size_t> next = indices();
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = TestDisposition{};
+    live.push_back(i);
+  }
+  const auto sum_of = [&](std::size_t i) {
+    return std::span<double>(sums.data() + i * m, m);
+  };
+
   int n_avg = 1;
-  for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= policy_.max_attempts && !live.empty();
+       ++attempt) {
     if (attempt > 1) {
-      STF_COUNT("guard.retries");
+      STF_COUNT("guard.retries", live.size());
       n_avg *= policy_.escalation_averages;
-      if (n_avg > 1) STF_COUNT("guard.escalations");
+      if (n_avg > 1) STF_COUNT("guard.escalations", live.size());
     }
-    d.attempts = attempt;
-
-    const CaptureAttempt a =
-        capture_attempt(dut, rng, faults, sequence, n_avg);
-    d.captures += a.captures;
-    if (a.flaw != CaptureFlaw::kNone) {
-      d.last_flaw = a.flaw;
-      continue;  // retry with escalated averaging
+    capturing.assign(live.begin(), live.end());
+    for (const std::size_t i : live) {
+      out[i].attempts = attempt;
+      flaws[i] = CaptureFlaw::kNone;
+      const std::span<double> sum = sum_of(i);
+      std::fill(sum.begin(), sum.end(), 0.0);
     }
 
-    const CaptureFlaw flaw = screen_signature(
-        *cal.screen, std::span<const double>(a.signature), &d.outlier_score);
-    if (flaw != CaptureFlaw::kNone) {
-      d.last_flaw = flaw;
-      continue;
+    // This attempt's captures, validated one by one as they arrive.
+    for (int c = 0; c < n_avg && !capturing.empty(); ++c) {
+      const std::size_t k = capturing.size();
+      for (std::size_t j = 0; j < k; ++j) {
+        capture_duts[j] = duts[capturing[j]];
+        capture_rngs[j] = &rngs[capturing[j]];
+      }
+      acq.raw_capture_lanes({capture_duts.data(), k}, runtime_.stimulus(),
+                            {capture_rngs.data(), k},
+                            {captures.data(), k * n_cap});
+      next.clear();
+      for (std::size_t j = 0; j < k; ++j) {
+        const std::size_t i = capturing[j];
+        ++out[i].captures;
+        flaws[i] = take_capture({captures.data() + j * n_cap, n_cap}, faults,
+                                first_sequence + i, rngs[i],
+                                {scratch.data(), m}, sum_of(i));
+        if (flaws[i] == CaptureFlaw::kNone) next.push_back(i);
+      }
+      capturing.swap(next);
     }
 
-    d.last_flaw = CaptureFlaw::kNone;
-    d.kind = attempt == 1 ? DispositionKind::kPredicted
-                          : DispositionKind::kPredictedAfterRetry;
-    d.predicted = cal.model->predict(a.signature);
-    return d;
+    // Screen and predict every device whose captures all validated; the
+    // rest retry with escalated averaging.
+    next.clear();
+    for (const std::size_t i : live) {
+      TestDisposition& d = out[i];
+      if (flaws[i] == CaptureFlaw::kNone) {
+        const std::span<double> signature = sum_of(i);
+        for (double& v : signature) v /= static_cast<double>(n_avg);
+        flaws[i] = screen_signature(*cal.screen, signature, &d.outlier_score);
+        if (flaws[i] == CaptureFlaw::kNone) {
+          d.last_flaw = CaptureFlaw::kNone;
+          d.kind = attempt == 1 ? DispositionKind::kPredicted
+                                : DispositionKind::kPredictedAfterRetry;
+          d.predicted =
+              cal.model->predict(Signature(signature.begin(), signature.end()));
+          continue;
+        }
+      }
+      d.last_flaw = flaws[i];
+      next.push_back(i);
+    }
+    live.swap(next);
   }
 
   // Every attempt failed validation: do not predict. The production flow
-  // routes this part to conventional per-spec test.
-  d.kind = DispositionKind::kRoutedToConventional;
-  d.predicted.clear();
-  STF_COUNT("guard.routed");
-  return d;
+  // routes these parts to conventional per-spec test.
+  for (const std::size_t i : live) {
+    out[i].kind = DispositionKind::kRoutedToConventional;
+    out[i].predicted.clear();
+  }
+  if (!live.empty()) STF_COUNT("guard.routed", live.size());
 }
 
 DriftStatus GuardedRuntime::monitor_golden(const stf::rf::RfDut& golden,

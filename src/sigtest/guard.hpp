@@ -167,10 +167,27 @@ class GuardedRuntime {
   /// calibration() snapshot of this runtime) instead of the current
   /// version, so every device of a lot runs on the version pinned once at
   /// lot entry (BatchRuntime::test_lot), whatever swaps happen meanwhile.
+  /// test_devices() over this one device.
   TestDisposition test_device(const CalibrationVersion& cal,
                               const stf::rf::RfDut& dut, stf::stats::Rng& rng,
                               const stf::rf::FaultInjector* faults,
                               std::uint64_t sequence) const;
+
+  /// The version-pinned test of a set of devices, attempt by attempt: for
+  /// each capture of an attempt, every device still in play captures
+  /// together (SignatureAcquirer::raw_capture_lanes, so the board runs
+  /// them in lane groups), and faults, inspection, the signature,
+  /// screening and prediction then run per device. Device i draws from
+  /// rngs[i] and has fault sequence first_sequence + i; out[i] is
+  /// bit-identical to test_device(cal, *duts[i], rngs[i], faults,
+  /// first_sequence + i), and so is rngs[i]'s position afterwards. Scratch
+  /// comes from the per-thread capture arena, proportional to the set size.
+  void test_devices(const CalibrationVersion& cal,
+                    std::span<const stf::rf::RfDut* const> duts,
+                    std::span<stf::stats::Rng> rngs,
+                    const stf::rf::FaultInjector* faults,
+                    std::uint64_t first_sequence,
+                    std::span<TestDisposition> out) const;
 
   /// Measure a golden (known-good, stable) device and update the EWMA drift
   /// monitor. When the smoothed outlier score crosses
@@ -220,7 +237,7 @@ class GuardedRuntime {
 
   /// Acquire and average n_avg captures of one device, validating each in
   /// the time domain before it contributes. Identical acquisition/fault/rng
-  /// sequence to one test_device() attempt.
+  /// sequence and signature to one test_device() attempt.
   CaptureAttempt capture_attempt(const stf::rf::RfDut& dut,
                                  stf::stats::Rng& rng,
                                  const stf::rf::FaultInjector* faults,
@@ -254,6 +271,15 @@ class GuardedRuntime {
  private:
   /// Reset drift state with cal_mutex_ already held (swap path).
   void reset_drift_monitor_locked() STF_REQUIRES(cal_mutex_);
+
+  /// One capture's part of an attempt after the board: faults (sequence
+  /// and rng), the time-domain inspection, and -- if it validates -- its
+  /// signature (through `scratch`) added into `sum`. Returns the flaw.
+  CaptureFlaw take_capture(std::span<double> capture,
+                           const stf::rf::FaultInjector* faults,
+                           std::uint64_t sequence, stf::stats::Rng& rng,
+                           std::span<double> scratch,
+                           std::span<double> sum) const;
 
   FastestRuntime runtime_;
   GuardPolicy policy_;

@@ -3,9 +3,11 @@
 #include <stdexcept>
 
 #include "circuit/lna900.hpp"
+#include "core/arena.hpp"
 #include "core/contracts.hpp"
 #include "core/parallel.hpp"
 #include "core/telemetry.hpp"
+#include "rf/loadboard.hpp"
 
 namespace stf::sigtest {
 
@@ -67,23 +69,56 @@ stf::la::Matrix PerturbationSet::signature_sensitivity(
   STF_TRACE_SPAN("sens.signature_matrix");
   const std::size_t k = n_params();
   const std::size_t m = acquirer.signature_length();
-  stf::la::Matrix a_s(m, k);
-  // 2k noiseless acquisitions per candidate stimulus; column j belongs to
-  // parameter j alone, so the loop parallelizes with bit-identical output.
-  // Runs inline when already inside a parallel GA objective evaluation.
+  const std::size_t n_cap = acquirer.capture_length();
+  // 2k noiseless acquisitions per candidate stimulus, device 2j the plus
+  // and device 2j + 1 the minus perturbation of parameter j. They share the
+  // stimulus, so lane groups of them run through the board together; the
+  // groups fan out over the pool and run inline inside a parallel GA
+  // objective evaluation. Every signature is bit-identical to acquire()'s.
+  const std::size_t n_dev = 2 * k;
+  const std::size_t width = stf::rf::LoadBoard::lane_width();
+  std::vector<double> signatures(n_dev * m);
   stf::core::parallel_for(
-      0, k,
-      [&](std::size_t j) {
-        const Signature sp =
-            acquirer.acquire(*pairs_[j].plus.dut, stimulus, nullptr);
-        const Signature sm =
-            acquirer.acquire(*pairs_[j].minus.dut, stimulus, nullptr);
-        STF_REQUIRE(sp.size() == m && sm.size() == m,
-                    "signature_sensitivity: signature length mismatch");
-        for (std::size_t i = 0; i < m; ++i)
-          a_s(i, j) = (sp[i] - sm[i]) / (2.0 * rel_step_);
+      0, (n_dev + width - 1) / width,
+      [&](std::size_t group) {
+        const std::size_t lo = group * width;
+        const std::size_t hi = std::min(lo + width, n_dev);
+        stf::core::Arena& arena = stf::core::capture_arena();
+        const stf::core::ArenaScope scope(arena);
+        stf::core::ArenaVector<const stf::rf::RfDut*> duts{
+            stf::core::ArenaAllocator<const stf::rf::RfDut*>(&arena)};
+        duts.reserve(hi - lo);
+        for (std::size_t i = lo; i < hi; ++i) {
+          const Pair& pr = pairs_[i / 2];
+          duts.push_back(i % 2 == 0 ? pr.plus.dut.get() : pr.minus.dut.get());
+        }
+        stf::core::ArenaVector<stf::stats::Rng*> noiseless(
+            hi - lo, nullptr,
+            stf::core::ArenaAllocator<stf::stats::Rng*>(&arena));
+        stf::core::ArenaVector<double> captures(
+            (hi - lo) * n_cap, 0.0,
+            stf::core::ArenaAllocator<double>(&arena));
+        acquirer.raw_capture_lanes({duts.data(), duts.size()}, stimulus,
+                                   {noiseless.data(), noiseless.size()},
+                                   {captures.data(), captures.size()});
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::span<double> sig(signatures.data() + i * m, m);
+          acquirer.signature_into(
+              {captures.data() + (i - lo) * n_cap, n_cap}, sig);
+          STF_ENSURE(stf::contracts::finite(sig.data(), sig.size()),
+                     "SignatureAcquirer::acquire: non-finite signature bin "
+                     "(NaN/Inf leaked through the stimulus/envelope/FFT "
+                     "chain)");
+        }
       },
       1);
+  stf::la::Matrix a_s(m, k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const double* sp = signatures.data() + 2 * j * m;
+    const double* sm = sp + m;
+    for (std::size_t i = 0; i < m; ++i)
+      a_s(i, j) = (sp[i] - sm[i]) / (2.0 * rel_step_);
+  }
   STF_ENSURE(stf::contracts::finite(a_s.data(), a_s.size()),
              "signature_sensitivity: non-finite sensitivity entry");
   return a_s;

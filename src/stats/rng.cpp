@@ -156,11 +156,13 @@ double ziggurat_normal(Mt19937_64& engine) {
 
 }  // namespace detail
 
-void Rng::add_normal(std::span<double> x, double sigma) {
+void Rng::add_normal(std::span<double> x, double sigma, std::size_t stride) {
   STF_REQUIRE(!(sigma < 0.0), "Rng::add_normal: sigma must not be negative");
+  STF_REQUIRE(stride != 0, "Rng::add_normal: stride must be > 0");
   const detail::ZigTables& t = detail::tables();
   const double mean = 0.0;  // normal(0.0, sigma)'s `mean + sigma * z`
-  for (double& v : x) v += mean + sigma * detail::ziggurat_draw(engine_, t);
+  for (std::size_t k = 0; k < x.size(); k += stride)
+    x[k] += mean + sigma * detail::ziggurat_draw(engine_, t);
 }
 
 }  // namespace stf::stats

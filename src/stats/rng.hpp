@@ -110,12 +110,14 @@ class Rng {
     return mean + sigma * detail::ziggurat_normal(engine_);
   }
 
-  /// x[k] += normal(0.0, sigma) for k = 0, 1, ... in order: the same engine
-  /// words, the same draws and the same arithmetic as that scalar loop,
-  /// bitwise, at ~5 ns per sample (BM_NormalNoise/1: 4.8 us for 903, the
-  /// draws of one capture). sigma must not be negative; a NaN sigma yields
-  /// NaN samples, as the scalar loop does.
-  void add_normal(std::span<double> x, double sigma);
+  /// x[k] += normal(0.0, sigma) for k = 0, stride, 2 * stride, ... below
+  /// x.size(), in order: the same engine words, the same draws and the same
+  /// arithmetic as that scalar loop, bitwise, at ~5 ns per sample
+  /// (BM_NormalNoise/1: 4.8 us for 903, the draws of one capture). A stride
+  /// above 1 adds one device's noise into its lane of a device-interleaved
+  /// buffer. sigma must not be negative and stride must not be 0; a NaN
+  /// sigma yields NaN samples, as the scalar loop does.
+  void add_normal(std::span<double> x, double sigma, std::size_t stride = 1);
 
   /// Uniform integer in [lo, hi] inclusive.
   int uniform_int(int lo, int hi) {

@@ -324,6 +324,30 @@ TEST_F(GuardedFaults, DriftMonitorLatchesAndResets) {
 }
 
 // FaultInjector::parse round-trips every fault name and rejects garbage.
+TEST(GuardPolicyLimits, RejectsEscalationThatOverflowsTheCaptureCount) {
+  // Attempt k averages escalation_averages^(k-1) captures in an int. With
+  // the default x4, attempt 17 would need 4^16 = 2^32: signed overflow, and
+  // a device whose every capture rails reaches it after only 17 captures.
+  const auto cfg = sigtest::SignatureTestConfig::simulation_study();
+  const auto stimulus =
+      dsp::PwlWaveform::uniform(cfg.capture_s, {0.0, 0.2, -0.2, 0.1});
+  const auto make = [&](int max_attempts, int escalation) {
+    sigtest::GuardPolicy p;
+    p.max_attempts = max_attempts;
+    p.escalation_averages = escalation;
+    return sigtest::GuardedRuntime(cfg, stimulus, circuit::LnaSpecs::names(),
+                                   p);
+  };
+  EXPECT_THROW(make(17, 4), std::invalid_argument);
+  EXPECT_THROW(make(32, 2), std::invalid_argument);
+  EXPECT_THROW(make(1000, 3), std::invalid_argument);
+  // The largest counts that fit are accepted: 4^15 = 2^30 and 2^30.
+  EXPECT_NO_THROW(make(16, 4));
+  EXPECT_NO_THROW(make(31, 2));
+  // No escalation never overflows, however many attempts.
+  EXPECT_NO_THROW(make(100000, 1));
+}
+
 TEST(FaultParse, RoundTripAndErrors) {
   const auto inj = rf::FaultInjector::parse(
       "lo:2e3:0.8,clip:0.1,stuck:0.05,drop:0.02,contact:0.02:0.5,"

@@ -9,10 +9,14 @@
 // count). These tests flip the runtime kill switch (core::simd::set_enabled)
 // inside one process and memcmp the results.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <complex>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +31,7 @@
 #include "rf/dut.hpp"
 #include "rf/loadboard.hpp"
 #include "rf/population.hpp"
+#include "sigtest/acquisition.hpp"
 #include "sigtest/batch.hpp"
 #include "sigtest/calibration.hpp"
 #include "stats/rng.hpp"
@@ -241,27 +246,34 @@ TEST(SimdIir, ComplexFilterOnOffBitIdentical) {
 TEST(SimdIir, InterleavedMatchesPerChannelScalarAtEveryWidth) {
   // Multi-channel interleaving fills lanes with independent captures; each
   // channel must reproduce the scalar single-channel filter bitwise at
-  // every channel count, including lane-remainder widths.
+  // every channel count, including lane-remainder widths (1-9 channels
+  // cover every lane count up to 4 twice plus a remainder), and at every
+  // filter order up to 10: one to three fused passes, each with one to
+  // four sections.
   SimdGuard guard;
   stats::Rng rng(37);
-  const auto lpf = dsp::butterworth_lowpass(4, 0.2, 1.0);
   const std::size_t n = 64;
-  for (std::size_t ch = 1; ch <= 2 * simd::kLanes + 1; ++ch) {
-    std::vector<std::vector<double>> channels(ch);
-    std::vector<double> interleaved(n * ch);
-    for (std::size_t c = 0; c < ch; ++c) {
-      channels[c] = random_vector(n, rng);
-      for (std::size_t i = 0; i < n; ++i)
-        interleaved[i * ch + c] = channels[c][i];
+  for (std::size_t order = 1; order <= 10; ++order) {
+    const auto lpf = dsp::butterworth_lowpass(order, 0.2, 1.0);
+    for (std::size_t ch = 1; ch <= 9; ++ch) {
+      std::vector<std::vector<double>> channels(ch);
+      std::vector<double> interleaved(n * ch);
+      for (std::size_t c = 0; c < ch; ++c) {
+        channels[c] = random_vector(n, rng);
+        for (std::size_t i = 0; i < n; ++i)
+          interleaved[i * ch + c] = channels[c][i];
+      }
+      simd::set_enabled(true);
+      lpf.filter_interleaved(interleaved, ch);
+      simd::set_enabled(false);
+      for (auto& c : channels) lpf.filter_inplace(c);
+      for (std::size_t c = 0; c < ch; ++c)
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(interleaved[i * ch + c]),
+                    std::bit_cast<std::uint64_t>(channels[c][i]))
+              << "order=" << order << " ch=" << ch << " c=" << c
+              << " i=" << i;
     }
-    simd::set_enabled(true);
-    lpf.filter_interleaved(interleaved, ch);
-    simd::set_enabled(false);
-    for (auto& c : channels) lpf.filter_inplace(c);
-    for (std::size_t c = 0; c < ch; ++c)
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(interleaved[i * ch + c], channels[c][i])
-            << "ch=" << ch << " c=" << c << " i=" << i;
   }
 }
 
@@ -282,30 +294,6 @@ TEST(SimdIir, DenormalTailDecayBitIdentical) {
 }
 
 // --- RF envelope kernels: mixer + LNA + full board ---
-
-TEST(SimdRf, MixerApplyOnOffBitIdentical) {
-  SimdGuard guard;
-  stats::Rng rng(41);
-  rf::MixerModel mixer;
-  mixer.conversion_gain_db = -4.0;
-  mixer.iip3_dbm = 15.0;
-  for (std::size_t n : {1u, 2u, 3u, 5u, 101u}) {
-    std::vector<rf::Cplx> x(n);
-    for (auto& v : x) {
-      const double re = rng.normal(0.0, 0.3);
-      const double im = rng.normal(0.0, 0.3);
-      v = rf::Cplx(re, im);
-    }
-    auto on = x;
-    auto off = x;
-    simd::set_enabled(true);
-    mixer.apply(std::span<rf::Cplx>(on));
-    simd::set_enabled(false);
-    mixer.apply(std::span<rf::Cplx>(off));
-    EXPECT_EQ(std::memcmp(on.data(), off.data(), n * sizeof(rf::Cplx)), 0)
-        << "n=" << n;
-  }
-}
 
 TEST(SimdRf, MixerPreservesSignedZero) {
   // The mixer gain is real: a -0.0 quadrature must stay -0.0 (a complex
@@ -337,6 +325,194 @@ TEST(SimdRf, BoardRunOnOffBitIdenticalWithNoise) {
     stats::Rng r_off(99);
     const auto off = board.run(stim, fs, lna, &r_off);
     EXPECT_TRUE(bits_equal(on, off)) << "n=" << n;
+  }
+}
+
+// --- Device lanes: one device per lane through the board ---
+
+// Devices with distinct gains, compression and noise figures, so a lane
+// that read its neighbour's parameters would show.
+std::vector<std::shared_ptr<rf::RfDut>> lane_devices(std::size_t n) {
+  std::vector<std::shared_ptr<rf::RfDut>> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i);
+    out.push_back(std::make_shared<rf::BehavioralLna>(
+        rf::Cplx(7.5 + 0.4 * x, 1.1 - 0.3 * x), 0.35 + 0.04 * x,
+        2.5 + 0.3 * x));
+  }
+  return out;
+}
+
+std::vector<const rf::RfDut*> pointers(
+    const std::vector<std::shared_ptr<rf::RfDut>>& devices) {
+  std::vector<const rf::RfDut*> out;
+  for (const auto& d : devices) out.push_back(d.get());
+  return out;
+}
+
+// raw_capture_lanes over the first n devices for every n up to the set
+// size, noisy and noiseless, with SIMD on and off, against per-device
+// raw_capture_into: every capture bitwise, and every stream's next draw.
+void expect_lanes_match_per_device(const sigtest::SignatureTestConfig& cfg,
+                                   const std::vector<const rf::RfDut*>& duts) {
+  SimdGuard guard;
+  const sigtest::SignatureAcquirer acq(cfg, 16);
+  const auto stimulus = dsp::PwlWaveform::uniform(
+      cfg.capture_s, {0.0, 0.3, -0.25, 0.4, -0.1, 0.2, -0.3, 0.05});
+  const std::size_t n_cap = acq.capture_length();
+  for (const bool simd_on : {true, false}) {
+    simd::set_enabled(simd_on);
+    for (const bool noisy : {true, false}) {
+      for (std::size_t n = 1; n <= duts.size(); ++n) {
+        std::vector<stats::Rng> ref_rngs, lane_rngs;
+        for (std::size_t i = 0; i < n; ++i) {
+          ref_rngs.emplace_back(500 + i);
+          lane_rngs.emplace_back(500 + i);
+        }
+        std::vector<double> ref(n * n_cap), lanes(n * n_cap);
+        std::vector<stats::Rng*> lane_ptrs(n, nullptr);
+        for (std::size_t i = 0; i < n; ++i) {
+          acq.raw_capture_into(*duts[i], stimulus,
+                               noisy ? &ref_rngs[i] : nullptr,
+                               std::span<double>(ref).subspan(i * n_cap,
+                                                              n_cap));
+          if (noisy) lane_ptrs[i] = &lane_rngs[i];
+        }
+        acq.raw_capture_lanes({duts.data(), n}, stimulus, lane_ptrs, lanes);
+        EXPECT_TRUE(bits_equal(ref, lanes))
+            << "n=" << n << " noisy=" << noisy << " simd=" << simd_on;
+        for (std::size_t i = 0; i < n; ++i)
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(ref_rngs[i].normal()),
+                    std::bit_cast<std::uint64_t>(lane_rngs[i].normal()))
+              << "stream " << i << " of n=" << n << " noisy=" << noisy
+              << " simd=" << simd_on;
+      }
+    }
+  }
+}
+
+TEST(DeviceLanes, RawCaptureLanesMatchesPerDeviceAtEveryGroupSize) {
+  // 9 devices: two full groups and a remainder at every lane width up to 4.
+  const auto devices = lane_devices(9);
+  expect_lanes_match_per_device(
+      sigtest::SignatureTestConfig::simulation_study(), pointers(devices));
+}
+
+TEST(DeviceLanes, NoiselessDevicesDigitizerAndQuantizerMatch) {
+  // nf_db <= 0 (the DUT draws nothing), iip3_v = +inf (no compression), a
+  // noiseless digitizer and a quantizing one.
+  auto devices = lane_devices(5);
+  devices[1] =
+      std::make_shared<rf::BehavioralLna>(rf::Cplx(6.0, -2.0), 0.5, 0.0);
+  devices[2] =
+      std::make_shared<rf::BehavioralLna>(rf::Cplx(9.0, 0.5), 0.3, -1.0);
+  devices[3] = std::make_shared<rf::BehavioralLna>(
+      rf::Cplx(8.0, 1.0), std::numeric_limits<double>::infinity(), 3.0);
+  auto cfg = sigtest::SignatureTestConfig::simulation_study();
+  cfg.digitizer.noise_rms_v = 0.0;
+  expect_lanes_match_per_device(cfg, pointers(devices));
+  cfg = sigtest::SignatureTestConfig::simulation_study();
+  cfg.digitizer.bits = 8;
+  expect_lanes_match_per_device(cfg, pointers(devices));
+}
+
+TEST(DeviceLanes, GroupsThatMixInAnUnmodeledDeviceMatch) {
+  // An IdealGainDut takes the per-device path; the LNAs around it still
+  // group, and nobody's stream or capture moves.
+  auto devices = lane_devices(6);
+  devices.insert(devices.begin() + 2,
+                 std::make_shared<rf::IdealGainDut>(rf::Cplx(5.0, 0.7)));
+  expect_lanes_match_per_device(
+      sigtest::SignatureTestConfig::simulation_study(), pointers(devices));
+}
+
+TEST(DeviceLanes, BoardLaneKernelMatchesPerDeviceWithSimdOnAndOff) {
+  // LoadBoard::capture_lanes itself, at every group size it takes: with
+  // SIMD off its lanes run the scalar reference per lane, a path
+  // raw_capture_lanes never takes.
+  SimdGuard guard;
+  rf::LoadBoardConfig bc;
+  bc.lpf_cutoff_hz = 10e6;
+  bc.down_mixer.lo_feedthrough_v = 5e-3;
+  bc.path_phase_rad = 0.4;
+  const double fs = 80e6;
+  const rf::LoadBoard board(bc, fs);
+  rf::Digitizer dig;
+  simd::set_enabled(true);
+  const std::size_t width = rf::LoadBoard::lane_width();
+  std::vector<rf::BehavioralLna> lnas;
+  for (std::size_t i = 0; i < width; ++i)
+    lnas.emplace_back(rf::Cplx(6.0 + static_cast<double>(i), 0.5), 0.4,
+                      2.0 + static_cast<double>(i));
+  stats::Rng stim_rng(71);
+  const std::vector<double> stim = random_vector(401, stim_rng, 0.2);
+  std::vector<rf::Cplx> env(stim.size());
+  board.upconvert_into(stim, env);
+  const std::size_t n_cap = dig.capture_length(stim.size(), fs);
+  for (const bool simd_on : {true, false}) {
+    simd::set_enabled(simd_on);
+    for (std::size_t g = 1; g <= width; ++g) {
+      std::vector<stats::Rng> ref_rngs, lane_rngs;
+      std::vector<const rf::BehavioralLna*> duts;
+      std::vector<stats::Rng*> ptrs;
+      std::vector<std::vector<double>> ref(g), lanes(g);
+      std::vector<std::span<double>> outs;
+      for (std::size_t i = 0; i < g; ++i) {
+        ref_rngs.emplace_back(900 + i);
+        lane_rngs.emplace_back(900 + i);
+      }
+      for (std::size_t i = 0; i < g; ++i) {
+        duts.push_back(&lnas[i]);
+        ptrs.push_back(&lane_rngs[i]);
+        std::vector<rf::Cplx> work = env;
+        std::vector<double> analog(stim.size());
+        board.run_upconverted_into(work, fs, lnas[i], &ref_rngs[i], analog);
+        ref[i].resize(n_cap);
+        dig.capture_into(analog, fs, &ref_rngs[i], ref[i]);
+        lanes[i].resize(n_cap);
+        outs.emplace_back(lanes[i]);
+      }
+      board.capture_lanes(env, fs, duts, ptrs, dig, outs);
+      for (std::size_t i = 0; i < g; ++i) {
+        EXPECT_TRUE(bits_equal(ref[i], lanes[i]))
+            << "g=" << g << " device " << i << " simd=" << simd_on;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(ref_rngs[i].normal()),
+                  std::bit_cast<std::uint64_t>(lane_rngs[i].normal()));
+      }
+    }
+  }
+}
+
+TEST(DeviceLanes, LnaLaneKernelMatchesProcessIntoPerLane) {
+  // The DUT stage alone at lane counts 1-5, so both the vector width and
+  // the scalar per-lane path run, on inputs that include zeros and
+  // signed zeros.
+  SimdGuard guard;
+  const auto devices = lane_devices(5);
+  std::vector<const rf::BehavioralLna*> lnas;
+  for (const auto& d : devices)
+    lnas.push_back(static_cast<const rf::BehavioralLna*>(d.get()));
+  stats::Rng rng(83);
+  std::vector<rf::Cplx> in(37);
+  for (auto& v : in) v = rf::Cplx(rng.normal(0.0, 0.3), rng.normal(0.0, 0.3));
+  in[0] = rf::Cplx(0.0, -0.0);
+  in[1] = rf::Cplx(-0.0, 0.0);
+  for (const bool simd_on : {true, false}) {
+    simd::set_enabled(simd_on);
+    for (std::size_t k = 1; k <= lnas.size(); ++k) {
+      std::vector<double> lanes(2 * in.size() * k);
+      rf::BehavioralLna::process_lanes({lnas.data(), k}, in, lanes);
+      for (std::size_t d = 0; d < k; ++d) {
+        std::vector<rf::Cplx> ref(in.size());
+        lnas[d]->process_into(in, 80e6, nullptr, ref);
+        for (std::size_t t = 0; t < in.size(); ++t) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[t].real()),
+                    std::bit_cast<std::uint64_t>(lanes[(2 * t) * k + d]));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[t].imag()),
+                    std::bit_cast<std::uint64_t>(lanes[(2 * t + 1) * k + d]));
+        }
+      }
+    }
   }
 }
 

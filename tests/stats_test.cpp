@@ -168,10 +168,36 @@ TEST(Rng, AddNormalMatchesTheScalarLoopBitwise) {
   }
 }
 
+TEST(Rng, StridedAddNormalDrawsOneLaneInOrder) {
+  // The device-lane capture path adds one device's noise into its lane of
+  // an interleaved buffer: element k * stride gets the k-th draw of the
+  // scalar loop, every other element stays untouched.
+  for (const std::size_t stride : {1, 2, 3, 4, 5}) {
+    for (const std::size_t n : {0, 1, 4, 802, 1603}) {
+      Rng lane(77 + n);
+      Rng scalar(77 + n);
+      std::vector<double> a(n);
+      for (std::size_t k = 0; k < n; ++k) a[k] = 1e-3 * static_cast<double>(k);
+      const std::vector<double> before = a;
+      lane.add_normal(a, 0.5, stride);
+      for (std::size_t k = 0; k < n; ++k) {
+        const double want =
+            k % stride == 0 ? before[k] + scalar.normal(0.0, 0.5) : before[k];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
+                  std::bit_cast<std::uint64_t>(want))
+            << "stride " << stride << " n " << n << " k " << k;
+      }
+      EXPECT_EQ(lane.engine()(), scalar.engine()())
+          << "stride " << stride << " n " << n;
+    }
+  }
+}
+
 TEST(Rng, AddNormalRejectsNegativeSigma) {
   Rng rng(5);
   std::vector<double> x(4, 0.0);
   EXPECT_THROW(rng.add_normal(x, -1.0), std::invalid_argument);
+  EXPECT_THROW(rng.add_normal(x, 1.0, 0), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- descriptive --
