@@ -6,10 +6,14 @@
 // disposition field of a 64-device clean lot and a 64-device faulted lot,
 // and over the bit patterns of signature_sensitivity for two stimuli. Every
 // lot entry point must land on the same constant, at any batch size and
-// STF_THREADS, with SIMD on or off and in every SIMD backend.
+// STF_THREADS, with SIMD on or off and in every SIMD backend -- and so must
+// the same lots served by a SigtestServer over loopback and decoded by a
+// SigtestClient.
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,8 +22,10 @@
 #include "core/parallel.hpp"
 #include "core/simd.hpp"
 #include "dsp/pwl.hpp"
+#include "net/client.hpp"
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
+#include "service/server.hpp"
 #include "sigtest/batch.hpp"
 #include "sigtest/sensitivity.hpp"
 #include "stats/rng.hpp"
@@ -74,6 +80,9 @@ struct SimdGuard {
 
 constexpr std::uint64_t kLotSeed = 20260817;
 constexpr const char* kFaultSpec = "clip:0.12,contact:0.02:0.05";
+// The server rebuilds a lot from this string: make_lna_population(64, 0.2,
+// 4242), the devices Cell tests in process.
+constexpr const char* kScenario = "lna:spread=0.2:pop=4242";
 
 constexpr std::uint64_t kCleanLotDigest = 0xC08D960D59328B63ULL;
 constexpr std::uint64_t kFaultedLotDigest = 0xBEEDFBFFD3FAE43BULL;
@@ -81,13 +90,17 @@ constexpr std::uint64_t kSensitivityDigestA = 0x55CE7C3B579F855FULL;
 constexpr std::uint64_t kSensitivityDigestB = 0x6F03C4941178E471ULL;
 
 struct Cell {
-  sigtest::BatchRuntime runtime;
+  // Shared so a SigtestServer can serve lots from the same calibration.
+  std::shared_ptr<sigtest::BatchRuntime> shared;
+  sigtest::BatchRuntime& runtime;
   std::vector<const rf::RfDut*> lot;
   std::vector<rf::DeviceRecord> devices;
 
   Cell()
-      : runtime(sigtest::SignatureTestConfig::simulation_study(), stimulus(),
-                circuit::LnaSpecs::names()),
+      : shared(std::make_shared<sigtest::BatchRuntime>(
+            sigtest::SignatureTestConfig::simulation_study(), stimulus(),
+            circuit::LnaSpecs::names())),
+        runtime(*shared),
         devices(rf::make_lna_population(64, 0.2, 4242)) {
     const auto cal = rf::make_lna_population(40, 0.2, 4141);
     stats::Rng cal_rng(11);
@@ -150,6 +163,40 @@ TEST(GoldenLotDigest, FaultedLot) {
   std::size_t retested = 0;
   for (const auto& x : d) retested += x.attempts > 1 ? 1 : 0;
   EXPECT_GT(retested, 0u);
+}
+
+// The same lots requested from an in-process server on loopback: request
+// seed kLotSeed, the scenario that names Cell's devices, first sequence 0.
+void expect_wire_digest(const std::string& fault_spec, std::uint64_t want) {
+  const Cell& c = cell();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadCountGuard guard(threads);
+    service::ServerConfig config;
+    config.poll_interval_ms = 5;
+    service::SigtestServer server(c.shared, config);
+    server.start();
+    net::ClientOptions options;
+    options.sleep_ms = [](int) {};
+    options.response_timeout_ms = 30000;
+    const net::SigtestClient client(server.port(), options);
+    net::LotRequest request;
+    request.request_id = 1;
+    request.seed = kLotSeed;
+    request.lot_size = static_cast<std::uint32_t>(c.lot.size());
+    request.batch = 5;
+    request.scenario = kScenario;
+    request.fault_spec = fault_spec;
+    const net::ClientLotResult served = client.run_lot(request);
+    server.stop();
+    ASSERT_EQ(served.status, net::ClientStatus::kOk) << served.message;
+    EXPECT_EQ(digest(served.dispositions), want) << "threads " << threads;
+  }
+}
+
+TEST(GoldenWireDigest, CleanLot) { expect_wire_digest("", kCleanLotDigest); }
+
+TEST(GoldenWireDigest, FaultedLot) {
+  expect_wire_digest(kFaultSpec, kFaultedLotDigest);
 }
 
 TEST(GoldenSensitivity, SignatureSensitivityBitsForTwoStimuli) {
