@@ -175,19 +175,7 @@ void IdealGainDut::process_into(std::span<const Cplx> in, double,
               "IdealGainDut::process_into: in/out length mismatch");
   const double gr = gain_.real();
   const double gi = gain_.imag();
-  std::size_t i = 0;
-  if constexpr (simd::kLanes >= 2) {
-    if (simd::enabled()) {
-      constexpr std::size_t kC = simd::kLanes / 2;
-      const simd::VecD g = simd::set_pair(gr, gi);
-      const double* src = reinterpret_cast<const double*>(in.data());
-      double* dst = reinterpret_cast<double*>(out.data());
-      for (; i + kC <= in.size();
-           i += kC, src += simd::kLanes, dst += simd::kLanes)
-        simd::store(dst, simd::complex_mul(simd::load(src), g));
-    }
-  }
-  for (; i < in.size(); ++i) {
+  for (std::size_t i = 0; i < in.size(); ++i) {
     const Cplx v = in[i];
     out[i] = Cplx(v.real() * gr - v.imag() * gi,
                   v.imag() * gr + v.real() * gi);

@@ -7,13 +7,10 @@
 
 #include "core/contracts.hpp"
 #include "core/parallel.hpp"
-#include "core/simd.hpp"
 #include "core/telemetry.hpp"
 #include "linalg/lstsq.hpp"
 
 namespace stf::sigtest {
-
-namespace simd = stf::core::simd;
 
 CalibrationModel::CalibrationModel(CalibrationOptions options)
     : options_(options) {
@@ -141,17 +138,7 @@ void CalibrationModel::fit(const stf::la::Matrix& signatures,
             s, stf::la::ridge(design, target, options_.ridge_lambda));
       },
       1);
-  rebuild_transposed_weights();
   fitted_ = true;
-}
-
-void CalibrationModel::rebuild_transposed_weights() {
-  const std::size_t n_specs = weights_.rows();
-  const std::size_t n_features = weights_.cols();
-  wt_.assign(n_specs * n_features, 0.0);
-  for (std::size_t s = 0; s < n_specs; ++s)
-    for (std::size_t j = 0; j < n_features; ++j)
-      wt_[j * n_specs + s] = weights_(s, j);
 }
 
 // Private GEMV kernel: both public entry points (predict / predict_batch)
@@ -162,28 +149,7 @@ void CalibrationModel::predict_features_into(const double* f,
                                              double* out) const {
   const std::size_t n_specs = weights_.rows();
   const std::size_t n_features = weights_.cols();
-  std::size_t s = 0;
-  if constexpr (simd::kLanes >= 2) {
-    // Register-blocked GEMV: lanes hold adjacent SPECS, the j loop stays
-    // ascending, so each lane accumulates exactly the scalar sequence
-    // acc = acc + w(s, j) * f[j] (multiplication commutes bitwise for the
-    // finite operands the screen guarantees). Never vectorize over j: a
-    // horizontal sum would reorder the accumulation and break disposition
-    // bit-identity.
-    if (simd::enabled() && wt_.size() == n_specs * n_features) {
-      for (; s + simd::kLanes <= n_specs; s += simd::kLanes) {
-        simd::VecD acc = simd::broadcast(0.0);
-        const double* col = wt_.data() + s;
-        for (std::size_t j = 0; j < n_features; ++j)
-          acc = acc + simd::broadcast(f[j]) * simd::load(col + j * n_specs);
-        const simd::VecD scaled =
-            acc * simd::load(spec_scale_.data() + s) +
-            simd::load(spec_mean_.data() + s);
-        simd::store(out + s, scaled);
-      }
-    }
-  }
-  for (; s < n_specs; ++s) {
+  for (std::size_t s = 0; s < n_specs; ++s) {
     double acc = 0.0;
     for (std::size_t j = 0; j < n_features; ++j)
       acc += weights_(s, j) * f[j];
@@ -419,7 +385,6 @@ CalibrationModel CalibrationModel::deserialize(const std::string& text) {
       model.weights_.cols() !=
           1 + model.bin_mean_.size() * opts.poly_degree)
     throw CalibrationParseError("inconsistent dimensions");
-  model.rebuild_transposed_weights();
   model.fitted_ = true;
   return model;
 }

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/simd.hpp"
 #include "linalg/matrix.hpp"
 #include "sigtest/acquisition.hpp"
 
@@ -91,15 +90,8 @@ class CalibrationModel {
 
   /// Shared GEMV kernel: out[s] = sum_j w(s,j) f[j] (j ascending) scaled
   /// back to spec units. predict() and predict_batch() both funnel through
-  /// this, so batched and serial results are the same code path. The
-  /// vector version blocks across SPECS (lanes hold distinct s) and keeps
-  /// each spec's accumulation j-ascending, so it is bit-identical to the
-  /// scalar loop.
+  /// this, so batched and serial results are the same code path.
   void predict_features_into(const double* features, double* out) const;
-
-  /// Rebuild the transposed weight copy (wt_[j * n_specs + s]) the
-  /// spec-blocked GEMV streams; called by fit() and deserialize().
-  void rebuild_transposed_weights();
 
   CalibrationOptions options_;
   bool fitted_ = false;
@@ -113,8 +105,6 @@ class CalibrationModel {
   std::vector<double> spec_scale_;
   // One weight row per spec over the feature vector (incl. bias).
   stf::la::Matrix weights_;
-  // Lane-aligned transpose of weights_ (feature-major) for the vector GEMV.
-  stf::core::simd::AlignedVector<double> wt_;
 };
 
 /// Produces one (noisy) signature capture of training device i.

@@ -16,8 +16,8 @@ Options:
 The analyzer is tokenizer-aware: every rule matches against code with
 comments and string/char literals blanked out, so a banned identifier inside
 a comment, a doc string or an error message never fires. (The predecessor,
-tools/stf_lint.py, stripped only '//' comments and could be fooled by block
-comments and literals; it now forwards here.)
+a line-regex linter named stf_lint, stripped only '//' comments and could be
+fooled by block comments and literals.)
 
 Rule registry (see DESIGN.md "Static analysis contract" for how to add one):
 
