@@ -222,6 +222,33 @@ void BM_NormalNoise(benchmark::State& state) {
 }
 BENCHMARK(BM_NormalNoise)->Arg(0)->Arg(1);
 
+// Setting up one lane block's streams: sixteen children derived from a lot
+// seed, then seeded. Arg 0 seeds them one at a time, each engine's 312-step
+// recurrence alone as at its first draw; Arg 1 seeds them four recurrences
+// at a time, as test_devices does. Both leave the same engine states.
+void BM_SeedStreams(benchmark::State& state) {
+  const bool grouped = state.range(0) != 0;
+  const stats::Rng lot(100);
+  constexpr std::size_t kChildren = 16;
+  std::vector<stats::Rng> children;
+  children.reserve(kChildren);
+  for (auto _ : state) {
+    children.clear();
+    for (std::size_t i = 0; i < kChildren; ++i)
+      children.push_back(lot.derive(i));
+    if (grouped) {
+      stats::Rng::seed_pending(children);
+    } else {
+      for (stats::Rng& child : children) stats::Rng::seed_pending({&child, 1});
+    }
+    benchmark::DoNotOptimize(children.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kChildren));
+}
+BENCHMARK(BM_SeedStreams)->Arg(0)->Arg(1);
+
 // Butterworth cascade over interleaved channels: the SIMD biquad kernel's
 // home turf. Arg is the channel count -- 1 is the scalar recurrence floor,
 // lane-multiple widths run fully vectorized, and the interleaved/scalar

@@ -2,9 +2,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/simd.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/metrics.hpp"
 #include "stats/rng.hpp"
@@ -14,6 +17,12 @@ namespace {
 
 using stf::stats::Mt19937_64;
 using stf::stats::Rng;
+namespace simd = stf::core::simd;
+
+// Restores the SIMD kill switch to its environment default on scope exit.
+struct SimdGuard {
+  ~SimdGuard() { simd::clear_enabled_override(); }
+};
 
 // ------------------------------------------------------------------- Rng --
 
@@ -139,58 +148,112 @@ TEST(Mt19937_64, TenThousandthOutputIsTheStandardsValue) {
 }
 
 TEST(Mt19937_64, MatchesStdMt19937_64AcrossBlockBoundaries) {
-  // 1000 draws per seed cross three 312-word twists.
-  Rng seeds(99);
-  for (int s = 0; s < 50; ++s) {
-    const std::uint64_t seed = s == 0 ? 0 : seeds.engine()();
-    Mt19937_64 ours(seed);
-    std::mt19937_64 ref(seed);
-    for (int i = 0; i < 1000; ++i)
-      ASSERT_EQ(ours(), ref()) << "seed " << seed << " draw " << i;
+  // 1000 draws per seed cross three 312-word twists, which run in integer
+  // lanes with SIMD on and in the scalar loop with it off.
+  SimdGuard guard;
+  for (const bool simd_on : {true, false}) {
+    simd::set_enabled(simd_on);
+    Rng seeds(99);
+    for (int s = 0; s < 50; ++s) {
+      const std::uint64_t seed = s == 0 ? 0 : seeds.engine()();
+      Mt19937_64 ours(seed);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(ours(), ref())
+            << "seed " << seed << " draw " << i << " simd " << simd_on;
+    }
+  }
+}
+
+TEST(Mt19937_64, SeedPendingLeavesEveryEngineOnItsStdStream) {
+  // Sets of 1-9 streams seeded together, some of them already drawn from:
+  // seed_pending must seed only the fresh ones, in groups of four and then
+  // one by one, and leave every engine where std::mt19937_64 would be. The
+  // vector's reallocations copy engines both before and after seeding.
+  for (std::size_t size = 1; size <= 9; ++size) {
+    std::vector<Rng> rngs;
+    std::vector<std::mt19937_64> refs;
+    for (std::size_t i = 0; i < size; ++i) {
+      rngs.push_back(Rng(31 + size).derive(i));
+      refs.emplace_back(rngs.back().seed());
+      if (i % 3 == 1) {  // this stream has drawn before the set is seeded
+        for (std::size_t d = 0; d < 5 * i; ++d)
+          ASSERT_EQ(rngs[i].engine()(), refs[i]());
+      }
+    }
+    Rng::seed_pending(rngs);
+    for (std::size_t i = 0; i < size; ++i)
+      for (int d = 0; d < 700; ++d)
+        ASSERT_EQ(rngs[i].engine()(), refs[i]())
+            << "set of " << size << " stream " << i << " draw " << d;
+  }
+  // A repeated engine seeds once.
+  Mt19937_64 a(7);
+  Mt19937_64 b(8);
+  Mt19937_64* const twice[] = {&a, &b, &a};
+  Mt19937_64::seed_pending(twice);
+  std::mt19937_64 ref_a(7);
+  std::mt19937_64 ref_b(8);
+  for (int d = 0; d < 400; ++d) {
+    ASSERT_EQ(a(), ref_a());
+    ASSERT_EQ(b(), ref_b());
+  }
+}
+
+// add_normal's contract: x[k * stride] += normal(0.0, sigma) in order for
+// every k, every other element untouched, the same engine words consumed.
+// Checked from every start offset in the engine's 312-word block, so the
+// lane path's groups meet the block end at every phase, with SIMD on (the
+// lane path) and off (the scalar loop).
+void expect_add_normal_matches_scalar_loop(std::size_t stride) {
+  SimdGuard guard;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool simd_on : {true, false}) {
+    simd::set_enabled(simd_on);
+    for (std::size_t offset = 0; offset < 312; ++offset) {
+      for (const std::size_t n :
+           {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 802, 5000}) {
+        for (const double sigma : {0.0, 1e-3, nan}) {
+          Rng bulk(2024 + n + offset);
+          Rng scalar(2024 + n + offset);
+          for (std::size_t d = 0; d < offset; ++d) {
+            bulk.engine()();
+            scalar.engine()();
+          }
+          std::vector<double> a(n);
+          for (std::size_t k = 0; k < n; ++k)
+            a[k] = 1e-3 * static_cast<double>(k);
+          if (n != 0) a[0] = -0.0;  // -0.0 + (0.0 + 0.0 * z) is +0.0
+          const std::vector<double> before = a;
+          bulk.add_normal(a, sigma, stride);
+          for (std::size_t k = 0; k < n; ++k) {
+            const double want = k % stride == 0
+                                    ? before[k] + scalar.normal(0.0, sigma)
+                                    : before[k];
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
+                      std::bit_cast<std::uint64_t>(want))
+                << "stride " << stride << " offset " << offset << " n " << n
+                << " sigma " << sigma << " simd " << simd_on << " k " << k;
+          }
+          ASSERT_EQ(bulk.engine()(), scalar.engine()())
+              << "stride " << stride << " offset " << offset << " n " << n
+              << " sigma " << sigma << " simd " << simd_on;
+        }
+      }
+    }
   }
 }
 
 TEST(Rng, AddNormalMatchesTheScalarLoopBitwise) {
-  for (const std::size_t n : {0, 1, 311, 312, 313, 802, 5000}) {
-    Rng bulk(2024 + n);
-    Rng scalar(2024 + n);
-    std::vector<double> a(n);
-    for (std::size_t k = 0; k < n; ++k) a[k] = 1e-3 * static_cast<double>(k);
-    std::vector<double> b = a;
-    bulk.add_normal(a, 0.25);
-    for (double& v : b) v += scalar.normal(0.0, 0.25);
-    for (std::size_t k = 0; k < n; ++k)
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
-                std::bit_cast<std::uint64_t>(b[k]))
-          << "n " << n << " k " << k;
-    // Both consumed the same number of engine words.
-    EXPECT_EQ(bulk.engine()(), scalar.engine()()) << "n " << n;
-  }
+  expect_add_normal_matches_scalar_loop(1);
 }
 
 TEST(Rng, StridedAddNormalDrawsOneLaneInOrder) {
   // The device-lane capture path adds one device's noise into its lane of
   // an interleaved buffer: element k * stride gets the k-th draw of the
   // scalar loop, every other element stays untouched.
-  for (const std::size_t stride : {1, 2, 3, 4, 5}) {
-    for (const std::size_t n : {0, 1, 4, 802, 1603}) {
-      Rng lane(77 + n);
-      Rng scalar(77 + n);
-      std::vector<double> a(n);
-      for (std::size_t k = 0; k < n; ++k) a[k] = 1e-3 * static_cast<double>(k);
-      const std::vector<double> before = a;
-      lane.add_normal(a, 0.5, stride);
-      for (std::size_t k = 0; k < n; ++k) {
-        const double want =
-            k % stride == 0 ? before[k] + scalar.normal(0.0, 0.5) : before[k];
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
-                  std::bit_cast<std::uint64_t>(want))
-            << "stride " << stride << " n " << n << " k " << k;
-      }
-      EXPECT_EQ(lane.engine()(), scalar.engine()())
-          << "stride " << stride << " n " << n;
-    }
-  }
+  for (const std::size_t stride : {1, 2, 3, 4, 5})
+    expect_add_normal_matches_scalar_loop(stride);
 }
 
 TEST(Rng, AddNormalRejectsNegativeSigma) {
