@@ -30,9 +30,8 @@ SimStudyResult run_simulation_study(const SimStudyOptions& opts) {
       opts.n_train + opts.n_val, opts.process_spread, opts.population_seed);
   const auto split = rf::split_population(devices, opts.n_train);
 
-  // Calibrate and validate through the FASTest-style runtime (Fig. 5).
-  sigtest::FastestRuntime runtime(cfg, opt.waveform,
-                                  circuit::LnaSpecs::names());
+  // Calibrate and validate through the FASTest-style test cell (Fig. 5).
+  sigtest::TestCell runtime(cfg, opt.waveform, circuit::LnaSpecs::names());
   stats::Rng noise(opts.noise_seed);
   runtime.calibrate(split.calibration, noise, opts.calibration_averages);
 
@@ -66,8 +65,8 @@ HwStudyResult run_hardware_study(const HwStudyOptions& opts) {
 
   sigtest::CalibrationOptions co;
   co.ridge_lambda = 1e-1;  // 28 calibration devices: regularize harder
-  sigtest::FastestRuntime runtime(cfg, stimulus, circuit::LnaSpecs::names(),
-                                  co, opts.signature_bins);
+  sigtest::TestCell runtime(cfg, stimulus, circuit::LnaSpecs::names(), {}, {},
+                            co, opts.signature_bins);
   stats::Rng noise(opts.noise_seed);
   runtime.calibrate(split.calibration, noise, opts.calibration_averages);
 

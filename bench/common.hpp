@@ -12,8 +12,8 @@
 
 #include "dsp/pwl.hpp"
 #include "rf/population.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
-#include "sigtest/runtime.hpp"
 
 namespace stf::bench {
 

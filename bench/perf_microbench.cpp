@@ -26,7 +26,7 @@
 #include "rf/population.hpp"
 #include "sigtest/acquisition.hpp"
 #include "sigtest/calibration.hpp"
-#include "sigtest/guard.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
 #include "sigtest/sensitivity.hpp"
 #include "stats/rng.hpp"
@@ -364,16 +364,16 @@ void BM_CalibrationFit(benchmark::State& state) {
 }
 BENCHMARK(BM_CalibrationFit)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Calibrated guarded runtime shared by the guard benchmarks; built on first
-// use (calibration measures 40 devices) so filtered runs never pay for it.
-const sigtest::GuardedRuntime& guarded_runtime() {
-  static const sigtest::GuardedRuntime runtime = [] {
+// Calibrated test cell shared by the guard benchmarks; built on first use
+// (calibration measures 40 devices) so filtered runs never pay for it.
+const sigtest::TestCell& guarded_runtime() {
+  static const sigtest::TestCell runtime = [] {
     const auto cfg = sigtest::SignatureTestConfig::simulation_study();
     const auto stim = dsp::PwlWaveform::uniform(
         cfg.capture_s, {0.0, 0.2, -0.2, 0.1, -0.1, 0.25, -0.25, 0.0});
     sigtest::GuardPolicy policy;
     policy.outlier_threshold = 2.5;
-    sigtest::GuardedRuntime r(cfg, stim, circuit::LnaSpecs::names(), policy);
+    sigtest::TestCell r(cfg, stim, circuit::LnaSpecs::names(), policy);
     const auto cal = rf::make_lna_population(40, 0.2, 21);
     stats::Rng rng(7);
     r.calibrate(cal, rng);
@@ -440,7 +440,7 @@ BENCHMARK(BM_StoreGetCached);
 // streaming -- dimension validation plus a locked pointer swap, no refit
 // and no disk I/O (persistence is the Recalibrator's separate step).
 void BM_CalibrationSwap(benchmark::State& state) {
-  sigtest::GuardedRuntime runtime(guarded_runtime());
+  sigtest::TestCell runtime(guarded_runtime());
   const auto cal = runtime.calibration();
   const TelemetryCounters counters(state, {"guard.calibration_swaps"});
   for (auto _ : state)

@@ -1,9 +1,11 @@
 // Guarded-flow table: test-escape and yield-loss rates with and without the
-// GuardedRuntime, under each measurement-chain fault class (rf/faults.hpp).
+// test cell's guard, under each measurement-chain fault class
+// (rf/faults.hpp).
 //
-// The headline robustness number of the repo: an unguarded FastestRuntime
-// regresses corrupted captures into confidently wrong spec predictions and
-// ships bad parts; the guard validates every capture, retries suspects with
+// The headline robustness number of the repo: the unguarded path
+// (TestCell::predict_device) regresses corrupted captures into confidently
+// wrong spec predictions and ships bad parts; the guarded test
+// (TestCell::test_device) validates every capture, retries suspects with
 // escalating averaging, and routes persistent outliers to conventional
 // test. For every fault class the guarded escape rate must be strictly
 // below the unguarded one, and on a clean chain the guard must be
@@ -21,8 +23,7 @@
 #include "common.hpp"
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
-#include "sigtest/guard.hpp"
-#include "sigtest/runtime.hpp"
+#include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -42,8 +43,6 @@ struct Scenario {
 
 struct GuardedLotResult {
   std::vector<sigtest::TestDisposition> dispositions;
-  std::vector<std::vector<double>> predicted;
-  std::vector<ate::Disposition> flow_dispositions;
   int retries = 0;
   int escalations = 0;
   int routed = 0;
@@ -57,7 +56,7 @@ struct GuardedLotResult {
 // screen cannot see it by construction), so the golden-device check is the
 // guard layer that catches it. The monitor draws from a derived rng stream,
 // leaving the per-device capture draws untouched.
-GuardedLotResult run_guarded_lot(sigtest::GuardedRuntime runtime,
+GuardedLotResult run_guarded_lot(sigtest::TestCell cell,
                                  const std::vector<rf::DeviceRecord>& lot,
                                  const rf::RfDut* golden, int monitor_every,
                                  const rf::FaultInjector* faults,
@@ -67,48 +66,21 @@ GuardedLotResult run_guarded_lot(sigtest::GuardedRuntime runtime,
   stats::Rng golden_rng = rng.derive(0x601d);
   for (std::size_t i = 0; i < lot.size(); ++i) {
     if (golden && monitor_every > 0 && i % monitor_every == 0 &&
-        !runtime.recalibration_needed())
-      runtime.monitor_golden(*golden, golden_rng, faults, i);
-    if (runtime.recalibration_needed()) {
-      sigtest::TestDisposition routed;  // Drift alarm: predictions suspect.
-      r.flow_dispositions.push_back(ate::Disposition::kRoutedToConventional);
+        !cell.recalibration_needed())
+      cell.monitor_golden(*golden, golden_rng, faults, i);
+    if (cell.recalibration_needed()) {
+      // Drift alarm: predictions suspect. A default disposition is routed.
       ++r.routed;
-      r.predicted.push_back({});
-      r.dispositions.push_back(std::move(routed));
+      r.dispositions.emplace_back();
       continue;
     }
-    auto d = runtime.test_device(*lot[i].dut, rng, faults, i);
+    auto d = cell.test_device(*lot[i].dut, rng, faults, i);
     r.retries += d.attempts - 1;
     if (d.attempts > 1) r.escalations += d.attempts - 1;
-    switch (d.kind) {
-      case sigtest::DispositionKind::kPredicted:
-        r.flow_dispositions.push_back(ate::Disposition::kPredicted);
-        break;
-      case sigtest::DispositionKind::kPredictedAfterRetry:
-        r.flow_dispositions.push_back(ate::Disposition::kRetested);
-        break;
-      case sigtest::DispositionKind::kRoutedToConventional:
-        r.flow_dispositions.push_back(ate::Disposition::kRoutedToConventional);
-        ++r.routed;
-        break;
-    }
-    r.predicted.push_back(d.predicted);
+    if (!d.has_prediction()) ++r.routed;
     r.dispositions.push_back(std::move(d));
   }
   return r;
-}
-
-bool same_dispositions(const GuardedLotResult& a, const GuardedLotResult& b) {
-  if (a.dispositions.size() != b.dispositions.size()) return false;
-  for (std::size_t i = 0; i < a.dispositions.size(); ++i) {
-    const auto& x = a.dispositions[i];
-    const auto& y = b.dispositions[i];
-    if (x.kind != y.kind || x.attempts != y.attempts ||
-        x.captures != y.captures || x.predicted != y.predicted ||
-        x.outlier_score != y.outlier_score)
-      return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -133,14 +105,6 @@ int main() {
   };
   const double kGuardBand = 0.25;
 
-  // Same calibration seed on both runtimes: identical regression models, so
-  // any clean-path divergence is the guard's fault (and a bug).
-  sigtest::FastestRuntime unguarded(cfg, study.stimulus,
-                                    circuit::LnaSpecs::names());
-  {
-    stats::Rng rng(7);
-    unguarded.calibrate(cal, rng);
-  }
   // Threshold sits above the clean lot's worst score (~1.9 over 200
   // devices) yet below what the fault classes produce, so the clean path
   // stays retry-free while corrupted captures are caught.
@@ -150,11 +114,14 @@ int main() {
   // past 1.0 while the drift-induced bias is still inside the range where
   // escapes happen, so the monitor fires early enough to matter.
   policy.drift_alarm_score = 1.0;
-  sigtest::GuardedRuntime guarded(cfg, study.stimulus,
-                                  circuit::LnaSpecs::names(), policy);
+  // One cell serves both flows: the unguarded one predicts with the same
+  // regression model the guard screens for, so any clean-path divergence
+  // is the guard's fault (and a bug).
+  sigtest::TestCell cell(cfg, study.stimulus, circuit::LnaSpecs::names(),
+                         policy);
   {
     stats::Rng rng(7);
-    guarded.calibrate(cal, rng);
+    cell.calibrate(cal, rng);
   }
 
   std::vector<std::vector<double>> truth;
@@ -195,25 +162,23 @@ int main() {
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     const Scenario& sc = scenarios[s];
     const bool clean = sc.faults.empty();
+    const rf::FaultInjector* faults = clean ? nullptr : &sc.faults;
 
     // (a) Unguarded: every corrupted capture is regressed and trusted.
     std::vector<std::vector<double>> pred_off;
     {
       stats::Rng rng(kLotRngSeed);
       for (std::size_t i = 0; i < lot.size(); ++i)
-        pred_off.push_back(
-            clean ? unguarded.test_device(*lot[i].dut, rng)
-                  : unguarded.test_device(*lot[i].dut, rng, sc.faults, i));
+        pred_off.push_back(cell.predict_device(*lot[i].dut, rng, faults, i));
     }
     const auto flow_off =
         ate::run_production_flow(truth, pred_off, limits, kGuardBand);
 
     // (b) Guarded: validate, retry, escalate, route, monitor.
-    const auto on =
-        run_guarded_lot(guarded, lot, golden.dut.get(), sc.monitor_every,
-                        clean ? nullptr : &sc.faults, kLotRngSeed);
-    const auto flow_on = ate::run_production_flow(
-        truth, on.predicted, on.flow_dispositions, limits, kGuardBand);
+    const auto on = run_guarded_lot(cell, lot, golden.dut.get(),
+                                    sc.monitor_every, faults, kLotRngSeed);
+    const auto flow_on =
+        ate::run_production_flow(truth, on.dispositions, limits, kGuardBand);
 
     bool ok = true;
     const char* check = "ok";
@@ -224,7 +189,7 @@ int main() {
         check = "FAIL: guard not invisible on clean chain";
       } else {
         for (std::size_t i = 0; i < lot.size(); ++i)
-          if (on.predicted[i] != pred_off[i]) {
+          if (on.dispositions[i].predicted != pred_off[i]) {
             ok = false;
             check = "FAIL: clean path not bit-identical";
             break;
@@ -255,13 +220,13 @@ int main() {
     for (const char* name : {"composed", "gain-drift"}) {
       for (const auto& sc : scenarios) {
         if (sc.name != name) continue;
-        const auto a =
-            run_guarded_lot(guarded, lot, golden.dut.get(), sc.monitor_every,
-                            &sc.faults, kLotRngSeed);
-        const auto b =
-            run_guarded_lot(guarded, lot, golden.dut.get(), sc.monitor_every,
-                            &sc.faults, kLotRngSeed);
-        ok = ok && same_dispositions(a, b);
+        const auto a = run_guarded_lot(cell, lot, golden.dut.get(),
+                                       sc.monitor_every, &sc.faults,
+                                       kLotRngSeed);
+        const auto b = run_guarded_lot(cell, lot, golden.dut.get(),
+                                       sc.monitor_every, &sc.faults,
+                                       kLotRngSeed);
+        ok = ok && a.dispositions == b.dispositions;
       }
     }
     all_ok = all_ok && ok;
@@ -274,7 +239,7 @@ int main() {
   // gain slowly drifts; the EWMA must raise the recalibration flag, and a
   // healthy chain must never alarm.
   {
-    auto monitor = guarded;  // private copy: keeps the table runs stateless
+    auto monitor = cell;  // private copy: keeps the table runs stateless
     const rf::FaultInjector drift{{rf::FaultSpec::gain_drift(4e-3)}};
     stats::Rng rng(13);
     int alarm_at = -1;

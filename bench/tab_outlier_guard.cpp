@@ -12,8 +12,8 @@
 #include "circuit/lna900.hpp"
 #include "common.hpp"
 #include "rf/population.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/outlier.hpp"
-#include "sigtest/runtime.hpp"
 #include "stats/rng.hpp"
 
 int main() {
@@ -29,8 +29,7 @@ int main() {
   // Calibrate the runtime and fit the screen on the same training lot.
   const auto devices = rf::make_lna_population(125, 0.2, 42);
   const auto split = rf::split_population(devices, 100);
-  sigtest::FastestRuntime runtime(cfg, study.stimulus,
-                                  circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(cfg, study.stimulus, circuit::LnaSpecs::names());
   stats::Rng rng(7);
   runtime.calibrate(split.calibration, rng);
 
@@ -68,7 +67,7 @@ int main() {
     process[d.param] *= d.factor;
     const auto ch = rf::extract_lna_dut(process);
     const auto sig = acq.acquire(*ch.dut, study.stimulus, &rng);
-    const auto pred = runtime.test_device(*ch.dut, rng);
+    const auto pred = runtime.predict_device(*ch.dut, rng);
     const double score = screen.score(sig);
     const bool out = screen.is_outlier(sig, 2.5);
 

@@ -8,8 +8,8 @@
 #include "circuit/lna900.hpp"
 #include "common.hpp"
 #include "rf/population.hpp"
+#include "sigtest/calibration.hpp"
 #include "sigtest/knn.hpp"
-#include "sigtest/runtime.hpp"
 #include "stats/metrics.hpp"
 #include "stats/rng.hpp"
 

@@ -7,8 +7,8 @@
 #include "circuit/lna900.hpp"
 #include "common.hpp"
 #include "rf/population.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
-#include "sigtest/runtime.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -27,7 +27,7 @@ void evaluate(const Row& row, const sigtest::PerturbationSet& perturb,
   const auto breakdown = sigtest::evaluate_stimulus(perturb, acq,
                                                     row.stimulus);
   const auto split = rf::split_population(devices, 100);
-  sigtest::FastestRuntime rt(cfg, row.stimulus, circuit::LnaSpecs::names());
+  sigtest::TestCell rt(cfg, row.stimulus, circuit::LnaSpecs::names());
   stats::Rng rng(7);
   rt.calibrate(split.calibration, rng);
   const auto rep = rt.validate(split.validation, rng);

@@ -13,7 +13,7 @@
 #include "circuit/lna900.hpp"
 #include "common.hpp"
 #include "rf/population.hpp"
-#include "sigtest/runtime.hpp"
+#include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 #include "stats/sampling.hpp"
 
@@ -58,8 +58,7 @@ int main() {
 
   // Calibrate once at the reference temperature.
   const auto cal_devices = rf::make_lna_population(100, 0.2, 42);
-  sigtest::FastestRuntime runtime(cfg, study.stimulus,
-                                  circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(cfg, study.stimulus, circuit::LnaSpecs::names());
   stats::Rng rng(7);
   runtime.calibrate(cal_devices, rng);
 

@@ -2,7 +2,7 @@
 // flow.
 //
 // The paper's pitch is test-time economics, and a production test cell does
-// not test one part at a time: sigtest::BatchRuntime tests the lot's
+// not test one part at a time: sigtest::TestCell::test_lot tests the lot's
 // devices side by side on the worker pool, each device running the full
 // guarded test. This bench measures devices/sec both ways, on a clean chain
 // and under a composed fault scenario, and -- the part CI gates on --
@@ -32,7 +32,7 @@
 #include "core/simd.hpp"
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
-#include "sigtest/batch.hpp"
+#include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -45,32 +45,6 @@ constexpr int kReps = 3;  // best-of-N wall-clock per mode
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-// Serial reference: the exact loop BatchRuntime::test_lot documents itself
-// against -- each device owns the derived child stream and its sequence.
-std::vector<sigtest::TestDisposition> serial_lot(
-    const sigtest::BatchRuntime& runtime,
-    const std::vector<rf::DeviceRecord>& lot, const rf::FaultInjector* faults) {
-  std::vector<sigtest::TestDisposition> out(lot.size());
-  const stats::Rng base(kLotRngSeed);
-  for (std::size_t i = 0; i < lot.size(); ++i) {
-    stats::Rng child = base.derive(i);
-    out[i] = runtime.guarded().test_device(*lot[i].dut, child, faults, i);
-  }
-  return out;
-}
-
-bool identical(const std::vector<sigtest::TestDisposition>& a,
-               const std::vector<sigtest::TestDisposition>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].kind != b[i].kind || a[i].attempts != b[i].attempts ||
-        a[i].captures != b[i].captures || a[i].predicted != b[i].predicted ||
-        a[i].outlier_score != b[i].outlier_score ||
-        a[i].last_flaw != b[i].last_flaw)
-      return false;
-  return true;
 }
 
 struct ModeTiming {
@@ -104,7 +78,7 @@ int main(int argc, char** argv) {
       {0.0, 0.2, -0.2, 0.1, -0.05, 0.2, 0.0, -0.2, 0.15, -0.1, 0.0});
   sigtest::GuardPolicy policy;
   policy.outlier_threshold = 2.5;
-  sigtest::BatchRuntime runtime(cfg, stim, circuit::LnaSpecs::names(), policy);
+  sigtest::TestCell runtime(cfg, stim, circuit::LnaSpecs::names(), policy);
   {
     const auto cal = rf::make_lna_population(100, 0.2, 42);
     stats::Rng cal_rng(7);
@@ -135,7 +109,10 @@ int main(int argc, char** argv) {
     sigtest::LotResult batched;
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      serial = serial_lot(runtime, lot, sc.faults);
+      // The serial reference test_lot is specified against: each device
+      // owns the derived child stream and its sequence.
+      serial = sigtest::serial_reference(runtime, lot,
+                                         stats::Rng(kLotRngSeed), sc.faults);
       const double s = seconds_since(t0);
       if (rep == 0 || s < t.serial_s) t.serial_s = s;
 
@@ -145,7 +122,7 @@ int main(int argc, char** argv) {
       if (rep == 0 || b < t.batched_s) t.batched_s = b;
     }
 
-    const bool ok = identical(serial, batched.dispositions);
+    const bool ok = serial == batched.dispositions;
     all_ok = all_ok && ok;
     const double n = static_cast<double>(lot.size());
     std::printf("%-8s | %12.0f %12.0f | %7.2fx | %zu predicted, %zu retried,"

@@ -9,7 +9,7 @@
 #include "circuit/lna900.hpp"
 #include "common.hpp"
 #include "rf/population.hpp"
-#include "sigtest/runtime.hpp"
+#include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 
 int main() {
@@ -28,8 +28,7 @@ int main() {
     const auto split = rf::split_population(devices, n_train);
     // Validate on the same final 25 devices for comparability.
     std::vector<rf::DeviceRecord> val(devices.end() - 25, devices.end());
-    sigtest::FastestRuntime rt(cfg, study.stimulus,
-                               circuit::LnaSpecs::names());
+    sigtest::TestCell rt(cfg, study.stimulus, circuit::LnaSpecs::names());
     stats::Rng rng(7);
     rt.calibrate(split.calibration, rng);
     const auto rep = rt.validate(val, rng);
@@ -44,8 +43,7 @@ int main() {
     auto c = cfg;
     c.digitizer.noise_rms_v = noise_mv * 1e-3;
     const auto split = rf::split_population(devices, 100);
-    sigtest::FastestRuntime rt(c, study.stimulus,
-                               circuit::LnaSpecs::names());
+    sigtest::TestCell rt(c, study.stimulus, circuit::LnaSpecs::names());
     stats::Rng rng(7);
     rt.calibrate(split.calibration, rng);
     const auto rep = rt.validate(split.validation, rng);

@@ -13,9 +13,9 @@
 
 #include "circuit/lna900.hpp"
 #include "rf/population.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
 #include "sigtest/outlier.hpp"
-#include "sigtest/runtime.hpp"
 #include "stats/rng.hpp"
 
 int main() {
@@ -35,8 +35,8 @@ int main() {
   const auto optimized = sigtest::optimize_stimulus(perturb, acquirer, oc);
 
   const auto devices = rf::make_lna_population(60, 0.2, 11);
-  sigtest::FastestRuntime runtime(config, optimized.waveform,
-                                  circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(config, optimized.waveform,
+                            circuit::LnaSpecs::names());
   stats::Rng rng(5);
   runtime.calibrate(devices, rng);
 
@@ -59,7 +59,7 @@ int main() {
                   truth.gain_db);
       return;
     }
-    const auto pred = runtime.test_device(dut, rng);
+    const auto pred = runtime.predict_device(dut, rng);
     std::printf("predicted gain %.2f dB (true %.2f), NF %.2f (true %.2f)\n",
                 pred[0], truth.gain_db, pred[1], truth.nf_db);
   };

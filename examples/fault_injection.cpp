@@ -2,10 +2,10 @@
 // signature testing, and what the guarded runtime does about it.
 //
 // A small LNA lot is tested three ways:
-//   (a) clean chain, unguarded FastestRuntime  -- the baseline,
-//   (b) faulted chain, unguarded               -- corrupted captures are
+//   (a) clean chain, unguarded predict_device -- the baseline,
+//   (b) faulted chain, unguarded              -- corrupted captures are
 //       regressed into confidently wrong spec predictions,
-//   (c) faulted chain, GuardedRuntime          -- captures are validated,
+//   (c) faulted chain, guarded test_device    -- captures are validated,
 //       suspects retried with escalating averaging, persistent outliers
 //       routed to conventional test.
 // Then the golden-device drift monitor is demonstrated on a slowly
@@ -25,9 +25,8 @@
 #include "circuit/lna900.hpp"
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
-#include "sigtest/guard.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
-#include "sigtest/runtime.hpp"
 #include "stats/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -79,13 +78,12 @@ int main(int argc, char** argv) {
   const auto cal_devices = rf::make_lna_population(100, 0.2, 11);
   sigtest::GuardPolicy policy;
   policy.outlier_threshold = 2.5;
-  sigtest::GuardedRuntime guarded(config, optimized.waveform,
-                                  circuit::LnaSpecs::names(), policy);
+  sigtest::TestCell cell(config, optimized.waveform,
+                         circuit::LnaSpecs::names(), policy);
   {
     stats::Rng rng(5);
-    guarded.calibrate(cal_devices, rng);
+    cell.calibrate(cal_devices, rng);
   }
-  const auto& runtime = guarded.runtime();  // The unguarded view.
 
   // A small lot, tested three ways with identical noise seeds.
   const auto lot = rf::make_lna_population(12, 0.2, 99);
@@ -96,9 +94,9 @@ int main(int argc, char** argv) {
   int routed = 0, retried = 0;
   for (std::size_t i = 0; i < lot.size(); ++i) {
     stats::Rng r_clean(seed), r_fault(seed), r_guard(seed);
-    const auto clean = runtime.test_device(*lot[i].dut, r_clean);
-    const auto bad = runtime.test_device(*lot[i].dut, r_fault, faults, i);
-    const auto d = guarded.test_device(*lot[i].dut, r_guard, &faults, i);
+    const auto clean = cell.predict_device(*lot[i].dut, r_clean);
+    const auto bad = cell.predict_device(*lot[i].dut, r_fault, &faults, i);
+    const auto d = cell.test_device(*lot[i].dut, r_guard, &faults, i);
 
     const char* kind = "routed to conventional";
     if (d.kind == sigtest::DispositionKind::kPredicted) kind = "predicted";
@@ -127,14 +125,14 @@ int main(int argc, char** argv) {
   std::printf("\n=== Golden-device drift monitor (gain drifting 0.4%% per"
               " check) ===\n");
   for (int check = 0; check < 200; ++check) {
-    const auto st = guarded.monitor_golden(*golden.dut, rng, &drift,
-                                           static_cast<std::uint64_t>(check));
+    const auto st = cell.monitor_golden(*golden.dut, rng, &drift,
+                                        static_cast<std::uint64_t>(check));
     if (check % 10 == 0 || st.alarm)
       std::printf("check %3d: score %6.3f ewma %6.3f%s\n", check, st.score,
                   st.ewma, st.alarm ? "  << RECALIBRATE" : "");
     if (st.alarm) break;
   }
   std::printf("recalibration needed: %s\n",
-              guarded.recalibration_needed() ? "yes" : "no");
+              cell.recalibration_needed() ? "yes" : "no");
   return 0;
 }

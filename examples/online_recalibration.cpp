@@ -41,8 +41,7 @@
 #include "rf/population.hpp"
 #include "service/registry.hpp"
 #include "service/scenario.hpp"
-#include "sigtest/batch.hpp"
-#include "sigtest/guard.hpp"
+#include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 #include "store/calibration_store.hpp"
 #include "store/recalibrate.hpp"
@@ -112,17 +111,8 @@ int main(int argc, char** argv) {
   // The lot the tester thread streams, and per-version serial references.
   const auto lot = rf::make_lna_population(10, spec.spread, spec.pop_seed);
   constexpr std::uint64_t kLotSeed = 9001;
-  auto serial_reference = [&](const sigtest::BatchRuntime& reference_runtime) {
-    const stats::Rng base(kLotSeed);
-    std::vector<sigtest::TestDisposition> out(lot.size());
-    for (std::size_t i = 0; i < lot.size(); ++i) {
-      stats::Rng child = base.derive(i);
-      out[i] = reference_runtime.guarded().test_device(*lot[i].dut, child,
-                                                       nullptr, i);
-    }
-    return out;
-  };
-  const auto reference_v1 = serial_reference(*runtime);
+  const auto reference_v1 =
+      sigtest::serial_reference(*runtime, lot, stats::Rng(kLotSeed));
 
   // --- 2. Live traffic races the drift loop. ------------------------------
   stf::store::RecalPolicy policy;
@@ -174,9 +164,9 @@ int main(int argc, char** argv) {
   check(recal.refits() == 1, "exactly one refit attempted");
   check(recal.swaps() == 1, "exactly one hot-swap published");
   check(recal.rollbacks() == 0, "zero rollbacks in the drift phase");
-  check(runtime->guarded().calibration().version == 2,
+  check(runtime->calibration().version == 2,
         "runtime serves version 2 after the swap");
-  check(!runtime->guarded().recalibration_needed(),
+  check(!runtime->recalibration_needed(),
         "drift monitor reset by the swap");
   check(cal_store->latest_version(key) == 2, "version 2 persisted");
   std::printf("(alarm at golden check %llu; %zu lots streamed during the"
@@ -184,7 +174,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(first_alarm_at), lots.size());
 
   // --- 3. Every in-flight lot pinned exactly one version. -----------------
-  const auto reference_v2 = serial_reference(*runtime);
+  const auto reference_v2 =
+      sigtest::serial_reference(*runtime, lot, stats::Rng(kLotSeed));
   std::size_t on_v1 = 0, on_v2 = 0, mismatches = 0;
   for (const auto& result : lots) {
     const std::vector<sigtest::TestDisposition>* want = nullptr;
@@ -198,14 +189,8 @@ int main(int argc, char** argv) {
       ++mismatches;
       continue;
     }
-    for (std::size_t i = 0; i < lot.size(); ++i) {
-      const auto& a = (*want)[i];
-      const auto& b = result.dispositions[i];
-      if (!(a.kind == b.kind && a.attempts == b.attempts &&
-            a.captures == b.captures && a.last_flaw == b.last_flaw &&
-            a.outlier_score == b.outlier_score && a.predicted == b.predicted))
-        ++mismatches;
-    }
+    for (std::size_t i = 0; i < lot.size(); ++i)
+      if ((*want)[i] != result.dispositions[i]) ++mismatches;
   }
   std::printf("\n=== In-flight bit-identity: %zu lots on v1, %zu on v2,"
               " %zu mismatches ===\n",
@@ -217,9 +202,9 @@ int main(int argc, char** argv) {
   // --- 4. A poisoned refit must roll back, not publish. -------------------
   std::printf("\n=== Poison phase: corrupted spec labels in the window ===\n");
   sigtest::Signature clean_sig;
-  (void)runtime->guarded().monitor_golden(*goldens[0].dut, golden_rng,
-                                          nullptr, 0, &clean_sig);
-  runtime->guarded().reset_drift_monitor();
+  (void)runtime->monitor_golden(*goldens[0].dut, golden_rng, nullptr, 0,
+                                &clean_sig);
+  runtime->reset_drift_monitor();
   for (int i = 0; i < 14; ++i) {
     sigtest::Signature near_clean = clean_sig;
     for (std::size_t b = 0; b < near_clean.size(); ++b)
@@ -240,7 +225,7 @@ int main(int argc, char** argv) {
   check(poisoned.attempted && poisoned.rolled_back && !poisoned.swapped,
         "poisoned candidate rejected by the rollback guard");
   check(recal.rollbacks() == 1, "exactly one rollback counted");
-  check(runtime->guarded().calibration().version == 2,
+  check(runtime->calibration().version == 2,
         "version 2 still serving after the rollback");
   check(cal_store->latest_version(key) == 2,
         "no poisoned version was persisted");

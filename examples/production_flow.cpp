@@ -6,8 +6,8 @@
 //   (b) signature testing on a low-cost tester (predicted specs, 5 us
 //       acquisition) with a guard band against prediction error.
 // Prints the confusion matrix (test escapes / yield loss), throughput and
-// cost per part for each flow, then re-runs the lot through the batched
-// guarded pipeline (sigtest::BatchRuntime) and verifies its dispositions
+// cost per part for each flow, then re-runs the lot through the guarded
+// lot engine (sigtest::TestCell::test_lot) and verifies its dispositions
 // match the serial guarded reference device for device.
 #include <chrono>
 #include <cstdio>
@@ -24,9 +24,8 @@
 #include "circuit/lna900.hpp"
 #include "core/telemetry.hpp"
 #include "rf/population.hpp"
-#include "sigtest/batch.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
-#include "sigtest/runtime.hpp"
 #include "stats/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -83,8 +82,8 @@ int main(int argc, char** argv) {
   const auto optimized = sigtest::optimize_stimulus(perturb, acquirer, oc);
 
   const auto cal_devices = rf::make_lna_population(100, 0.2, 11);
-  sigtest::FastestRuntime runtime(config, optimized.waveform,
-                                  circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(config, optimized.waveform,
+                            circuit::LnaSpecs::names());
   stats::Rng noise(5);
   runtime.calibrate(cal_devices, noise);
 
@@ -93,7 +92,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> truth, predicted;
   for (const auto& dev : lot) {
     truth.push_back(dev.specs.to_vector());
-    predicted.push_back(runtime.test_device(*dev.dut, noise));
+    predicted.push_back(runtime.predict_device(*dev.dut, noise));
   }
 
   std::printf("=== Lot of %zu devices, 3 datasheet limits ===\n", lot.size());
@@ -129,8 +128,8 @@ int main(int argc, char** argv) {
     policy.outlier_threshold = 2.5;
     sigtest::BatchOptions bopts;
     bopts.batch_size = batch_size;
-    sigtest::BatchRuntime batched(config, optimized.waveform,
-                                  circuit::LnaSpecs::names(), policy, bopts);
+    sigtest::TestCell batched(config, optimized.waveform,
+                              circuit::LnaSpecs::names(), policy, bopts);
     stats::Rng cal_rng(11);
     batched.calibrate(cal_devices, cal_rng);
     const stats::Rng lot_rng(9001);
@@ -142,20 +141,15 @@ int main(int argc, char** argv) {
             .count();
 
     const auto t1 = std::chrono::steady_clock::now();
-    std::vector<sigtest::TestDisposition> serial(lot.size());
-    for (std::size_t i = 0; i < lot.size(); ++i) {
-      stats::Rng child = lot_rng.derive(i);
-      serial[i] = batched.guarded().test_device(*lot[i].dut, child, nullptr, i);
-    }
+    const std::vector<sigtest::TestDisposition> serial =
+        sigtest::serial_reference(batched, lot, lot_rng);
     const double serial_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
             .count();
 
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < lot.size(); ++i)
-      if (batch_result.dispositions[i].kind != serial[i].kind ||
-          batch_result.dispositions[i].predicted != serial[i].predicted)
-        ++mismatches;
+      if (batch_result.dispositions[i] != serial[i]) ++mismatches;
 
     std::printf("\n=== Batched guarded pipeline (batch %zu) ===\n", batch_size);
     std::printf("serial:  %7.3f s, %8.0f devices/sec\n", serial_s,

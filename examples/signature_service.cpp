@@ -28,7 +28,7 @@
 #include "net/transport_faults.hpp"
 #include "rf/population.hpp"
 #include "service/server.hpp"
-#include "sigtest/batch.hpp"
+#include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -62,13 +62,13 @@ int main(int argc, char** argv) {
   if (n_clients == 0) n_clients = 1;
   if (stats || !trace_path.empty()) core::telemetry::set_enabled(true);
 
-  // --- the shared tester: one calibrated BatchRuntime behind the server.
+  // --- the shared tester: one calibrated TestCell behind the server.
   const auto config = sigtest::SignatureTestConfig::simulation_study();
   const auto stimulus = dsp::PwlWaveform::uniform(
       config.capture_s, {0.0, 0.2, -0.2, 0.1, -0.05, 0.2, 0.0, -0.2, 0.1});
   sigtest::GuardPolicy policy;
   policy.outlier_threshold = 2.5;
-  auto runtime = std::make_shared<sigtest::BatchRuntime>(
+  auto runtime = std::make_shared<sigtest::TestCell>(
       config, stimulus, circuit::LnaSpecs::names(), policy,
       sigtest::BatchOptions{8});
   {
@@ -82,15 +82,8 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kSeed = 9001;
   const char* kScenario = "lna:spread=0.2:pop=77";
   const auto lot = rf::make_lna_population(kLotSize, 0.2, 77);
-  std::vector<sigtest::TestDisposition> reference(lot.size());
-  {
-    const stats::Rng base(kSeed);
-    for (std::size_t i = 0; i < lot.size(); ++i) {
-      stats::Rng child = base.derive(i);
-      reference[i] =
-          runtime->guarded().test_device(*lot[i].dut, child, nullptr, i);
-    }
-  }
+  const std::vector<sigtest::TestDisposition> reference =
+      sigtest::serial_reference(*runtime, lot, stats::Rng(kSeed));
 
   // --- serve it.
   service::ServerConfig server_config;
@@ -146,13 +139,7 @@ int main(int argc, char** argv) {
       continue;
     }
     for (std::size_t i = 0; i < reference.size(); ++i) {
-      const auto& a = reference[i];
-      const auto& b = r.dispositions[i];
-      bool same = a.kind == b.kind && a.attempts == b.attempts &&
-                  a.captures == b.captures && a.last_flaw == b.last_flaw &&
-                  a.outlier_score == b.outlier_score &&
-                  a.predicted == b.predicted;
-      if (!same) {
+      if (reference[i] != r.dispositions[i]) {
         std::fprintf(stderr, "client %zu device %zu: diverged\n", c, i);
         ++mismatches;
       }

@@ -20,19 +20,21 @@ FlowResult run_production_flow(
     const std::vector<std::vector<double>>& truth,
     const std::vector<std::vector<double>>& predicted,
     const std::vector<SpecLimit>& limits, double guard_band) {
-  return run_production_flow(truth, predicted, std::vector<Disposition>{},
-                             limits, guard_band);
+  std::vector<stf::sigtest::TestDisposition> lot(predicted.size());
+  for (std::size_t i = 0; i < lot.size(); ++i) {
+    lot[i].kind = stf::sigtest::DispositionKind::kPredicted;
+    lot[i].predicted = predicted[i];
+  }
+  return run_production_flow(truth, lot, limits, guard_band);
 }
 
 FlowResult run_production_flow(
     const std::vector<std::vector<double>>& truth,
-    const std::vector<std::vector<double>>& predicted,
-    const std::vector<Disposition>& dispositions,
+    const std::vector<stf::sigtest::TestDisposition>& lot,
     const std::vector<SpecLimit>& limits, double guard_band) {
-  STF_REQUIRE(truth.size() == predicted.size(),
+  using stf::sigtest::DispositionKind;
+  STF_REQUIRE(truth.size() == lot.size(),
               "run_production_flow: device count mismatch");
-  STF_REQUIRE(dispositions.empty() || dispositions.size() == truth.size(),
-              "run_production_flow: disposition count mismatch");
   STF_REQUIRE(!limits.empty(), "run_production_flow: no limits");
   STF_REQUIRE(guard_band >= 0.0, "run_production_flow: negative guard band");
 
@@ -51,9 +53,7 @@ FlowResult run_production_flow(
   FlowResult r;
   for (std::size_t i = 0; i < truth.size(); ++i) {
     const bool truly_good = passes_all(truth[i], 0.0);
-    const Disposition d =
-        dispositions.empty() ? Disposition::kPredicted : dispositions[i];
-    if (d == Disposition::kRoutedToConventional) {
+    if (lot[i].kind == DispositionKind::kRoutedToConventional) {
       // Conventional per-spec measurement is exact: the part's decision is
       // its true decision. The cost is test time, never an escape.
       ++r.routed_conventional;
@@ -63,8 +63,8 @@ FlowResult run_production_flow(
         ++r.true_fail;
       continue;
     }
-    if (d == Disposition::kRetested) ++r.retested;
-    const bool predicted_good = passes_all(predicted[i], guard_band);
+    if (lot[i].kind == DispositionKind::kPredictedAfterRetry) ++r.retested;
+    const bool predicted_good = passes_all(lot[i].predicted, guard_band);
     if (truly_good && predicted_good)
       ++r.true_pass;
     else if (!truly_good && !predicted_good)
@@ -75,32 +75,6 @@ FlowResult run_production_flow(
       ++r.yield_loss;
   }
   return r;
-}
-
-FlowResult run_production_flow(
-    const std::vector<std::vector<double>>& truth,
-    const std::vector<stf::sigtest::TestDisposition>& lot,
-    const std::vector<SpecLimit>& limits, double guard_band) {
-  STF_REQUIRE(truth.size() == lot.size(),
-              "run_production_flow: device count mismatch");
-  std::vector<std::vector<double>> predicted(lot.size());
-  std::vector<Disposition> dispositions(lot.size());
-  for (std::size_t i = 0; i < lot.size(); ++i) {
-    predicted[i] = lot[i].predicted;
-    switch (lot[i].kind) {
-      case stf::sigtest::DispositionKind::kPredicted:
-        dispositions[i] = Disposition::kPredicted;
-        break;
-      case stf::sigtest::DispositionKind::kPredictedAfterRetry:
-        dispositions[i] = Disposition::kRetested;
-        break;
-      case stf::sigtest::DispositionKind::kRoutedToConventional:
-        dispositions[i] = Disposition::kRoutedToConventional;
-        break;
-    }
-  }
-  return run_production_flow(truth, predicted, dispositions, limits,
-                             guard_band);
 }
 
 TwoStageResult run_two_stage_flow(

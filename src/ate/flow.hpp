@@ -19,16 +19,6 @@ struct SpecLimit {
   bool passes(double value) const { return value >= lower && value <= upper; }
 };
 
-/// How a device's ship/scrap decision was reached. A guarded signature
-/// tester (sigtest::GuardedRuntime) does not predict every part: suspect
-/// captures are retried, and parts whose captures never validate are
-/// measured conventionally instead.
-enum class Disposition {
-  kPredicted,             ///< Decided from the signature prediction.
-  kRetested,              ///< Predicted, but only after guard retries.
-  kRoutedToConventional,  ///< Measured per-spec on the ATE (exact decision).
-};
-
 /// Outcome counts from comparing limit decisions made on predicted specs
 /// against decisions on true specs.
 struct FlowResult {
@@ -49,30 +39,23 @@ struct FlowResult {
 };
 
 /// Evaluate the flow: truth[i] and predicted[i] are per-device spec
-/// vectors aligned with limits. guard_band_db tightens every limit applied
-/// to predictions by that margin (the standard defense against prediction
-/// error at the cost of extra yield loss).
+/// vectors aligned with limits, every device decided on its prediction.
+/// guard_band_db tightens every limit applied to predictions by that margin
+/// (the standard defense against prediction error at the cost of extra
+/// yield loss).
 FlowResult run_production_flow(
     const std::vector<std::vector<double>>& truth,
     const std::vector<std::vector<double>>& predicted,
     const std::vector<SpecLimit>& limits, double guard_band = 0.0);
 
-/// Disposition-aware flow: dispositions[i] says how device i was tested.
-/// Routed devices are measured conventionally -- their decision comes from
-/// truth[i] (no escape, no yield loss possible) and predicted[i] may be
-/// empty. Retested devices are predicted devices that consumed guard
-/// retries; they are decided like predictions and counted in `retested`.
-FlowResult run_production_flow(
-    const std::vector<std::vector<double>>& truth,
-    const std::vector<std::vector<double>>& predicted,
-    const std::vector<Disposition>& dispositions,
-    const std::vector<SpecLimit>& limits, double guard_band = 0.0);
-
-/// Guard/batch-native flow: consumes sigtest dispositions directly (the
-/// exact type GuardedRuntime::test_device and BatchRuntime::test_lot
-/// produce), mapping kPredicted / kPredictedAfterRetry /
-/// kRoutedToConventional onto the disposition-aware overload above. Routed
-/// devices carry no prediction; their decision comes from truth[i].
+/// Disposition-aware flow over what sigtest::TestCell::test_device and
+/// test_lot produce. A guarded signature tester does not predict every
+/// part: suspect captures are retried, and parts whose captures never
+/// validate are measured conventionally instead. Routed devices
+/// (kRoutedToConventional) carry no prediction; their decision comes from
+/// truth[i], so they can be neither an escape nor a yield loss. Devices
+/// predicted after retry are decided like predictions and counted in
+/// `retested`.
 FlowResult run_production_flow(
     const std::vector<std::vector<double>>& truth,
     const std::vector<stf::sigtest::TestDisposition>& lot,

@@ -5,7 +5,7 @@
 // lock traffic and cache-cold pages. An Arena is a short_alloc-style bump
 // allocator over one pre-sized buffer: allocation is a pointer increment,
 // deallocation is a no-op, and a whole device's scratch is reclaimed at once
-// by rewinding to a mark. `SignatureAcquirer` and `BatchRuntime` route all
+// by rewinding to a mark. `SignatureAcquirer` and `TestCell` route all
 // steady-state capture scratch through per-thread arenas, so per-device heap
 // allocations drop to zero.
 //

@@ -43,7 +43,7 @@ stf::store::StoreKey RuntimeRegistry::store_key(
   return key;
 }
 
-std::shared_ptr<stf::sigtest::BatchRuntime> RuntimeRegistry::get(
+std::shared_ptr<stf::sigtest::TestCell> RuntimeRegistry::get(
     const ScenarioSpec& spec) {
   STF_REQUIRE(spec.spread >= 0.0 && spec.spread < 1.0,
               "RuntimeRegistry::get: spread outside [0, 1)");
@@ -64,9 +64,9 @@ std::shared_ptr<stf::sigtest::BatchRuntime> RuntimeRegistry::get(
 }
 
 // stf-analyze: allow(api-contract) -- get() validates spec before dispatch
-std::shared_ptr<stf::sigtest::BatchRuntime> RuntimeRegistry::build(
+std::shared_ptr<stf::sigtest::TestCell> RuntimeRegistry::build(
     const ScenarioSpec& spec) {
-  auto runtime = std::make_shared<stf::sigtest::BatchRuntime>(
+  auto runtime = std::make_shared<stf::sigtest::TestCell>(
       options_.config, options_.stimulus, options_.spec_names,
       options_.policy, options_.batch, options_.cal_options,
       options_.max_signature_bins);
@@ -78,7 +78,7 @@ std::shared_ptr<stf::sigtest::BatchRuntime> RuntimeRegistry::build(
   if (store_ != nullptr && store_->latest_version(key) != 0) {
     const stf::store::StoredCalibration stored = store_->get(key);
     if (stored.screen != nullptr) {
-      runtime->guarded().swap_calibration(stored.model, stored.screen);
+      runtime->swap_calibration(stored.model, stored.screen);
       ++cold_starts_;
       STF_COUNT("registry.cold_starts");
       return runtime;
@@ -95,8 +95,7 @@ std::shared_ptr<stf::sigtest::BatchRuntime> RuntimeRegistry::build(
   ++scratch_calibrations_;
   STF_COUNT("registry.scratch_calibrations");
   if (store_ != nullptr) {
-    const stf::sigtest::CalibrationVersion cal =
-        runtime->guarded().calibration();
+    const stf::sigtest::CalibrationVersion cal = runtime->calibration();
     store_->put(key, cal.model, cal.screen);
   }
   return runtime;

@@ -1,4 +1,4 @@
-// RuntimeRegistry: scenario -> calibrated BatchRuntime, backed by the
+// RuntimeRegistry: scenario -> calibrated TestCell, backed by the
 // versioned calibration store.
 //
 // The single-runtime server binds one calibration to the whole process:
@@ -22,7 +22,7 @@
 // Runtimes are kept in a bounded LRU; an evicted runtime stays alive for
 // any lot still running against it (shared_ptr), exactly like
 // PopulationCache. The registry hands out NON-const runtimes: the
-// maintenance plane (store::Recalibrator) needs guarded() to hot-swap,
+// maintenance plane (store::Recalibrator) hot-swaps their calibration,
 // while the serving path only calls the const, reentrant test_lot.
 #pragma once
 
@@ -37,7 +37,7 @@
 #include "core/annotations.hpp"
 #include "dsp/pwl.hpp"
 #include "service/scenario.hpp"
-#include "sigtest/batch.hpp"
+#include "sigtest/cell.hpp"
 #include "store/calibration_store.hpp"
 
 namespace stf::service {
@@ -87,7 +87,7 @@ class RuntimeRegistry {
 
   /// The calibrated runtime for `spec`: cached, cold-started from the
   /// store, or fitted from scratch (in that order).
-  std::shared_ptr<stf::sigtest::BatchRuntime> get(const ScenarioSpec& spec);
+  std::shared_ptr<stf::sigtest::TestCell> get(const ScenarioSpec& spec);
 
   /// Where `spec`'s calibrations live in the store.
   stf::store::StoreKey store_key(const ScenarioSpec& spec) const;
@@ -104,9 +104,9 @@ class RuntimeRegistry {
 
  private:
   using Entry =
-      std::pair<std::string, std::shared_ptr<stf::sigtest::BatchRuntime>>;
+      std::pair<std::string, std::shared_ptr<stf::sigtest::TestCell>>;
 
-  std::shared_ptr<stf::sigtest::BatchRuntime> build(const ScenarioSpec& spec)
+  std::shared_ptr<stf::sigtest::TestCell> build(const ScenarioSpec& spec)
       STF_REQUIRES(mutex_);
 
   RegistryOptions options_;

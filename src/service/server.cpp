@@ -170,7 +170,7 @@ ServerConfig ServerConfig::from_environment() {
 }
 
 SigtestServer::SigtestServer(
-    std::shared_ptr<const stf::sigtest::BatchRuntime> runtime,
+    std::shared_ptr<const stf::sigtest::TestCell> runtime,
     ServerConfig config)
     : SigtestServer(std::move(runtime), nullptr, std::move(config)) {}
 
@@ -179,7 +179,7 @@ SigtestServer::SigtestServer(std::shared_ptr<RuntimeRegistry> registry,
     : SigtestServer(nullptr, std::move(registry), std::move(config)) {}
 
 SigtestServer::SigtestServer(
-    std::shared_ptr<const stf::sigtest::BatchRuntime> runtime,
+    std::shared_ptr<const stf::sigtest::TestCell> runtime,
     std::shared_ptr<RuntimeRegistry> registry, ServerConfig config)
     : runtime_(std::move(runtime)),
       registry_(std::move(registry)),
@@ -439,7 +439,7 @@ std::vector<std::vector<std::uint8_t>> SigtestServer::process_lot(
 
   // The determinism contract's server side: base rng from the request
   // seed, per-device derivation inside test_lot, first_sequence 0 -- the
-  // exact shape of the serial reference in sigtest/batch.hpp.
+  // exact shape of sigtest::serial_reference (sigtest/cell.hpp).
   std::vector<const stf::rf::RfDut*> lot;
   lot.reserve(population->size());
   for (const stf::rf::DeviceRecord& record : *population)
@@ -448,7 +448,7 @@ std::vector<std::vector<std::uint8_t>> SigtestServer::process_lot(
   // registry's per-scenario one (cold-started / fitted on first touch).
   // Holding the shared_ptr pins the runtime for this lot even if the
   // registry LRU evicts the scenario mid-flight.
-  std::shared_ptr<const stf::sigtest::BatchRuntime> runtime = runtime_;
+  std::shared_ptr<const stf::sigtest::TestCell> runtime = runtime_;
   if (registry_ != nullptr) runtime = registry_->get(work.scenario);
   stf::sigtest::BatchOptions batch = runtime->options();
   batch.batch_size = request.batch;

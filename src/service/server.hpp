@@ -1,9 +1,9 @@
 // SigtestServer: the overload-safe network front end of the signature-test
 // framework. Accepts framed lot requests (net/frame.hpp) from concurrent
-// clients and multiplexes them onto one shared sigtest::BatchRuntime.
+// clients and multiplexes them onto one shared sigtest::TestCell.
 //
 // Thread structure (all I/O threads; device testing itself happens inside
-// BatchRuntime::test_lot, which the lot workers run on the shared
+// TestCell::test_lot, which the lot workers run on the shared
 // parallel_for pool, taking turns like any other pool caller):
 //
 //   accept thread   -- admits connections (kTooManyClients past the cap)
@@ -11,7 +11,7 @@
 //   reader threads  -- reassemble frames, validate + admit requests, and
 //                      feed a BoundedQueue<Work>; try_push, never push, so
 //                      a full queue is a typed kShedOverload, not a hang
-//   worker threads  -- pop lots, run BatchRuntime::test_lot, stream the
+//   worker threads  -- pop lots, run TestCell::test_lot, stream the
 //                      disposition chunks back under the session's write
 //                      lock
 //
@@ -30,9 +30,10 @@
 // Determinism contract (CI-gated by tests/service_test.cpp and the
 // service-smoke job): the dispositions streamed for (seed, lot_size,
 // scenario, fault_spec) are BIT-identical to the in-process serial
-// reference -- GuardedRuntime::test_device per device with derived rng
-// streams -- no matter how many clients, how requests interleave, what the
-// transport faults do, or how often retries and shedding occur.
+// reference -- sigtest::serial_reference: TestCell::test_device per device
+// with derived rng streams -- no matter how many clients, how requests
+// interleave, what the transport faults do, or how often retries and
+// shedding occur.
 #pragma once
 
 #include <atomic>
@@ -49,7 +50,7 @@
 #include "service/admission.hpp"
 #include "service/registry.hpp"
 #include "service/scenario.hpp"
-#include "sigtest/batch.hpp"
+#include "sigtest/cell.hpp"
 
 namespace stf::service {
 
@@ -79,7 +80,7 @@ class SigtestServer {
   /// The runtime must already be calibrated and must outlive the server
   /// (shared_ptr enforces it). It is shared state: test_lot is const and
   /// reentrant, which is what lets workers run lots concurrently.
-  SigtestServer(std::shared_ptr<const stf::sigtest::BatchRuntime> runtime,
+  SigtestServer(std::shared_ptr<const stf::sigtest::TestCell> runtime,
                 ServerConfig config = {});
 
   /// Multi-scenario mode: every lot resolves its runtime through the
@@ -143,11 +144,11 @@ class SigtestServer {
                    const std::string& message);
   /// The shared tail of both public constructors; exactly one of
   /// runtime/registry must be non-null.
-  SigtestServer(std::shared_ptr<const stf::sigtest::BatchRuntime> runtime,
+  SigtestServer(std::shared_ptr<const stf::sigtest::TestCell> runtime,
                 std::shared_ptr<RuntimeRegistry> registry,
                 ServerConfig config);
 
-  std::shared_ptr<const stf::sigtest::BatchRuntime> runtime_;
+  std::shared_ptr<const stf::sigtest::TestCell> runtime_;
   std::shared_ptr<RuntimeRegistry> registry_;
   ServerConfig config_;
   AdmissionController admission_;

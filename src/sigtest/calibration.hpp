@@ -125,7 +125,7 @@ struct CaptureFitData {
 /// Shared calibration driver: averages n_avg captures per device,
 /// estimates the per-bin single-capture noise variance from the repeats,
 /// and fits the model with that estimate (enabling the SNR bin screen).
-/// Used by both the RF (FastestRuntime) and baseband-analog runtimes.
+/// Used by both the RF (TestCell) and baseband-analog runtimes.
 /// When `retained` is non-null it receives the averaged signatures and
 /// noise estimate the fit consumed.
 void fit_from_captures(CalibrationModel& model, std::size_t n_devices,

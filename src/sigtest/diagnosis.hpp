@@ -17,7 +17,6 @@
 #include "dsp/pwl.hpp"
 #include "rf/population.hpp"
 #include "sigtest/calibration.hpp"
-#include "sigtest/runtime.hpp"
 #include "stats/rng.hpp"
 
 namespace stf::sigtest {

@@ -8,11 +8,10 @@
 #include "core/contracts.hpp"
 #include "core/telemetry.hpp"
 #include "linalg/matrix.hpp"
-#include "sigtest/guard.hpp"
 
 namespace stf::store {
 
-Recalibrator::Recalibrator(std::shared_ptr<stf::sigtest::BatchRuntime> runtime,
+Recalibrator::Recalibrator(std::shared_ptr<stf::sigtest::TestCell> runtime,
                            std::shared_ptr<CalibrationStore> store,
                            StoreKey key, RecalPolicy policy)
     : runtime_(std::move(runtime)),
@@ -36,7 +35,7 @@ stf::sigtest::DriftStatus Recalibrator::observe_golden(
     std::uint64_t sequence) {
   STF_REQUIRE(!ref_specs.empty(), "Recalibrator::observe_golden: no specs");
   stf::sigtest::Signature signature;
-  const stf::sigtest::DriftStatus status = runtime_->guarded().monitor_golden(
+  const stf::sigtest::DriftStatus status = runtime_->monitor_golden(
       golden, rng, faults, sequence, &signature);
   push_window(std::move(signature), ref_specs);
   return status;
@@ -77,12 +76,11 @@ std::uint64_t Recalibrator::rollbacks() const {
 }
 
 RecalReport Recalibrator::maybe_recalibrate() {
-  stf::sigtest::GuardedRuntime& guarded = runtime_->guarded();
-  if (!guarded.recalibration_needed() ||
+  if (!runtime_->recalibration_needed() ||
       window_rows() < policy_.min_refit_rows) {
     RecalReport report;
     report.window_rows = window_rows();
-    report.version = guarded.calibration().version;
+    report.version = runtime_->calibration().version;
     return report;
   }
   return recalibrate_now();
@@ -97,8 +95,7 @@ RecalReport Recalibrator::recalibrate_now() {
     const stf::core::LockGuard lock(mutex_);
     rows.assign(window_.begin(), window_.end());
   }
-  stf::sigtest::GuardedRuntime& guarded = runtime_->guarded();
-  const stf::sigtest::CalibrationVersion current = guarded.calibration();
+  const stf::sigtest::CalibrationVersion current = runtime_->calibration();
 
   RecalReport report;
   report.window_rows = rows.size();
@@ -136,7 +133,7 @@ RecalReport Recalibrator::recalibrate_now() {
   // Age of the outgoing model, in golden checks since its swap-in (the
   // drift monitor resets on swap, so drift_checks() is exactly that).
   STF_RECORD("recal.model_age_checks",
-             static_cast<double>(guarded.drift_checks()));
+             static_cast<double>(runtime_->drift_checks()));
   STF_COUNT("recal.refits");
   stf::sigtest::CalibrationModel candidate(policy_.cal_options);
   candidate.fit(train_sig, train_specs);
@@ -162,7 +159,7 @@ RecalReport Recalibrator::recalibrate_now() {
     screen->fit(all_sig);
     auto model = std::make_shared<const stf::sigtest::CalibrationModel>(
         std::move(candidate));
-    report.version = guarded.swap_calibration(model, screen);
+    report.version = runtime_->swap_calibration(model, screen);
     report.swapped = true;
     STF_COUNT("recal.swaps");
     STF_RECORD("recal.model_version", static_cast<double>(report.version));

@@ -1,6 +1,6 @@
 // Online recalibration: closes the drift loop the guard only latches.
 //
-// GuardedRuntime's golden-device EWMA monitor raises a recalibration
+// The test cell's golden-device EWMA monitor raises a recalibration
 // alarm when the signature path wanders (LO aging, thermal gain drift);
 // before this subsystem, the alarm was a flag an operator had to notice.
 // The Recalibrator acts on it:
@@ -22,7 +22,7 @@
 //                        runtime and persist the new version to the
 //                        CalibrationStore.
 //
-// The swap is RCU-style (GuardedRuntime::swap_calibration): in-flight
+// The swap is RCU-style (TestCell::swap_calibration): in-flight
 // lots finish on the version they started with, the pipeline never
 // stops, and the drift monitor resets with the swap. All methods are
 // thread-safe and deterministic -- no clocks, no internal threads; run
@@ -39,7 +39,7 @@
 #include "core/annotations.hpp"
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
-#include "sigtest/batch.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/calibration.hpp"
 #include "stats/rng.hpp"
 #include "store/calibration_store.hpp"
@@ -83,11 +83,11 @@ class Recalibrator {
  public:
   /// `store` may be null (swap without persistence). `key` names where
   /// persisted versions land.
-  Recalibrator(std::shared_ptr<stf::sigtest::BatchRuntime> runtime,
+  Recalibrator(std::shared_ptr<stf::sigtest::TestCell> runtime,
                std::shared_ptr<CalibrationStore> store, StoreKey key,
                RecalPolicy policy = {});
 
-  /// Drift-monitor one golden device (exactly GuardedRuntime's semantics,
+  /// Drift-monitor one golden device (exactly TestCell's semantics,
   /// same rng draws) and bank its signature + reference specs as a window
   /// row. `ref_specs` are the golden's characterization-time spec values.
   stf::sigtest::DriftStatus observe_golden(
@@ -121,7 +121,7 @@ class Recalibrator {
     std::vector<double> specs;
   };
 
-  std::shared_ptr<stf::sigtest::BatchRuntime> runtime_;
+  std::shared_ptr<stf::sigtest::TestCell> runtime_;
   std::shared_ptr<CalibrationStore> store_;
   StoreKey key_;
   RecalPolicy policy_;

@@ -1,6 +1,8 @@
 // Tests for the ATE timing/cost/production-flow models.
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -125,6 +127,17 @@ TEST(Flow, TwoSidedAndMultipleLimits) {
   EXPECT_EQ(r.true_fail, 2);
 }
 
+/// A guarded-test disposition of `kind` with prediction `predicted`.
+stf::sigtest::TestDisposition disposition(stf::sigtest::DispositionKind kind,
+                                          std::vector<double> predicted) {
+  stf::sigtest::TestDisposition d;
+  d.kind = kind;
+  d.predicted = std::move(predicted);
+  return d;
+}
+
+using Kind = stf::sigtest::DispositionKind;
+
 TEST(Flow, DispositionOverloadAccountsRoutedAndRetested) {
   // Device 0: good, predicted -> true pass.
   // Device 1: bad, predicted good after retry -> escape, counted retested.
@@ -132,12 +145,13 @@ TEST(Flow, DispositionOverloadAccountsRoutedAndRetested) {
   //           true fail, no escape.
   // Device 3: good, routed -> true pass even with an empty prediction.
   std::vector<std::vector<double>> truth = {{15.0}, {13.0}, {13.0}, {15.0}};
-  std::vector<std::vector<double>> pred = {{15.1}, {14.5}, {}, {}};
-  std::vector<Disposition> disp = {
-      Disposition::kPredicted, Disposition::kRetested,
-      Disposition::kRoutedToConventional, Disposition::kRoutedToConventional};
+  std::vector<stf::sigtest::TestDisposition> lot = {
+      disposition(Kind::kPredicted, {15.1}),
+      disposition(Kind::kPredictedAfterRetry, {14.5}),
+      disposition(Kind::kRoutedToConventional, {}),
+      disposition(Kind::kRoutedToConventional, {})};
   std::vector<SpecLimit> limits = {{"gain", 14.0, kInf}};
-  auto r = run_production_flow(truth, pred, disp, limits);
+  auto r = run_production_flow(truth, lot, limits);
   EXPECT_EQ(r.true_pass, 2);
   EXPECT_EQ(r.true_fail, 1);
   EXPECT_EQ(r.test_escape, 1);
@@ -146,8 +160,8 @@ TEST(Flow, DispositionOverloadAccountsRoutedAndRetested) {
   EXPECT_EQ(r.routed_conventional, 2);
   EXPECT_EQ(r.total(), 4);
   // Routing the escaping device instead makes the escape impossible.
-  disp[1] = Disposition::kRoutedToConventional;
-  auto r2 = run_production_flow(truth, pred, disp, limits);
+  lot[1].kind = Kind::kRoutedToConventional;
+  auto r2 = run_production_flow(truth, lot, limits);
   EXPECT_EQ(r2.test_escape, 0);
   EXPECT_EQ(r2.true_fail, 2);
   EXPECT_EQ(r2.routed_conventional, 3);
@@ -157,9 +171,10 @@ TEST(Flow, DispositionOverloadMatchesLegacyWhenAllPredicted) {
   std::vector<std::vector<double>> truth = {{13.0}, {15.0}, {14.5}};
   std::vector<std::vector<double>> pred = {{14.5}, {13.5}, {14.6}};
   std::vector<SpecLimit> limits = {{"gain", 14.0, kInf}};
-  std::vector<Disposition> disp(truth.size(), Disposition::kPredicted);
+  std::vector<stf::sigtest::TestDisposition> lot;
+  for (const auto& p : pred) lot.push_back(disposition(Kind::kPredicted, p));
   const auto legacy = run_production_flow(truth, pred, limits, 0.1);
-  const auto typed = run_production_flow(truth, pred, disp, limits, 0.1);
+  const auto typed = run_production_flow(truth, lot, limits, 0.1);
   EXPECT_EQ(typed.true_pass, legacy.true_pass);
   EXPECT_EQ(typed.true_fail, legacy.true_fail);
   EXPECT_EQ(typed.test_escape, legacy.test_escape);
@@ -170,15 +185,15 @@ TEST(Flow, DispositionOverloadMatchesLegacyWhenAllPredicted) {
 
 TEST(Flow, DispositionOverloadValidatesSizes) {
   std::vector<std::vector<double>> truth = {{15.0}, {15.0}};
-  std::vector<std::vector<double>> pred = {{15.0}, {15.0}};
   std::vector<SpecLimit> limits = {{"gain", 14.0, kInf}};
-  std::vector<Disposition> short_disp = {Disposition::kPredicted};
-  EXPECT_THROW(run_production_flow(truth, pred, short_disp, limits),
+  const std::vector<stf::sigtest::TestDisposition> short_lot = {
+      disposition(Kind::kPredicted, {15.0})};
+  EXPECT_THROW(run_production_flow(truth, short_lot, limits),
                std::invalid_argument);
   // A predicted device with an empty prediction vector is a caller bug.
-  std::vector<std::vector<double>> holey = {{15.0}, {}};
-  std::vector<Disposition> disp(2, Disposition::kPredicted);
-  EXPECT_THROW(run_production_flow(truth, holey, disp, limits),
+  const std::vector<stf::sigtest::TestDisposition> holey = {
+      disposition(Kind::kPredicted, {15.0}), disposition(Kind::kPredicted, {})};
+  EXPECT_THROW(run_production_flow(truth, holey, limits),
                std::invalid_argument);
 }
 

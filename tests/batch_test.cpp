@@ -1,10 +1,10 @@
-// Unit tests for the lot test-cell runtime (sigtest/batch.hpp): the
+// Unit tests for the test cell's lot engine (sigtest/cell.hpp): the
 // determinism contract (lot dispositions bit-identical to the serial
 // guarded reference at 1 and 4 threads, clean and faulted), batch-size
-// invariance, first_sequence offsets, the ate flow overload that consumes
-// lot dispositions, empty-lot/degenerate handling, and that repeated lots
-// run on the persistent pool instead of fresh threads.
-#include "sigtest/batch.hpp"
+// invariance, first_sequence offsets, the ate flow over lot dispositions,
+// empty-lot/degenerate handling, and that repeated lots run on the
+// persistent pool instead of fresh threads.
+#include "sigtest/cell.hpp"
 
 #include <gtest/gtest.h>
 
@@ -37,22 +37,22 @@ class ThreadCountGuard {
   ~ThreadCountGuard() { core::set_thread_count(0); }
 };
 
-/// Shared calibrated runtime + lot; building one per TEST is the dominant
+/// Shared calibrated cell + lot; building one per TEST is the dominant
 /// cost, so the fixture reuses a lazily-built static.
 class BatchRuntimeTest : public ::testing::Test {
  protected:
   struct World {
-    sigtest::BatchRuntime runtime;
+    sigtest::TestCell cell;
     std::vector<rf::DeviceRecord> lot;
 
     explicit World(std::size_t batch_size)
-        : runtime(sigtest::SignatureTestConfig::simulation_study(),
-                  stimulus(), circuit::LnaSpecs::names(), policy(),
-                  sigtest::BatchOptions{batch_size}),
+        : cell(sigtest::SignatureTestConfig::simulation_study(), stimulus(),
+               circuit::LnaSpecs::names(), policy(),
+               sigtest::BatchOptions{batch_size}),
           lot(rf::make_lna_population(24, 0.2, 77)) {
       const auto cal = rf::make_lna_population(40, 0.2, 21);
       stats::Rng cal_rng(7);
-      runtime.calibrate(cal, cal_rng);
+      cell.calibrate(cal, cal_rng);
     }
 
     static dsp::PwlWaveform stimulus() {
@@ -73,45 +73,22 @@ class BatchRuntimeTest : public ::testing::Test {
     return w;
   }
 
-  /// The serial reference from the BatchRuntime determinism contract.
-  static std::vector<sigtest::TestDisposition> serial_reference(
-      const World& w, std::uint64_t seed, const rf::FaultInjector* faults,
-      std::uint64_t first_sequence = 0) {
-    const stats::Rng base(seed);
-    std::vector<sigtest::TestDisposition> out(w.lot.size());
-    for (std::size_t i = 0; i < w.lot.size(); ++i) {
-      stats::Rng child = base.derive(first_sequence + i);
-      out[i] = w.runtime.guarded().test_device(*w.lot[i].dut, child, faults,
-                                               first_sequence + i);
-    }
-    return out;
-  }
-
   static void expect_identical(const std::vector<sigtest::TestDisposition>& a,
                                const std::vector<sigtest::TestDisposition>& b) {
     ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].kind, b[i].kind) << "device " << i;
-      EXPECT_EQ(a[i].attempts, b[i].attempts) << "device " << i;
-      EXPECT_EQ(a[i].captures, b[i].captures) << "device " << i;
-      EXPECT_EQ(a[i].last_flaw, b[i].last_flaw) << "device " << i;
-      // Bitwise, not approximate: the contract is bit-identity.
-      EXPECT_EQ(a[i].outlier_score, b[i].outlier_score) << "device " << i;
-      ASSERT_EQ(a[i].predicted.size(), b[i].predicted.size()) << "device " << i;
-      for (std::size_t s = 0; s < a[i].predicted.size(); ++s)
-        EXPECT_EQ(a[i].predicted[s], b[i].predicted[s])
-            << "device " << i << " spec " << s;
-    }
+    for (std::size_t i = 0; i < a.size(); ++i)
+      EXPECT_TRUE(a[i] == b[i]) << "device " << i;
   }
 };
 
 TEST_F(BatchRuntimeTest, CleanLotMatchesSerialReferenceAtEveryThreadCount) {
   World& w = world();
-  const auto reference = serial_reference(w, 9001, nullptr);
+  const auto serial =
+      sigtest::serial_reference(w.cell, w.lot, stats::Rng(9001), nullptr);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ThreadCountGuard guard(threads);
-    const auto batched = w.runtime.test_lot(w.lot, stats::Rng(9001));
-    expect_identical(reference, batched.dispositions);
+    const auto batched = w.cell.test_lot(w.lot, stats::Rng(9001));
+    expect_identical(serial, batched.dispositions);
     EXPECT_EQ(batched.predicted + batched.retried + batched.routed,
               w.lot.size());
   }
@@ -120,16 +97,17 @@ TEST_F(BatchRuntimeTest, CleanLotMatchesSerialReferenceAtEveryThreadCount) {
 TEST_F(BatchRuntimeTest, FaultedLotMatchesSerialReferenceAtEveryThreadCount) {
   World& w = world();
   const auto faults = rf::FaultInjector::parse("clip:0.12,contact:0.05:0.05");
-  const auto reference = serial_reference(w, 9001, &faults);
+  const auto serial =
+      sigtest::serial_reference(w.cell, w.lot, stats::Rng(9001), &faults);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ThreadCountGuard guard(threads);
-    const auto batched = w.runtime.test_lot(w.lot, stats::Rng(9001), &faults);
-    expect_identical(reference, batched.dispositions);
+    const auto batched = w.cell.test_lot(w.lot, stats::Rng(9001), &faults);
+    expect_identical(serial, batched.dispositions);
   }
   // The scenario must actually exercise the guard, or the equivalence above
   // proves nothing about the retest path.
   int guarded_activity = 0;
-  for (const auto& d : reference)
+  for (const auto& d : serial)
     if (d.attempts > 1 || d.kind == sigtest::DispositionKind::kRoutedToConventional)
       ++guarded_activity;
   EXPECT_GT(guarded_activity, 0);
@@ -139,18 +117,21 @@ TEST_F(BatchRuntimeTest, BatchSizeDoesNotChangeDispositions) {
   ThreadCountGuard guard(4);
   World& w = world();
   const auto faults = rf::FaultInjector::parse("clip:0.12");
-  const auto reference = serial_reference(w, 9001, &faults);
+  const auto serial =
+      sigtest::serial_reference(w.cell, w.lot, stats::Rng(9001), &faults);
+  // SIZE_MAX: the chunk count and a chunk's end must not wrap.
   for (const std::size_t batch_size :
-       {std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
-    sigtest::BatchRuntime runtime(
+       {std::size_t{1}, std::size_t{5}, std::size_t{64},
+        std::numeric_limits<std::size_t>::max()}) {
+    sigtest::TestCell cell(
         sigtest::SignatureTestConfig::simulation_study(), World::stimulus(),
         circuit::LnaSpecs::names(), World::policy(),
         sigtest::BatchOptions{batch_size});
     const auto cal = rf::make_lna_population(40, 0.2, 21);
     stats::Rng cal_rng(7);
-    runtime.calibrate(cal, cal_rng);
-    const auto batched = runtime.test_lot(w.lot, stats::Rng(9001), &faults);
-    expect_identical(reference, batched.dispositions);
+    cell.calibrate(cal, cal_rng);
+    const auto batched = cell.test_lot(w.lot, stats::Rng(9001), &faults);
+    expect_identical(serial, batched.dispositions);
   }
 }
 
@@ -158,13 +139,15 @@ TEST_F(BatchRuntimeTest, FirstSequenceOffsetsTheDerivedStreams) {
   ThreadCountGuard guard(4);
   World& w = world();
   constexpr std::uint64_t kOffset = 1000;
-  const auto reference = serial_reference(w, 9001, nullptr, kOffset);
+  const auto serial = sigtest::serial_reference(w.cell, w.lot,
+                                                stats::Rng(9001), nullptr,
+                                                kOffset);
   const auto batched =
-      w.runtime.test_lot(w.lot, stats::Rng(9001), nullptr, kOffset);
-  expect_identical(reference, batched.dispositions);
+      w.cell.test_lot(w.lot, stats::Rng(9001), nullptr, kOffset);
+  expect_identical(serial, batched.dispositions);
   // And the offset lot must differ from the unoffset one somewhere, or the
   // parameter is dead.
-  const auto base = w.runtime.test_lot(w.lot, stats::Rng(9001));
+  const auto base = w.cell.test_lot(w.lot, stats::Rng(9001));
   bool any_diff = false;
   for (std::size_t i = 0; i < base.dispositions.size() && !any_diff; ++i)
     any_diff = base.dispositions[i].predicted != batched.dispositions[i].predicted;
@@ -175,7 +158,7 @@ TEST_F(BatchRuntimeTest, TalliesMatchDispositionKinds) {
   ThreadCountGuard guard(1);
   World& w = world();
   const auto faults = rf::FaultInjector::parse("clip:0.12,contact:0.05:0.05");
-  const auto r = w.runtime.test_lot(w.lot, stats::Rng(9001), &faults);
+  const auto r = w.cell.test_lot(w.lot, stats::Rng(9001), &faults);
   std::size_t predicted = 0, retried = 0, routed = 0;
   for (const auto& d : r.dispositions) {
     switch (d.kind) {
@@ -193,7 +176,7 @@ TEST_F(BatchRuntimeTest, TalliesMatchDispositionKinds) {
 TEST_F(BatchRuntimeTest, EmptyLotReturnsEmptyResult) {
   World& w = world();
   const std::vector<const rf::RfDut*> empty;
-  const auto r = w.runtime.test_lot(empty, stats::Rng(9001));
+  const auto r = w.cell.test_lot(empty, stats::Rng(9001));
   EXPECT_EQ(r.devices(), 0u);
   EXPECT_EQ(r.predicted + r.retried + r.routed, 0u);
 }
@@ -233,10 +216,10 @@ TEST_F(BatchRuntimeTest, RepeatedLotsRegisterNoNewTelemetryThreads) {
         while (arrived.load() < 4) std::this_thread::yield();
       },
       1);
-  w.runtime.test_lot(w.lot, stats::Rng(9001));  // warm-up lot
+  w.cell.test_lot(w.lot, stats::Rng(9001));  // warm-up lot
   const std::size_t before = telemetry_threads();
   for (std::uint64_t seed = 1; seed <= 20; ++seed)
-    w.runtime.test_lot(w.lot, stats::Rng(seed));
+    w.cell.test_lot(w.lot, stats::Rng(seed));
   const std::size_t after = telemetry_threads();
   telemetry::set_enabled(false);
   telemetry::reset();
@@ -244,12 +227,12 @@ TEST_F(BatchRuntimeTest, RepeatedLotsRegisterNoNewTelemetryThreads) {
 }
 
 TEST_F(BatchRuntimeTest, RejectsInvalidOptionsAndUncalibratedUse) {
-  EXPECT_THROW(sigtest::BatchRuntime(
+  EXPECT_THROW(sigtest::TestCell(
                    sigtest::SignatureTestConfig::simulation_study(),
                    World::stimulus(), circuit::LnaSpecs::names(),
                    World::policy(), sigtest::BatchOptions{0}),
                std::invalid_argument);
-  sigtest::BatchRuntime uncalibrated(
+  sigtest::TestCell uncalibrated(
       sigtest::SignatureTestConfig::simulation_study(), World::stimulus(),
       circuit::LnaSpecs::names(), World::policy());
   EXPECT_THROW(uncalibrated.test_lot(world().lot, stats::Rng(1)),
@@ -269,36 +252,31 @@ TEST_F(BatchRuntimeTest, AteFlowConsumesLotDispositions) {
   for (const auto& dev : w.lot) truth.push_back(dev.specs.to_vector());
 
   const auto faults = rf::FaultInjector::parse("clip:0.12,contact:0.05:0.05");
-  const auto lot = w.runtime.test_lot(w.lot, stats::Rng(9001), &faults);
+  const auto lot = w.cell.test_lot(w.lot, stats::Rng(9001), &faults);
   const auto flow =
       ate::run_production_flow(truth, lot.dispositions, limits, 0.1);
 
-  // The sigtest-native overload must agree with the manual mapping onto the
-  // disposition-aware overload.
-  std::vector<std::vector<double>> predicted;
-  std::vector<ate::Disposition> mapped;
-  for (const auto& d : lot.dispositions) {
-    predicted.push_back(d.predicted);
-    switch (d.kind) {
-      case sigtest::DispositionKind::kPredicted:
-        mapped.push_back(ate::Disposition::kPredicted);
-        break;
-      case sigtest::DispositionKind::kPredictedAfterRetry:
-        mapped.push_back(ate::Disposition::kRetested);
-        break;
-      case sigtest::DispositionKind::kRoutedToConventional:
-        mapped.push_back(ate::Disposition::kRoutedToConventional);
-        break;
+  // Predicted devices are decided on their predictions and routed ones on
+  // their truth: the plain flow over the predicted devices plus the exact
+  // decisions of the routed ones.
+  std::vector<std::vector<double>> truth_predicted, predicted, truth_routed;
+  for (std::size_t i = 0; i < lot.dispositions.size(); ++i) {
+    const auto& d = lot.dispositions[i];
+    if (d.has_prediction()) {
+      truth_predicted.push_back(truth[i]);
+      predicted.push_back(d.predicted);
+    } else {
+      truth_routed.push_back(truth[i]);
     }
   }
-  const auto manual =
-      ate::run_production_flow(truth, predicted, mapped, limits, 0.1);
-  EXPECT_EQ(flow.true_pass, manual.true_pass);
-  EXPECT_EQ(flow.true_fail, manual.true_fail);
-  EXPECT_EQ(flow.test_escape, manual.test_escape);
-  EXPECT_EQ(flow.yield_loss, manual.yield_loss);
-  EXPECT_EQ(flow.retested, manual.retested);
-  EXPECT_EQ(flow.routed_conventional, manual.routed_conventional);
+  const auto decided =
+      ate::run_production_flow(truth_predicted, predicted, limits, 0.1);
+  const auto exact =
+      ate::run_production_flow(truth_routed, truth_routed, limits, 0.0);
+  EXPECT_EQ(flow.true_pass, decided.true_pass + exact.true_pass);
+  EXPECT_EQ(flow.true_fail, decided.true_fail + exact.true_fail);
+  EXPECT_EQ(flow.test_escape, decided.test_escape);
+  EXPECT_EQ(flow.yield_loss, decided.yield_loss);
   EXPECT_EQ(flow.total(), static_cast<int>(w.lot.size()));
   EXPECT_EQ(flow.retested, static_cast<int>(lot.retried));
   EXPECT_EQ(flow.routed_conventional, static_cast<int>(lot.routed));

@@ -23,7 +23,7 @@
 #include "linalg/svd.hpp"
 #include "rf/population.hpp"
 #include "sigtest/calibration.hpp"
-#include "sigtest/runtime.hpp"
+#include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -162,7 +162,7 @@ TEST(Contracts, NanStimulusIsCaughtDuringCalibration) {
   const auto cfg = sigtest::SignatureTestConfig::simulation_study();
   const auto stim = stf::dsp::PwlWaveform::uniform(
       cfg.capture_s, {0.0, 0.2, kNan, -0.2, 0.0});
-  sigtest::FastestRuntime runtime(cfg, stim, stf::circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(cfg, stim, stf::circuit::LnaSpecs::names());
   const auto devices = stf::rf::make_lna_population(4, 0.2, 99);
   stf::stats::Rng rng(5);
   EXPECT_THROW(runtime.calibrate(devices, rng), ContractViolation);

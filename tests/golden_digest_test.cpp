@@ -26,7 +26,7 @@
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
 #include "service/server.hpp"
-#include "sigtest/batch.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/sensitivity.hpp"
 #include "stats/rng.hpp"
 
@@ -91,13 +91,13 @@ constexpr std::uint64_t kSensitivityDigestB = 0x6F03C4941178E471ULL;
 
 struct Cell {
   // Shared so a SigtestServer can serve lots from the same calibration.
-  std::shared_ptr<sigtest::BatchRuntime> shared;
-  sigtest::BatchRuntime& runtime;
+  std::shared_ptr<sigtest::TestCell> shared;
+  sigtest::TestCell& runtime;
   std::vector<const rf::RfDut*> lot;
   std::vector<rf::DeviceRecord> devices;
 
   Cell()
-      : shared(std::make_shared<sigtest::BatchRuntime>(
+      : shared(std::make_shared<sigtest::TestCell>(
             sigtest::SignatureTestConfig::simulation_study(), stimulus(),
             circuit::LnaSpecs::names())),
         runtime(*shared),
@@ -113,17 +113,6 @@ struct Cell {
     return dsp::PwlWaveform::uniform(
         cfg.capture_s, {0.0, 0.25, -0.2, 0.15, -0.1, 0.2, 0.05, -0.15, 0.1});
   }
-
-  std::vector<sigtest::TestDisposition> serial(
-      const rf::FaultInjector* faults) const {
-    const stats::Rng base(kLotSeed);
-    std::vector<sigtest::TestDisposition> out(lot.size());
-    for (std::size_t i = 0; i < lot.size(); ++i) {
-      stats::Rng child = base.derive(i);
-      out[i] = runtime.guarded().test_device(*lot[i], child, faults, i);
-    }
-    return out;
-  }
 };
 
 const Cell& cell() {
@@ -136,8 +125,10 @@ void expect_lot_digest(const rf::FaultInjector* faults, std::uint64_t want) {
   const Cell& c = cell();
   for (const bool simd_on : {true, false}) {
     core::simd::set_enabled(simd_on);
-    EXPECT_EQ(digest(c.serial(faults)), want)
-        << "serial test_device loop, simd " << simd_on;
+    EXPECT_EQ(digest(sigtest::serial_reference(c.runtime, c.lot,
+                                               stats::Rng(kLotSeed), faults)),
+              want)
+        << "serial reference, simd " << simd_on;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       ThreadCountGuard guard(threads);
       for (const std::size_t batch : {1, 5, 16}) {
@@ -159,7 +150,8 @@ TEST(GoldenLotDigest, FaultedLot) {
   expect_lot_digest(&faults, kFaultedLotDigest);
   // The faulted lot must exercise the retest and routing paths, or its
   // digest pins nothing about them.
-  const auto d = cell().serial(&faults);
+  const auto d = sigtest::serial_reference(cell().runtime, cell().lot,
+                                           stats::Rng(kLotSeed), &faults);
   std::size_t retested = 0;
   for (const auto& x : d) retested += x.attempts > 1 ? 1 : 0;
   EXPECT_GT(retested, 0u);

@@ -6,8 +6,8 @@
 
 #include "circuit/lna900.hpp"
 #include "rf/population.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
-#include "sigtest/runtime.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -74,8 +74,7 @@ TEST_F(FullFlow, GaObjectiveImproves) {
 
 TEST_F(FullFlow, CalibrateAndValidatePredictsSpecs) {
   auto split = rf::split_population(*devices_, 45);
-  sigtest::FastestRuntime runtime(*cfg_, *stimulus_,
-                                  circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(*cfg_, *stimulus_, circuit::LnaSpecs::names());
   stats::Rng rng(9);
   runtime.calibrate(split.calibration, rng);
   ASSERT_TRUE(runtime.calibrated());
@@ -97,12 +96,11 @@ TEST_F(FullFlow, CalibrateAndValidatePredictsSpecs) {
 
 TEST_F(FullFlow, TestDeviceMatchesTrueSpecs) {
   auto split = rf::split_population(*devices_, 45);
-  sigtest::FastestRuntime runtime(*cfg_, *stimulus_,
-                                  circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(*cfg_, *stimulus_, circuit::LnaSpecs::names());
   stats::Rng rng(11);
   runtime.calibrate(split.calibration, rng);
   const auto& dev = split.validation.front();
-  const auto predicted = runtime.test_device(*dev.dut, rng);
+  const auto predicted = runtime.predict_device(*dev.dut, rng);
   ASSERT_EQ(predicted.size(), 3u);
   // Single-device spot check (statistical quality is asserted in
   // CalibrateAndValidatePredictsSpecs); tolerances sized for one draw from
@@ -112,10 +110,9 @@ TEST_F(FullFlow, TestDeviceMatchesTrueSpecs) {
 }
 
 TEST_F(FullFlow, UncalibratedRuntimeThrows) {
-  sigtest::FastestRuntime runtime(*cfg_, *stimulus_,
-                                  circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(*cfg_, *stimulus_, circuit::LnaSpecs::names());
   stats::Rng rng(3);
-  EXPECT_THROW(runtime.test_device(*devices_->front().dut, rng),
+  EXPECT_THROW(runtime.predict_device(*devices_->front().dut, rng),
                std::logic_error);
   EXPECT_THROW(runtime.validate(*devices_, rng), std::logic_error);
 }
@@ -149,8 +146,8 @@ TEST_F(FullFlow, HardwareStudyConfigRuns) {
   const auto stim = dsp::PwlWaveform::uniform(cfg.capture_s, bp);
   sigtest::CalibrationOptions co;
   co.ridge_lambda = 1e-1;
-  sigtest::FastestRuntime runtime(cfg, stim, circuit::LnaSpecs::names(), co,
-                                  32);
+  sigtest::TestCell runtime(cfg, stim, circuit::LnaSpecs::names(), {}, {}, co,
+                            32);
   stats::Rng rng(24);
   runtime.calibrate(split.calibration, rng);
   auto report = runtime.validate(split.validation, rng);

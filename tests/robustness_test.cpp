@@ -14,10 +14,9 @@
 #include "core/parallel.hpp"
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
-#include "sigtest/guard.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
 #include "sigtest/outlier.hpp"
-#include "sigtest/runtime.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -60,8 +59,7 @@ TEST_P(SeedRobustness, SimStudyQualityHoldsAcrossPopulations) {
   const auto cfg = sigtest::SignatureTestConfig::simulation_study();
   const auto devices = rf::make_lna_population(90, 0.2, seed);
   const auto split = rf::split_population(devices, 70);
-  sigtest::FastestRuntime runtime(cfg, *stimulus_,
-                                  circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(cfg, *stimulus_, circuit::LnaSpecs::names());
   stats::Rng rng(seed + 1);
   runtime.calibrate(split.calibration, rng);
   const auto report = runtime.validate(split.validation, rng);
@@ -77,10 +75,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedRobustness,
                          ::testing::Values<std::uint64_t>(101, 202, 303));
 
 // ---------------------------------------------------------------------------
-// Guarded runtime under tester faults. The fixture shares one optimized
-// stimulus + calibrated guarded runtime across all fault tests (calibration
-// is the expensive part); every test below must leave the runtime unchanged
-// (test_device is const; monitor tests copy the runtime first).
+// The test cell under tester faults. The fixture shares one optimized
+// stimulus + calibrated cell across all fault tests (calibration is the
+// expensive part); every test below must leave the cell unchanged
+// (test_device and predict_device are const; monitor tests copy the cell
+// first).
 class GuardedFaults : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -100,25 +99,16 @@ class GuardedFaults : public ::testing::Test {
 
     sigtest::GuardPolicy policy;
     policy.outlier_threshold = 2.5;
-    guarded_ = new sigtest::GuardedRuntime(cfg, stimulus,
-                                           circuit::LnaSpecs::names(), policy);
-    unguarded_ = new sigtest::FastestRuntime(cfg, stimulus,
-                                             circuit::LnaSpecs::names());
+    cell_ = new sigtest::TestCell(cfg, stimulus, circuit::LnaSpecs::names(),
+                                  policy);
     lot_ = new std::vector<rf::DeviceRecord>(rf::make_lna_population(30, 0.2,
                                                                      77));
     const auto cal = rf::make_lna_population(60, 0.2, 42);
-    {
-      stats::Rng rng(7);
-      guarded_->calibrate(cal, rng);
-    }
-    {
-      stats::Rng rng(7);
-      unguarded_->calibrate(cal, rng);
-    }
+    stats::Rng rng(7);
+    cell_->calibrate(cal, rng);
   }
   static void TearDownTestSuite() {
-    delete guarded_;
-    delete unguarded_;
+    delete cell_;
     delete lot_;
   }
 
@@ -144,26 +134,24 @@ class GuardedFaults : public ::testing::Test {
     std::vector<sigtest::TestDisposition> out;
     stats::Rng rng(seed);
     for (std::size_t i = 0; i < lot_->size(); ++i)
-      out.push_back(guarded_->test_device(*(*lot_)[i].dut, rng, faults, i));
+      out.push_back(cell_->test_device(*(*lot_)[i].dut, rng, faults, i));
     return out;
   }
 
-  static sigtest::GuardedRuntime* guarded_;
-  static sigtest::FastestRuntime* unguarded_;
+  static sigtest::TestCell* cell_;
   static std::vector<rf::DeviceRecord>* lot_;
 };
 
-sigtest::GuardedRuntime* GuardedFaults::guarded_ = nullptr;
-sigtest::FastestRuntime* GuardedFaults::unguarded_ = nullptr;
+sigtest::TestCell* GuardedFaults::cell_ = nullptr;
 std::vector<rf::DeviceRecord>* GuardedFaults::lot_ = nullptr;
 
 // With no faults, the guard must be invisible: every device predicted on
-// the first attempt with the exact bits the unguarded runtime produces.
+// the first attempt with the exact bits of the unguarded predict_device.
 TEST_F(GuardedFaults, CleanPathIsBitIdenticalToUnguardedRuntime) {
   stats::Rng rng_off(123);
   const auto on = run_lot(nullptr, 123);
   for (std::size_t i = 0; i < lot_->size(); ++i) {
-    const auto off = unguarded_->test_device(*(*lot_)[i].dut, rng_off);
+    const auto off = cell_->predict_device(*(*lot_)[i].dut, rng_off);
     ASSERT_EQ(on[i].kind, sigtest::DispositionKind::kPredicted)
         << "device " << i;
     EXPECT_EQ(on[i].attempts, 1) << "device " << i;
@@ -257,12 +245,12 @@ TEST_F(GuardedFaults, GuardNeverAddsEscapes) {
       const bool truly_good = passes((*lot_)[i].specs.to_vector(), 0.0);
       if (truly_good) {
         // Still consume the unguarded draws to stay aligned.
-        (void)unguarded_->test_device(*(*lot_)[i].dut, rng_off,
-                                      scenarios[s], i);
+        (void)cell_->predict_device(*(*lot_)[i].dut, rng_off, &scenarios[s],
+                                    i);
         continue;
       }
       const auto off =
-          unguarded_->test_device(*(*lot_)[i].dut, rng_off, scenarios[s], i);
+          cell_->predict_device(*(*lot_)[i].dut, rng_off, &scenarios[s], i);
       if (passes(off, band)) ++esc_off;
       if (on[i].has_prediction() && passes(on[i].predicted, band)) ++esc_on;
     }
@@ -274,12 +262,10 @@ TEST_F(GuardedFaults, GuardNeverAddsEscapes) {
 // in-population (regression: NaN propagated through score() used to make
 // is_outlier return false and the corrupted capture was predicted).
 TEST_F(GuardedFaults, NonFiniteSignatureBinIsAnOutlier) {
-  const auto& screen = *guarded_->screen();
+  const auto& screen = *cell_->screen();
   stats::Rng rng(3);
-  auto sig = guarded_->runtime().acquirer().acquire(*(*lot_)[0].dut,
-                                                    guarded_->runtime()
-                                                        .stimulus(),
-                                                    &rng);
+  auto sig =
+      cell_->acquirer().acquire(*(*lot_)[0].dut, cell_->stimulus(), &rng);
   ASSERT_TRUE(std::isfinite(screen.score(sig)));
   EXPECT_FALSE(screen.is_outlier(sig, 1e6));
   sig[2] = std::numeric_limits<double>::quiet_NaN();
@@ -293,7 +279,7 @@ TEST_F(GuardedFaults, NonFiniteSignatureBinIsAnOutlier) {
 // a bounded number of golden checks, a clean chain must never alarm, and
 // reset_drift_monitor must clear the latch.
 TEST_F(GuardedFaults, DriftMonitorLatchesAndResets) {
-  auto monitor = *guarded_;  // copy: the fixture runtime stays pristine
+  auto monitor = *cell_;  // copy: the fixture cell stays pristine
   const auto golden = rf::extract_lna_dut(circuit::Lna900::nominal());
   stats::Rng rng(13);
 
@@ -335,8 +321,7 @@ TEST(GuardPolicyLimits, RejectsEscalationThatOverflowsTheCaptureCount) {
     sigtest::GuardPolicy p;
     p.max_attempts = max_attempts;
     p.escalation_averages = escalation;
-    return sigtest::GuardedRuntime(cfg, stimulus, circuit::LnaSpecs::names(),
-                                   p);
+    return sigtest::TestCell(cfg, stimulus, circuit::LnaSpecs::names(), p);
   };
   EXPECT_THROW(make(17, 4), std::invalid_argument);
   EXPECT_THROW(make(32, 2), std::invalid_argument);
@@ -397,8 +382,8 @@ TEST(SeedRobustness2, HardwareStudyQualityHoldsAcrossPopulations) {
     const auto stim = dsp::PwlWaveform::uniform(cfg.capture_s, bp);
     sigtest::CalibrationOptions co;
     co.ridge_lambda = 1e-1;
-    sigtest::FastestRuntime runtime(cfg, stim, circuit::LnaSpecs::names(),
-                                    co, 32);
+    sigtest::TestCell runtime(cfg, stim, circuit::LnaSpecs::names(), {}, {},
+                              co, 32);
     stats::Rng rng(seed + 7);
     runtime.calibrate(split.calibration, rng);
     const auto report = runtime.validate(split.validation, rng);

@@ -34,7 +34,7 @@
 #include "service/admission.hpp"
 #include "service/registry.hpp"
 #include "service/scenario.hpp"
-#include "sigtest/batch.hpp"
+#include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 #include "store/calibration_store.hpp"
 
@@ -76,11 +76,11 @@ class ServiceTest : public ::testing::Test {
   /// from kScenario, so in-process references and served lots are the same
   /// physical devices.
   struct World {
-    std::shared_ptr<sigtest::BatchRuntime> runtime;
+    std::shared_ptr<sigtest::TestCell> runtime;
     std::vector<rf::DeviceRecord> lot;
 
     World()
-        : runtime(std::make_shared<sigtest::BatchRuntime>(
+        : runtime(std::make_shared<sigtest::TestCell>(
               sigtest::SignatureTestConfig::simulation_study(), stimulus(),
               circuit::LnaSpecs::names(), policy(),
               sigtest::BatchOptions{5})),
@@ -113,14 +113,8 @@ class ServiceTest : public ::testing::Test {
   static std::vector<sigtest::TestDisposition> serial_reference(
       std::uint64_t seed, const rf::FaultInjector* faults) {
     World& w = world();
-    const stats::Rng base(seed);
-    std::vector<sigtest::TestDisposition> out(w.lot.size());
-    for (std::size_t i = 0; i < w.lot.size(); ++i) {
-      stats::Rng child = base.derive(i);
-      out[i] = w.runtime->guarded().test_device(*w.lot[i].dut, child, faults,
-                                                i);
-    }
-    return out;
+    return sigtest::serial_reference(*w.runtime, w.lot, stats::Rng(seed),
+                                     faults);
   }
 
   static void expect_identical(
@@ -128,22 +122,8 @@ class ServiceTest : public ::testing::Test {
       const std::vector<sigtest::TestDisposition>& served,
       const std::string& label) {
     ASSERT_EQ(reference.size(), served.size()) << label;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      const auto& a = reference[i];
-      const auto& b = served[i];
-      EXPECT_EQ(a.kind, b.kind) << label << " device " << i;
-      EXPECT_EQ(a.attempts, b.attempts) << label << " device " << i;
-      EXPECT_EQ(a.captures, b.captures) << label << " device " << i;
-      EXPECT_EQ(a.last_flaw, b.last_flaw) << label << " device " << i;
-      // Bitwise, never approximate: the wire carries raw f64 bits.
-      EXPECT_EQ(a.outlier_score, b.outlier_score)
-          << label << " device " << i;
-      ASSERT_EQ(a.predicted.size(), b.predicted.size())
-          << label << " device " << i;
-      for (std::size_t s = 0; s < a.predicted.size(); ++s)
-        EXPECT_EQ(a.predicted[s], b.predicted[s])
-            << label << " device " << i << " spec " << s;
-    }
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      EXPECT_TRUE(reference[i] == served[i]) << label << " device " << i;
   }
 
   static service::ServerConfig fast_config() {

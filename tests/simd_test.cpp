@@ -32,8 +32,8 @@
 #include "rf/loadboard.hpp"
 #include "rf/population.hpp"
 #include "sigtest/acquisition.hpp"
-#include "sigtest/batch.hpp"
 #include "sigtest/calibration.hpp"
+#include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -675,7 +675,7 @@ TEST(Arena, NestedScopesRestoreInStackOrder) {
 
 TEST(ArenaSteadyState, BatchLotRunsWithoutHeapFallbacks) {
   const auto cfg = sigtest::SignatureTestConfig::simulation_study();
-  sigtest::BatchRuntime runtime(
+  sigtest::TestCell runtime(
       cfg,
       dsp::PwlWaveform::uniform(cfg.capture_s,
                                 {0.0, 0.3, -0.2, 0.4, -0.1, 0.2}),

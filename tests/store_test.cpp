@@ -14,16 +14,19 @@
 //     accepted candidate hot-swaps without stopping the pipeline, and the
 //     swap resets the drift monitor (the PR's reset-semantics regression).
 //   * In-flight lots finish on the calibration version they started with,
-//     bit-identical to that version's serial reference.
+//     bit-identical to that version's serial reference, and concurrent
+//     swaps always leave one intact (model, screen) pair published.
 #include "store/calibration_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -38,9 +41,8 @@
 #include "rf/dut.hpp"
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
-#include "sigtest/batch.hpp"
 #include "sigtest/calibration.hpp"
-#include "sigtest/guard.hpp"
+#include "sigtest/cell.hpp"
 #include "sigtest/outlier.hpp"
 #include "stats/rng.hpp"
 #include "store/recalibrate.hpp"
@@ -333,35 +335,40 @@ TEST(CalibrationStoreTest, MissingKeysAndVersionsAreTypedErrors) {
 constexpr std::size_t kCalDevices = 12;
 constexpr std::size_t kGoldens = 4;
 
-/// One calibrated BatchRuntime + a handful of golden devices, built once
-/// (characterization dominates the suite's cost).
+/// One calibrated TestCell + a handful of golden devices, built once
+/// (characterization dominates the suite's cost), and a second calibration
+/// of the same recipe on an alternate training set.
 struct RecalWorld {
-  std::shared_ptr<sigtest::BatchRuntime> runtime_template;
+  std::shared_ptr<sigtest::TestCell> runtime_template;
+  sigtest::CalibrationVersion alternate;
   std::vector<rf::DeviceRecord> goldens;
   std::vector<rf::DeviceRecord> lot;
 
   RecalWorld()
-      : runtime_template(make_runtime()),
+      : runtime_template(make_runtime(21, 7)),
+        alternate(make_runtime(33, 11)->calibration()),
         goldens(rf::make_lna_population(kGoldens, 0.05, 99)),
         lot(rf::make_lna_population(10, 0.2, 77)) {}
 
-  static std::shared_ptr<sigtest::BatchRuntime> make_runtime() {
+  static std::shared_ptr<sigtest::TestCell> make_runtime(
+      std::uint64_t population_seed, std::uint64_t rng_seed) {
     const auto config = sigtest::SignatureTestConfig::simulation_study();
     sigtest::GuardPolicy policy;
     policy.outlier_threshold = 2.5;
-    auto runtime = std::make_shared<sigtest::BatchRuntime>(
+    auto runtime = std::make_shared<sigtest::TestCell>(
         config, stimulus(), circuit::LnaSpecs::names(), policy,
         sigtest::BatchOptions{4});
-    const auto cal = rf::make_lna_population(kCalDevices, 0.2, 21);
-    stats::Rng rng(7);
+    const auto cal =
+        rf::make_lna_population(kCalDevices, 0.2, population_seed);
+    stats::Rng rng(rng_seed);
     runtime->calibrate(cal, rng);
     return runtime;
   }
 
   /// A fresh runtime with the template's calibration (version 1) but its
   /// own drift/swap state, so tests never contaminate each other.
-  std::shared_ptr<sigtest::BatchRuntime> fresh_runtime() const {
-    return std::make_shared<sigtest::BatchRuntime>(*runtime_template);
+  std::shared_ptr<sigtest::TestCell> fresh_runtime() const {
+    return std::make_shared<sigtest::TestCell>(*runtime_template);
   }
 
   static dsp::PwlWaveform stimulus() {
@@ -406,8 +413,8 @@ TEST(RecalibratorTest, DriftAlarmDrivesOneRefitSwapAndPersist) {
     alarmed = alarmed || status.alarm;
     ++sequence;
   }
-  ASSERT_TRUE(runtime->guarded().recalibration_needed());
-  EXPECT_EQ(runtime->guarded().calibration().version, 1u);
+  ASSERT_TRUE(runtime->recalibration_needed());
+  EXPECT_EQ(runtime->calibration().version, 1u);
 
   const auto report = recal.maybe_recalibrate();
   EXPECT_TRUE(report.attempted);
@@ -419,9 +426,9 @@ TEST(RecalibratorTest, DriftAlarmDrivesOneRefitSwapAndPersist) {
       << "refit on drifted-path goldens must beat the pre-drift model";
 
   // The swap is visible, persisted, and resets the drift monitor.
-  EXPECT_EQ(runtime->guarded().calibration().version, 2u);
-  EXPECT_FALSE(runtime->guarded().recalibration_needed());
-  EXPECT_EQ(runtime->guarded().drift_checks(), 0u);
+  EXPECT_EQ(runtime->calibration().version, 2u);
+  EXPECT_FALSE(runtime->recalibration_needed());
+  EXPECT_EQ(runtime->drift_checks(), 0u);
   EXPECT_EQ(cal_store->latest_version(recal.key()), 1u)
       << "the swapped-in model is version 1 in a fresh store";
   EXPECT_EQ(recal.refits(), 1u);
@@ -444,9 +451,9 @@ TEST(RecalibratorTest, PoisonedWindowRollsBackAndKeepsTheLiveVersion) {
 
   // Harvest one clean signature to shape the poison rows.
   sigtest::Signature clean_sig;
-  (void)runtime->guarded().monitor_golden(*goldens[0].dut, rng, nullptr, 0,
+  (void)runtime->monitor_golden(*goldens[0].dut, rng, nullptr, 0,
                                           &clean_sig);
-  runtime->guarded().reset_drift_monitor();
+  runtime->reset_drift_monitor();
   ASSERT_FALSE(clean_sig.empty());
 
   // Poison FIRST (it becomes the training split), clean goldens LAST
@@ -474,7 +481,7 @@ TEST(RecalibratorTest, PoisonedWindowRollsBackAndKeepsTheLiveVersion) {
   EXPECT_FALSE(report.swapped);
   EXPECT_EQ(report.version, 1u) << "a rolled-back refit must keep version 1";
   EXPECT_GT(report.candidate_error, report.current_error);
-  EXPECT_EQ(runtime->guarded().calibration().version, 1u);
+  EXPECT_EQ(runtime->calibration().version, 1u);
   EXPECT_EQ(recal.rollbacks(), 1u);
   EXPECT_EQ(recal.swaps(), 0u);
 }
@@ -484,31 +491,74 @@ TEST(RecalibratorTest, PoisonedWindowRollsBackAndKeepsTheLiveVersion) {
 // a swap that leaked the old EWMA would instantly re-alarm a fresh model.
 TEST(RecalibratorTest, SwapResetsAlarmEwmaAndSampleCount) {
   auto runtime = recal_world().fresh_runtime();
-  auto& guarded = runtime->guarded();
+  sigtest::TestCell& cell = *runtime;
   const auto& golden = recal_world().goldens[0];
   const rf::FaultInjector drift{{rf::FaultSpec::gain_drift(4e-3)}};
   stats::Rng rng(19);
 
   bool alarmed = false;
   for (std::uint64_t s = 0; s < 300 && !alarmed; ++s)
-    alarmed = guarded.monitor_golden(*golden.dut, rng, &drift, s).alarm;
+    alarmed = cell.monitor_golden(*golden.dut, rng, &drift, s).alarm;
   ASSERT_TRUE(alarmed);
-  ASSERT_TRUE(guarded.recalibration_needed());
-  ASSERT_GT(guarded.drift_checks(), 0u);
+  ASSERT_TRUE(cell.recalibration_needed());
+  ASSERT_GT(cell.drift_checks(), 0u);
 
   // Swap the existing calibration back in (content is irrelevant; the
   // version bump and state reset are what's under test).
-  const auto cal = guarded.calibration();
-  const std::uint64_t v = guarded.swap_calibration(cal.model, cal.screen);
+  const auto cal = cell.calibration();
+  const std::uint64_t v = cell.swap_calibration(cal.model, cal.screen);
   EXPECT_EQ(v, 2u);
-  EXPECT_FALSE(guarded.recalibration_needed()) << "alarm must clear on swap";
-  EXPECT_EQ(guarded.drift_checks(), 0u) << "sample count must clear on swap";
+  EXPECT_FALSE(cell.recalibration_needed()) << "alarm must clear on swap";
+  EXPECT_EQ(cell.drift_checks(), 0u) << "sample count must clear on swap";
 
   // First post-swap check seeds the EWMA from scratch: ewma == score, with
   // no contribution from the pre-swap drifted history.
-  const auto status = guarded.monitor_golden(*golden.dut, rng);
+  const auto status = cell.monitor_golden(*golden.dut, rng);
   EXPECT_EQ(status.ewma, status.score) << "EWMA must re-seed after swap";
   EXPECT_FALSE(status.alarm);
+}
+
+// Regression: a swap used to publish the model twice, under two locks, so
+// two concurrent swaps could leave model() on one pair's model while
+// calibration() held the other pair. Two long-lived threads each swap in
+// their own pair 50 times a round; after every round the cell must read
+// back one intact pair through every accessor, having counted every swap.
+TEST(RecalibratorTest, ConcurrentSwapsLeaveOneIntactPair) {
+  constexpr int kRounds = 2000;
+  constexpr int kSwapsPerThread = 50;
+  auto runtime = recal_world().fresh_runtime();
+  const sigtest::CalibrationVersion pairs[2] = {runtime->calibration(),
+                                                recal_world().alternate};
+  std::barrier round(3);
+  const auto swapper = [&](const sigtest::CalibrationVersion& pair) {
+    for (int r = 0; r < kRounds; ++r) {
+      round.arrive_and_wait();
+      for (int s = 0; s < kSwapsPerThread; ++s)
+        (void)runtime->swap_calibration(pair.model, pair.screen);
+      round.arrive_and_wait();
+    }
+  };
+  std::thread first(swapper, std::cref(pairs[0]));
+  std::thread second(swapper, std::cref(pairs[1]));
+  int torn = 0, miscounted = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    const std::uint64_t before = runtime->calibration().version;
+    round.arrive_and_wait();  // both threads swap...
+    round.arrive_and_wait();  // ...and are done
+    const sigtest::CalibrationVersion cal = runtime->calibration();
+    const bool intact =
+        (cal.model == pairs[0].model && cal.screen == pairs[0].screen) ||
+        (cal.model == pairs[1].model && cal.screen == pairs[1].screen);
+    if (!intact || runtime->model() != cal.model ||
+        runtime->screen() != cal.screen)
+      ++torn;
+    if (cal.version != before + 2 * kSwapsPerThread) ++miscounted;
+  }
+  first.join();
+  second.join();
+  EXPECT_EQ(torn, 0) << "rounds of " << kRounds << " that ended torn";
+  EXPECT_EQ(miscounted, 0) << "rounds of " << kRounds
+                           << " that lost or added a version";
 }
 
 TEST(RecalibratorTest, InFlightLotsPinTheirStartingVersionBitExactly) {
@@ -520,46 +570,23 @@ TEST(RecalibratorTest, InFlightLotsPinTheirStartingVersionBitExactly) {
 
   // Serial references on both calibration versions. Version 2 is a refit
   // on a deterministic alternate training set.
-  auto reference = [&](const sigtest::BatchRuntime& rt) {
-    const stats::Rng base(kSeed);
-    std::vector<sigtest::TestDisposition> out(lot.size());
-    for (std::size_t i = 0; i < lot.size(); ++i) {
-      stats::Rng child = base.derive(i);
-      out[i] = rt.guarded().test_device(*lot[i], child, nullptr, i);
-    }
-    return out;
-  };
-  const auto reference_v1 = reference(*runtime);
-
-  auto alternate = recal_world().fresh_runtime();
-  {
-    const auto training = rf::make_lna_population(kCalDevices, 0.2, 33);
-    stats::Rng rng(11);
-    alternate->calibrate(training, rng);
-  }
-  const auto next = alternate->guarded().calibration();
+  const stats::Rng base(kSeed);
+  const auto reference_v1 = sigtest::serial_reference(*runtime, lot, base);
+  const sigtest::CalibrationVersion& next = recal_world().alternate;
 
   // Reference for the swapped state: apply the same swap to a clone.
   auto swapped_clone = recal_world().fresh_runtime();
-  ASSERT_EQ(swapped_clone->guarded().swap_calibration(next.model, next.screen),
-            2u);
-  const auto reference_v2 = reference(*swapped_clone);
+  ASSERT_EQ(swapped_clone->swap_calibration(next.model, next.screen), 2u);
+  const auto reference_v2 =
+      sigtest::serial_reference(*swapped_clone, lot, base);
 
   auto check = [&](const sigtest::LotResult& result) {
     ASSERT_TRUE(result.model_version == 1u || result.model_version == 2u);
     const auto& want =
         result.model_version == 1u ? reference_v1 : reference_v2;
     ASSERT_EQ(result.dispositions.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(result.dispositions[i].kind, want[i].kind) << i;
-      EXPECT_EQ(result.dispositions[i].outlier_score, want[i].outlier_score)
-          << i;
-      ASSERT_EQ(result.dispositions[i].predicted.size(),
-                want[i].predicted.size());
-      for (std::size_t s = 0; s < want[i].predicted.size(); ++s)
-        EXPECT_EQ(result.dispositions[i].predicted[s], want[i].predicted[s])
-            << "device " << i << " spec " << s;
-    }
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_TRUE(result.dispositions[i] == want[i]) << "device " << i;
   };
 
   // Lots race a hot swap: every lot must land on exactly one version's
@@ -575,7 +602,7 @@ TEST(RecalibratorTest, InFlightLotsPinTheirStartingVersionBitExactly) {
   std::thread swapper([&] {
     while (!go.load()) {
     }
-    (void)runtime->guarded().swap_calibration(next.model, next.screen);
+    (void)runtime->swap_calibration(next.model, next.screen);
   });
   go.store(true);
   tester.join();

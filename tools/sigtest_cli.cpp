@@ -29,8 +29,7 @@
 #include "core/telemetry.hpp"
 #include "rf/faults.hpp"
 #include "sigtest/analog.hpp"
-#include "sigtest/batch.hpp"
-#include "sigtest/guard.hpp"
+#include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 #include "store/calibration_store.hpp"
 
@@ -162,22 +161,25 @@ int run_faulted_lot(const bench::SimStudyResult& study,
   std::vector<std::vector<double>> truth;
   for (const auto& dev : lot) truth.push_back(dev.specs.to_vector());
 
+  // One cell serves all three passes: the guard policy only matters to the
+  // guarded ones, and the calibration is the same.
+  sigtest::GuardPolicy policy;
+  policy.outlier_threshold = 2.5;
+  sigtest::BatchOptions bopts;
+  if (batch > 0) bopts.batch_size = static_cast<std::size_t>(batch);
+  sigtest::TestCell cell(cfg, study.stimulus, circuit::LnaSpecs::names(),
+                         policy, bopts);
+  stats::Rng cal_rng(7);
+  cell.calibrate(cal, cal_rng);
+  const rf::FaultInjector* injected = faults.empty() ? nullptr : &faults;
+
   ate::FlowResult flow;
   if (guard && batch > 0) {
     // Lot engine: same guard semantics, the lot's devices tested side by
     // side on the worker pool, `batch` devices per claim.
-    sigtest::GuardPolicy policy;
-    policy.outlier_threshold = 2.5;
-    sigtest::BatchOptions bopts;
-    bopts.batch_size = static_cast<std::size_t>(batch);
-    sigtest::BatchRuntime runtime(cfg, study.stimulus,
-                                  circuit::LnaSpecs::names(), policy, bopts);
-    stats::Rng cal_rng(7);
-    runtime.calibrate(cal, cal_rng);
     const stats::Rng lot_rng(9001);
     const auto t0 = std::chrono::steady_clock::now();
-    const sigtest::LotResult result =
-        runtime.test_lot(lot, lot_rng, faults.empty() ? nullptr : &faults);
+    const sigtest::LotResult result = cell.test_lot(lot, lot_rng, injected);
     const double sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -190,51 +192,22 @@ int run_faulted_lot(const bench::SimStudyResult& study,
                 " %d retested\n",
                 retries, result.routed, flow.retested);
   } else if (guard) {
-    sigtest::GuardPolicy policy;
-    policy.outlier_threshold = 2.5;
-    sigtest::GuardedRuntime runtime(cfg, study.stimulus,
-                                    circuit::LnaSpecs::names(), policy);
-    stats::Rng cal_rng(7);
-    runtime.calibrate(cal, cal_rng);
     stats::Rng rng(9001);
-    std::vector<std::vector<double>> predicted;
-    std::vector<ate::Disposition> dispositions;
-    int retries = 0, routed = 0;
+    std::vector<sigtest::TestDisposition> dispositions;
+    int retries = 0;
     for (std::size_t i = 0; i < lot.size(); ++i) {
-      const auto d = runtime.test_device(
-          *lot[i].dut, rng, faults.empty() ? nullptr : &faults, i);
-      retries += d.attempts - 1;
-      switch (d.kind) {
-        case sigtest::DispositionKind::kPredicted:
-          dispositions.push_back(ate::Disposition::kPredicted);
-          break;
-        case sigtest::DispositionKind::kPredictedAfterRetry:
-          dispositions.push_back(ate::Disposition::kRetested);
-          break;
-        case sigtest::DispositionKind::kRoutedToConventional:
-          dispositions.push_back(ate::Disposition::kRoutedToConventional);
-          ++routed;
-          break;
-      }
-      predicted.push_back(d.predicted);
+      dispositions.push_back(cell.test_device(*lot[i].dut, rng, injected, i));
+      retries += dispositions.back().attempts - 1;
     }
-    flow = ate::run_production_flow(truth, predicted, dispositions, limits,
-                                    0.25);
+    flow = ate::run_production_flow(truth, dispositions, limits, 0.25);
     std::printf("  guard activity: %d retries, %d routed to conventional,"
                 " %d retested\n",
-                retries, routed, flow.retested);
+                retries, flow.routed_conventional, flow.retested);
   } else {
-    sigtest::FastestRuntime runtime(cfg, study.stimulus,
-                                    circuit::LnaSpecs::names());
-    stats::Rng cal_rng(7);
-    runtime.calibrate(cal, cal_rng);
     stats::Rng rng(9001);
     std::vector<std::vector<double>> predicted;
     for (std::size_t i = 0; i < lot.size(); ++i)
-      predicted.push_back(
-          faults.empty()
-              ? runtime.test_device(*lot[i].dut, rng)
-              : runtime.test_device(*lot[i].dut, rng, faults, i));
+      predicted.push_back(cell.predict_device(*lot[i].dut, rng, injected, i));
     flow = ate::run_production_flow(truth, predicted, limits, 0.25);
   }
   std::printf("  pass %d, fail %d, escapes %d, yield loss %d"

@@ -433,7 +433,7 @@ def check_raw_threads(ctx: Context):
     that prevents pool deadlock, and the determinism contract. The service
     layer is the second sanctioned home: its accept/reader/worker threads
     move bytes and queue work but never compute a disposition themselves --
-    every lot still runs through BatchRuntime on the core pool.
+    every lot still runs through TestCell::test_lot on the core pool.
     """
     for f in ctx.files:
         if f.in_dir("core") or f.in_dir("service"):
@@ -532,7 +532,7 @@ def check_empty_catch(ctx: Context):
     """No empty `catch (...) {}` outside src/core/.
 
     Silently swallowing every exception hides contract violations the
-    guarded runtime must surface as typed dispositions. The pool-teardown
+    guarded test must surface as typed dispositions. The pool-teardown
     catches in src/core/ are the single sanctioned exception.
     """
     for f in ctx.files:
