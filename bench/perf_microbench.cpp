@@ -4,10 +4,7 @@
 // guard against performance regressions.
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <cstdint>
-#include <filesystem>
 #include <initializer_list>
 #include <span>
 #include <string>
@@ -30,7 +27,6 @@
 #include "sigtest/optimizer.hpp"
 #include "sigtest/sensitivity.hpp"
 #include "stats/rng.hpp"
-#include "store/calibration_store.hpp"
 
 namespace {
 
@@ -413,27 +409,6 @@ void BM_GuardedTestDeviceFaulted(benchmark::State& state) {
     benchmark::DoNotOptimize(runtime.test_device(*ch.dut, rng, &faults, seq++));
 }
 BENCHMARK(BM_GuardedTestDeviceFaulted);
-
-// Cached store get: what the multi-runtime registry pays to resolve a
-// scenario's calibration when the (key, version) pair is hot. This must be
-// pointer-shuffling cheap -- a disk read here would put filesystem latency
-// on the lot-dispatch path.
-void BM_StoreGetCached(benchmark::State& state) {
-  const std::string root =
-      (std::filesystem::temp_directory_path() /
-       ("stf_bench_store_" + std::to_string(::getpid())))
-          .string();
-  store::CalibrationStore cal_store(root);
-  store::StoreKey key{"bench:lna"};
-  const auto cal = guarded_runtime().calibration();
-  cal_store.put(key, cal.model, cal.screen);
-  const TelemetryCounters counters(
-      state, {"store.cache_hits", "store.loads"});
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cal_store.get(key));
-  std::filesystem::remove_all(root);
-}
-BENCHMARK(BM_StoreGetCached);
 
 // RCU-style calibration hot-swap: the publish step of online
 // recalibration. Prices the version bump the pipeline pays while lots keep

@@ -11,6 +11,14 @@
 
 namespace stf::service {
 
+namespace {
+
+/// Live runtimes kept; an evicted scenario cold-starts from the store (or
+/// refits without one) on its next lot.
+constexpr std::size_t kMaxRuntimes = 4;
+
+}  // namespace
+
 RegistryOptions RegistryOptions::lna_defaults() {
   RegistryOptions options;
   options.config = stf::sigtest::SignatureTestConfig::simulation_study();
@@ -25,11 +33,12 @@ RegistryOptions RegistryOptions::lna_defaults() {
 RuntimeRegistry::RuntimeRegistry(
     RegistryOptions options,
     std::shared_ptr<stf::store::CalibrationStore> store)
-    : options_(std::move(options)), store_(std::move(store)) {
+    : options_(std::move(options)),
+      store_(std::move(store)),
+      runtimes_(kMaxRuntimes, "registry.hits", "registry.misses") {
   STF_REQUIRE(options_.stimulus.duration() > 0.0,
               "RuntimeRegistry: empty stimulus");
   STF_REQUIRE(!options_.spec_names.empty(), "RuntimeRegistry: no spec names");
-  STF_REQUIRE(options_.max_entries >= 1, "RuntimeRegistry: max_entries < 1");
   STF_REQUIRE(options_.calibration_devices >= 2,
               "RuntimeRegistry: calibration_devices < 2");
 }
@@ -47,20 +56,8 @@ std::shared_ptr<stf::sigtest::TestCell> RuntimeRegistry::get(
     const ScenarioSpec& spec) {
   STF_REQUIRE(spec.spread >= 0.0 && spec.spread < 1.0,
               "RuntimeRegistry::get: spread outside [0, 1)");
-  const std::string key = spec.canonical();
-  const stf::core::LockGuard lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->first == key) {
-      entries_.splice(entries_.begin(), entries_, it);  // refresh LRU
-      STF_COUNT("registry.hits");
-      return it->second;  // splice keeps the iterator valid
-    }
-  }
-  STF_COUNT("registry.misses");
-  auto runtime = build(spec);
-  entries_.emplace_front(key, runtime);
-  while (entries_.size() > options_.max_entries) entries_.pop_back();
-  return runtime;
+  return runtimes_.get_or_build(spec.canonical(),
+                                [&] { return build(spec); });
 }
 
 // stf-analyze: allow(api-contract) -- get() validates spec before dispatch
@@ -99,21 +96,6 @@ std::shared_ptr<stf::sigtest::TestCell> RuntimeRegistry::build(
     store_->put(key, cal.model, cal.screen);
   }
   return runtime;
-}
-
-std::size_t RuntimeRegistry::size() const {
-  const stf::core::LockGuard lock(mutex_);
-  return entries_.size();
-}
-
-std::uint64_t RuntimeRegistry::cold_starts() const {
-  const stf::core::LockGuard lock(mutex_);
-  return cold_starts_;
-}
-
-std::uint64_t RuntimeRegistry::scratch_calibrations() const {
-  const stf::core::LockGuard lock(mutex_);
-  return scratch_calibrations_;
 }
 
 }  // namespace stf::service

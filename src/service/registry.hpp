@@ -19,22 +19,23 @@
 //      model) and, when a store is attached, persists the result as
 //      version 1 for the next cold start.
 //
-// Runtimes are kept in a bounded LRU; an evicted runtime stays alive for
-// any lot still running against it (shared_ptr), exactly like
-// PopulationCache. The registry hands out NON-const runtimes: the
-// maintenance plane (store::Recalibrator) hot-swaps their calibration,
-// while the serving path only calls the const, reentrant test_lot.
+// Runtimes are kept in a core::LruCache: a scenario is fitted once however
+// many lots race for it, outside the cache lock, so lots on other
+// scenarios keep being served meanwhile; an evicted runtime stays alive for
+// any lot still running against it (shared_ptr). The registry hands out
+// NON-const runtimes: the maintenance plane (store::Recalibrator)
+// hot-swaps their calibration, while the serving path only calls the
+// const, reentrant test_lot.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/annotations.hpp"
+#include "core/lru_cache.hpp"
 #include "dsp/pwl.hpp"
 #include "service/scenario.hpp"
 #include "sigtest/cell.hpp"
@@ -65,9 +66,6 @@ struct RegistryOptions {
   std::string device_type = "lna900";
   int temp_bin_c = 25;
 
-  /// LRU bound on live runtimes.
-  std::size_t max_entries = 4;
-
   /// The canonical LNA study recipe (simulation_study config, the paper's
   /// 9-breakpoint stimulus, LnaSpecs names): what tests, examples and the
   /// CLI use unless they override knobs.
@@ -75,8 +73,8 @@ struct RegistryOptions {
 };
 
 /// Bounded LRU of per-scenario calibrated runtimes with store-backed cold
-/// start. Thread-safe; misses build under the lock (characterization is
-/// heavy, and serializing it prevents duplicate fits of one scenario).
+/// start. Thread-safe; a miss builds once per scenario, outside the cache
+/// lock, while the other callers of that scenario wait for it.
 class RuntimeRegistry {
  public:
   /// `store` may be null: the registry then always fits from scratch and
@@ -92,30 +90,26 @@ class RuntimeRegistry {
   /// Where `spec`'s calibrations live in the store.
   stf::store::StoreKey store_key(const ScenarioSpec& spec) const;
 
-  std::size_t size() const;
+  std::size_t size() const { return runtimes_.size(); }
   const std::shared_ptr<stf::store::CalibrationStore>& store() const {
     return store_;
   }
   /// Runtimes calibrated from a persisted store version (tests assert the
   /// restart path loads instead of refitting).
-  std::uint64_t cold_starts() const;
+  std::uint64_t cold_starts() const { return cold_starts_.load(); }
   /// Runtimes calibrated from scratch.
-  std::uint64_t scratch_calibrations() const;
+  std::uint64_t scratch_calibrations() const {
+    return scratch_calibrations_.load();
+  }
 
  private:
-  using Entry =
-      std::pair<std::string, std::shared_ptr<stf::sigtest::TestCell>>;
-
-  std::shared_ptr<stf::sigtest::TestCell> build(const ScenarioSpec& spec)
-      STF_REQUIRES(mutex_);
+  std::shared_ptr<stf::sigtest::TestCell> build(const ScenarioSpec& spec);
 
   RegistryOptions options_;
   std::shared_ptr<stf::store::CalibrationStore> store_;
-  mutable stf::core::Mutex mutex_;
-  /// Most-recently-used at the front.
-  std::list<Entry> entries_ STF_GUARDED_BY(mutex_);
-  std::uint64_t cold_starts_ STF_GUARDED_BY(mutex_) = 0;
-  std::uint64_t scratch_calibrations_ STF_GUARDED_BY(mutex_) = 0;
+  stf::core::LruCache<stf::sigtest::TestCell> runtimes_;
+  std::atomic<std::uint64_t> cold_starts_{0};
+  std::atomic<std::uint64_t> scratch_calibrations_{0};
 };
 
 }  // namespace stf::service

@@ -7,7 +7,6 @@
 
 #include "core/contracts.hpp"
 #include "core/env.hpp"
-#include "core/telemetry.hpp"
 
 namespace stf::service {
 
@@ -78,43 +77,6 @@ std::vector<stf::rf::DeviceRecord> build_population(const ScenarioSpec& spec,
                                                     std::size_t devices) {
   STF_REQUIRE(devices >= 1, "build_population: devices < 1");
   return stf::rf::make_lna_population(devices, spec.spread, spec.pop_seed);
-}
-
-PopulationCache::PopulationCache(std::size_t max_entries)
-    : max_entries_(max_entries) {
-  STF_REQUIRE(max_entries >= 1, "PopulationCache: max_entries < 1");
-}
-
-std::shared_ptr<const std::vector<stf::rf::DeviceRecord>>
-PopulationCache::get(const ScenarioSpec& spec, std::size_t devices) {
-  STF_REQUIRE(devices >= 1, "PopulationCache::get: devices < 1");
-  std::ostringstream key_stream;
-  key_stream << spec.canonical() << ":n=" << devices;
-  const std::string key = key_stream.str();
-  // Build under the lock: characterization is heavy, and serializing it
-  // here both prevents duplicate builds of the same key and keeps the
-  // parallel_for pool to one characterizing caller at a time. Lots already
-  // materialized proceed without touching this path.
-  const stf::core::LockGuard lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->first == key) {
-      entries_.splice(entries_.begin(), entries_, it);  // refresh LRU
-      STF_COUNT("svc.population_cache_hits");
-      STF_ASSERT(!entries_.empty(), "PopulationCache: splice lost the entry");
-      return entries_.front().second;
-    }
-  }
-  STF_COUNT("svc.population_cache_misses");
-  auto population = std::make_shared<const std::vector<stf::rf::DeviceRecord>>(
-      build_population(spec, devices));
-  entries_.emplace_front(key, population);
-  while (entries_.size() > max_entries_) entries_.pop_back();
-  return population;
-}
-
-std::size_t PopulationCache::size() const {
-  const stf::core::LockGuard lock(mutex_);
-  return entries_.size();
 }
 
 }  // namespace stf::service

@@ -10,21 +10,18 @@
 // typed kBadRequest, never a dropped connection).
 //
 // Characterizing a population is ~lot_size circuit simulations, far
-// heavier than testing the lot -- so the server keeps a small LRU of
-// materialized populations keyed by the normalized scenario. Determinism
-// is unaffected: a cache hit returns the same DeviceRecords the miss path
-// would rebuild (make_lna_population is seed-deterministic).
+// heavier than testing the lot -- so the server keeps its materialized
+// populations in a core::LruCache keyed by the normalized scenario and the
+// lot size. Determinism is unaffected: a cache hit returns the same
+// DeviceRecords the miss path would rebuild (make_lna_population is
+// seed-deterministic).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "rf/population.hpp"
 
 namespace stf::service {
@@ -45,29 +42,5 @@ ScenarioSpec parse_scenario(const std::string& text);
 /// Materialize the population for `spec` (devices() rows, characterized).
 std::vector<stf::rf::DeviceRecord> build_population(const ScenarioSpec& spec,
                                                     std::size_t devices);
-
-/// Bounded LRU of characterized populations, shared by the server workers.
-/// Thread-safe; the returned shared_ptr keeps an evicted population alive
-/// for any lot still running against it.
-class PopulationCache {
- public:
-  explicit PopulationCache(std::size_t max_entries = 4);
-
-  /// The population for (spec, devices): cached, or built and cached.
-  std::shared_ptr<const std::vector<stf::rf::DeviceRecord>> get(
-      const ScenarioSpec& spec, std::size_t devices);
-
-  std::size_t size() const;
-
- private:
-  using Entry =
-      std::pair<std::string,
-                std::shared_ptr<const std::vector<stf::rf::DeviceRecord>>>;
-
-  std::size_t max_entries_;
-  mutable stf::core::Mutex mutex_;
-  /// Most-recently-used at the front.
-  std::list<Entry> entries_ STF_GUARDED_BY(mutex_);
-};
 
 }  // namespace stf::service

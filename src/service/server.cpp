@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <list>
 #include <set>
 #include <utility>
 
@@ -31,6 +30,10 @@ using stf::net::SocketError;
 /// the framing, and deliberately < typical lot sizes so multi-chunk
 /// reassembly is exercised on every run.
 constexpr std::uint32_t kChunkDevices = 64;
+
+/// Finished lots kept for replay: an idempotent retry arrives within a few
+/// lots of its first attempt.
+constexpr std::size_t kReplayLots = 16;
 
 /// The admission clock. The ONE wall-clock read in the service: it feeds
 /// only the token bucket (shed-or-admit), never a disposition, so the
@@ -118,47 +121,6 @@ struct SigtestServer::Work {
   std::string replay_key;
 };
 
-/// Server-wide LRU of finished lots' response frames, keyed by the FULL
-/// encoded request -- request_id alone could collide across parameters and
-/// replay the wrong lot; byte-equality cannot. Serves idempotent retry
-/// (new connection, same request) and same-session duplicate frames, with
-/// no recomputation and no re-admission.
-class SigtestServer::ReplayCache {
- public:
-  explicit ReplayCache(std::size_t max_lots) : max_lots_(max_lots) {
-    STF_REQUIRE(max_lots >= 1, "ReplayCache: max_lots < 1");
-  }
-
-  std::shared_ptr<const std::vector<std::vector<std::uint8_t>>> find(
-      const std::string& key) {
-    const stf::core::LockGuard lock(mutex_);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->first == key) {
-        entries_.splice(entries_.begin(), entries_, it);
-        STF_ASSERT(!entries_.empty(), "ReplayCache: splice lost the entry");
-        return entries_.front().second;
-      }
-    }
-    return nullptr;
-  }
-
-  void put(const std::string& key,
-           std::shared_ptr<const std::vector<std::vector<std::uint8_t>>>
-               frames) {
-    const stf::core::LockGuard lock(mutex_);
-    entries_.emplace_front(key, std::move(frames));
-    while (entries_.size() > max_lots_) entries_.pop_back();
-  }
-
- private:
-  using Entry =
-      std::pair<std::string,
-                std::shared_ptr<const std::vector<std::vector<std::uint8_t>>>>;
-  std::size_t max_lots_;
-  mutable stf::core::Mutex mutex_;
-  std::list<Entry> entries_ STF_GUARDED_BY(mutex_);
-};
-
 ServerConfig ServerConfig::from_environment() {
   namespace env = stf::core::env;
   ServerConfig config;
@@ -185,8 +147,9 @@ SigtestServer::SigtestServer(
       registry_(std::move(registry)),
       config_(std::move(config)),
       admission_(config_.admission),
-      populations_(config_.population_cache_entries),
-      replay_(std::make_unique<ReplayCache>(config_.replay_cache_lots)) {
+      populations_(config_.population_cache_entries,
+                   "svc.population_cache_hits", "svc.population_cache_misses"),
+      replay_(kReplayLots) {
   STF_REQUIRE((runtime_ != nullptr) != (registry_ != nullptr),
               "SigtestServer: exactly one of runtime/registry");
   STF_REQUIRE(runtime_ == nullptr || runtime_->calibrated(),
@@ -334,7 +297,7 @@ void SigtestServer::handle_request(const std::shared_ptr<Session>& session,
   // the identity for well-formed requests.
   const std::vector<std::uint8_t> encoded = stf::net::encode_request(request);
   const std::string key(encoded.begin(), encoded.end());
-  if (const auto frames = replay_->find(key)) {
+  if (const auto frames = replay_.find(key)) {
     STF_COUNT("svc.replays");
     session->send_frames(*frames);
     return;
@@ -417,10 +380,7 @@ void SigtestServer::worker_loop() {
     // every retry of that request until LRU eviction. A retried failure
     // re-admits and recomputes instead.
     if (computed)
-      replay_->put(
-          work.replay_key,
-          std::make_shared<const std::vector<std::vector<std::uint8_t>>>(
-              frames));
+      replay_.put(work.replay_key, std::make_shared<const Frames>(frames));
     work.session->send_frames(frames);
     admission_.complete_lot(work.session->id);
     work.session->finish_inflight(work.request.request_id);
@@ -434,8 +394,12 @@ std::vector<std::vector<std::uint8_t>> SigtestServer::process_lot(
   STF_REQUIRE(work.session != nullptr, "process_lot: work has no session");
   STF_TRACE_SPAN("svc.lot");
   const LotRequest& request = work.request;
-  const auto population =
-      populations_.get(work.scenario, request.lot_size);
+  const auto population = populations_.get_or_build(
+      work.scenario.canonical() + ":n=" + std::to_string(request.lot_size),
+      [&] {
+        return std::make_shared<const std::vector<stf::rf::DeviceRecord>>(
+            build_population(work.scenario, request.lot_size));
+      });
 
   // The determinism contract's server side: base rng from the request
   // seed, per-device derivation inside test_lot, first_sequence 0 -- the

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "core/annotations.hpp"
+#include "core/lru_cache.hpp"
 #include "core/pipeline.hpp"
 #include "net/socket.hpp"
 #include "service/admission.hpp"
@@ -63,8 +64,7 @@ struct ServerConfig {
   AdmissionPolicy admission;
   std::size_t work_queue_capacity = 8;  ///< Lots queued across all clients.
   std::size_t worker_threads = 2;
-  std::size_t replay_cache_lots = 16;  ///< Finished lots kept for replay.
-  std::size_t population_cache_entries = 4;
+  std::size_t population_cache_entries = 4;  ///< Populations kept.
   int poll_interval_ms = 50;   ///< Accept/reader wakeup cadence.
   int send_timeout_ms = 10000; ///< Bound on a stalled client's write path.
 
@@ -117,7 +117,8 @@ class SigtestServer {
  private:
   struct Session;
   struct Work;
-  class ReplayCache;
+  /// One finished lot's response frames.
+  using Frames = std::vector<std::vector<std::uint8_t>>;
 
   /// One reader thread plus its exit flag. `exited` is stored to as the
   /// thread's last action, so the accept loop can join-and-discard finished
@@ -152,8 +153,11 @@ class SigtestServer {
   std::shared_ptr<RuntimeRegistry> registry_;
   ServerConfig config_;
   AdmissionController admission_;
-  PopulationCache populations_;
-  std::unique_ptr<ReplayCache> replay_;
+  /// Characterized populations, keyed by scenario and lot size.
+  stf::core::LruCache<const std::vector<stf::rf::DeviceRecord>> populations_;
+  /// Finished lots' frames, keyed by the FULL encoded request: request_id
+  /// alone could collide across parameters and replay the wrong lot.
+  stf::core::LruCache<const Frames> replay_;
   std::unique_ptr<stf::net::Listener> listener_;
   std::unique_ptr<stf::core::BoundedQueue<Work>> queue_;
 

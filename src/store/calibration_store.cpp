@@ -52,6 +52,13 @@ std::string fnv1a_hex(const std::string& text) {
   return out;
 }
 
+/// "v<N>.stfcal", the file name of version N. Built with append: GCC 12
+/// reports a false -Wrestrict for `"v" + std::to_string(n)` once it is
+/// inlined into a caller.
+std::string version_filename(std::uint64_t version) {
+  return std::string("v").append(std::to_string(version)).append(".stfcal");
+}
+
 /// Parse the <N> of a "v<N>.stfcal" filename; 0 when it is not one.
 std::uint64_t version_of_filename(const std::string& name) {
   if (name.empty() || name.size() < std::string("v1.stfcal").size()) return 0;
@@ -155,11 +162,9 @@ std::string StoreKey::canonical() const {
   return os.str();
 }
 
-CalibrationStore::CalibrationStore(std::string root_dir, StoreOptions options)
-    : root_(std::move(root_dir)), options_(options) {
+CalibrationStore::CalibrationStore(std::string root_dir)
+    : root_(std::move(root_dir)) {
   STF_REQUIRE(!root_.empty(), "CalibrationStore: empty root dir");
-  STF_REQUIRE(options_.cache_capacity >= 1,
-              "CalibrationStore: cache_capacity < 1");
   std::error_code ec;
   fs::create_directories(root_, ec);
   if (ec)
@@ -243,8 +248,7 @@ StoredCalibration CalibrationStore::parse_bundle(
 std::uint64_t CalibrationStore::put(
     const StoreKey& key,
     std::shared_ptr<const stf::sigtest::CalibrationModel> model,
-    std::shared_ptr<const stf::sigtest::OutlierScreen> screen,
-    std::uint64_t now_us) {
+    std::shared_ptr<const stf::sigtest::OutlierScreen> screen) {
   STF_TRACE_SPAN("store.put");
   STF_REQUIRE(model != nullptr && model->fitted(),
               "CalibrationStore::put: model missing or unfitted");
@@ -269,23 +273,13 @@ std::uint64_t CalibrationStore::put(
 
   StoredCalibration stored{std::move(model), std::move(screen),
                            scan_latest(dir.string()) + 1};
-  write_atomic(dir / ("v" + std::to_string(stored.version) + ".stfcal"),
-               bundle_text(stored));
+  write_atomic(dir / version_filename(stored.version), bundle_text(stored));
   STF_COUNT("store.persists");
-
-  const std::uint64_t version = stored.version;
-  cache_.push_front(CacheEntry{
-      key.canonical() + "#" + std::to_string(version), stored, now_us});
-  while (cache_.size() > options_.cache_capacity) {
-    cache_.pop_back();
-    STF_COUNT("store.cache_evictions");
-  }
-  return version;
+  return stored.version;
 }
 
 StoredCalibration CalibrationStore::get(const StoreKey& key,
-                                        std::uint64_t version,
-                                        std::uint64_t now_us) {
+                                        std::uint64_t version) {
   STF_TRACE_SPAN("store.get");
   const stf::core::LockGuard lock(mutex_);
   const std::string dir = key_dir(key);
@@ -295,26 +289,7 @@ StoredCalibration CalibrationStore::get(const StoreKey& key,
     if (v == 0)
       throw StoreError("no versions persisted for key " + key.canonical());
   }
-  const std::string id = key.canonical() + "#" + std::to_string(v);
-
-  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if (it->id != id) continue;
-    if (options_.ttl_us > 0 && now_us > it->loaded_us &&
-        now_us - it->loaded_us > options_.ttl_us) {
-      // Stale: reload from disk below so an out-of-band change to the
-      // stored file (a repaired bundle, a replicated update) is picked up.
-      cache_.erase(it);
-      STF_COUNT("store.cache_expirations");
-      break;
-    }
-    cache_.splice(cache_.begin(), cache_, it);  // refresh LRU
-    STF_COUNT("store.cache_hits");
-    STF_ASSERT(!cache_.empty(), "CalibrationStore: splice lost the entry");
-    return cache_.front().value;
-  }
-  STF_COUNT("store.cache_misses");
-
-  const fs::path file = fs::path(dir) / ("v" + std::to_string(v) + ".stfcal");
+  const fs::path file = fs::path(dir) / version_filename(v);
   std::error_code ec;
   if (!fs::exists(file, ec))
     throw StoreError("version " + std::to_string(v) + " of key " +
@@ -322,12 +297,6 @@ StoredCalibration CalibrationStore::get(const StoreKey& key,
   StoredCalibration stored =
       parse_bundle(read_file(file, 2 * kMaxSectionBytes), v);
   STF_COUNT("store.loads");
-
-  cache_.push_front(CacheEntry{id, stored, now_us});
-  while (cache_.size() > options_.cache_capacity) {
-    cache_.pop_back();
-    STF_COUNT("store.cache_evictions");
-  }
   return stored;
 }
 
@@ -390,23 +359,6 @@ std::vector<StoreKey> CalibrationStore::keys() const {
   return out;
 }
 
-// stf-analyze: allow(api-contract) -- evicting an unknown key is a no-op
-std::size_t CalibrationStore::evict(const StoreKey& key) {
-  const stf::core::LockGuard lock(mutex_);
-  const std::string prefix = key.canonical() + "#";
-  std::size_t dropped = 0;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->id.rfind(prefix, 0) == 0) {
-      it = cache_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  STF_COUNT("store.cache_evictions", dropped);
-  return dropped;
-}
-
 std::size_t CalibrationStore::prune(const StoreKey& key,
                                     std::uint64_t keep_from) {
   const stf::core::LockGuard lock(mutex_);
@@ -426,23 +378,9 @@ std::size_t CalibrationStore::prune(const StoreKey& key,
     if (ec)
       throw StoreError("cannot remove " + victim.string() + ": " +
                        ec.message());
-    const std::string id = key.canonical() + "#" +
-                           std::to_string(version_of_filename(
-                               victim.filename().string()));
-    for (auto cit = cache_.begin(); cit != cache_.end(); ++cit) {
-      if (cit->id == id) {
-        cache_.erase(cit);
-        break;
-      }
-    }
     ++removed;
   }
   return removed;
-}
-
-std::size_t CalibrationStore::cache_size() const {
-  const stf::core::LockGuard lock(mutex_);
-  return cache_.size();
 }
 
 }  // namespace stf::store

@@ -20,10 +20,10 @@
 //     crash or a silently wrong model (the serialize/deserialize layer
 //     is the hardened trust boundary; the store adds length-prefixed
 //     framing on top so truncation is detected before parsing begins).
-//   * LRU+TTL cache: hot (key, version) pairs are served from memory;
-//     the TTL is driven by a caller-supplied clock (like
-//     service::TokenBucket), so the store itself stays deterministic and
-//     replayable -- no wall-clock reads.
+//
+// Every get() reads the disk: the one in-memory layer in front of the
+// store is service::RuntimeRegistry, which loads a scenario's version once
+// and serves every later lot from the runtime it built.
 //
 // File layout under root():
 //   <root>/<sanitized-key>/key.txt        the key's canonical fields
@@ -32,7 +32,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -77,14 +76,7 @@ struct StoredCalibration {
   std::uint64_t version = 0;
 };
 
-/// Cache knobs. TTL is measured against the caller-supplied now_us; 0
-/// disables expiry (entries live until LRU eviction).
-struct StoreOptions {
-  std::size_t cache_capacity = 8;
-  std::uint64_t ttl_us = 0;
-};
-
-/// The versioned, cached, atomically-persisted calibration store.
+/// The versioned, atomically-persisted calibration store.
 /// Thread-safe: every public method may be called concurrently.
 class CalibrationStore {
  public:
@@ -92,24 +84,20 @@ class CalibrationStore {
   static constexpr std::uint64_t kLatest = 0;
 
   /// Creates root_dir if missing; throws StoreError when that fails.
-  explicit CalibrationStore(std::string root_dir, StoreOptions options = {});
+  explicit CalibrationStore(std::string root_dir);
 
   /// Persist a new version of `key` (latest + 1) atomically and return
   /// its version number. The model must be fitted; `screen`, when given,
-  /// must be fitted too. `now_us` stamps the cache entry for TTL purposes.
+  /// must be fitted too.
   std::uint64_t put(
       const StoreKey& key,
       std::shared_ptr<const stf::sigtest::CalibrationModel> model,
-      std::shared_ptr<const stf::sigtest::OutlierScreen> screen = nullptr,
-      std::uint64_t now_us = 0);
+      std::shared_ptr<const stf::sigtest::OutlierScreen> screen = nullptr);
 
-  /// Load a version (kLatest = newest), from cache when fresh, from disk
-  /// otherwise. Throws StoreError when the key/version does not exist or
-  /// the bundle framing is damaged; CalibrationParseError /
-  /// ScreenParseError when a payload is corrupt.
-  StoredCalibration get(const StoreKey& key,
-                        std::uint64_t version = kLatest,
-                        std::uint64_t now_us = 0);
+  /// Load a version (kLatest = newest) from disk. Throws StoreError when
+  /// the key/version does not exist or the bundle framing is damaged;
+  /// CalibrationParseError / ScreenParseError when a payload is corrupt.
+  StoredCalibration get(const StoreKey& key, std::uint64_t version = kLatest);
 
   /// Newest persisted version of `key`, or 0 when none exist.
   std::uint64_t latest_version(const StoreKey& key) const;
@@ -120,25 +108,13 @@ class CalibrationStore {
   /// Every key with at least one persisted version, sorted by canonical().
   std::vector<StoreKey> keys() const;
 
-  /// Drop cached entries of `key` (all versions); returns the count
-  /// dropped. Disk versions are untouched.
-  std::size_t evict(const StoreKey& key);
-
   /// Delete persisted versions of `key` strictly older than keep_from;
-  /// returns the count deleted. Cached copies of deleted versions are
-  /// evicted too.
+  /// returns the count deleted.
   std::size_t prune(const StoreKey& key, std::uint64_t keep_from);
 
-  std::size_t cache_size() const;
   const std::string& root() const { return root_; }
 
  private:
-  struct CacheEntry {
-    std::string id;  ///< canonical key + '#' + version
-    StoredCalibration value;
-    std::uint64_t loaded_us = 0;
-  };
-
   /// Directory of one key: sanitized fields + a hash tag so distinct keys
   /// never collide after sanitization.
   std::string key_dir(const StoreKey& key) const;
@@ -148,9 +124,9 @@ class CalibrationStore {
   std::uint64_t scan_latest(const std::string& dir) const;
 
   std::string root_;
-  StoreOptions options_;
+  /// Serializes directory scans against writes, so put() numbers each
+  /// version exactly once.
   mutable stf::core::Mutex mutex_;
-  std::list<CacheEntry> cache_ STF_GUARDED_BY(mutex_);
 };
 
 }  // namespace stf::store

@@ -24,6 +24,7 @@
 
 #include "circuit/lna900.hpp"
 #include "core/parallel.hpp"
+#include "core/telemetry.hpp"
 #include "dsp/pwl.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
@@ -157,6 +158,12 @@ TEST_F(ServiceTest, SingleClientMatchesSerialReferenceAtBothThreadCounts) {
   const auto clean_reference = serial_reference(9001, nullptr);
   const auto faults = rf::FaultInjector::parse("clip:0.12,contact:0.05:0.05");
   const auto faulted_reference = serial_reference(9001, &faults);
+  // A smaller lot of the same scenario is its own population, not a prefix
+  // of the cached 24-device one.
+  constexpr std::uint32_t kSmallLot = 8;
+  const auto small_reference = sigtest::serial_reference(
+      *world().runtime, rf::make_lna_population(kSmallLot, 0.2, 77),
+      stats::Rng(9001));
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ThreadCountGuard guard(threads);
     service::SigtestServer server(world().runtime, fast_config());
@@ -175,6 +182,13 @@ TEST_F(ServiceTest, SingleClientMatchesSerialReferenceAtBothThreadCounts) {
     ASSERT_EQ(faulted.status, net::ClientStatus::kOk) << faulted.message;
     expect_identical(faulted_reference, faulted.dispositions,
                      "faulted t" + std::to_string(threads));
+
+    auto small_request = request_for(3, 9001);
+    small_request.lot_size = kSmallLot;
+    const auto small = client.run_lot(small_request);
+    ASSERT_EQ(small.status, net::ClientStatus::kOk) << small.message;
+    expect_identical(small_reference, small.dispositions,
+                     "small lot t" + std::to_string(threads));
     server.stop();
   }
 }
@@ -568,25 +582,6 @@ TEST(ScenarioTest, SpreadParsingIsLocaleIndependentAndRoundTripsCanonical) {
   std::setlocale(LC_ALL, "C");
 }
 
-TEST(ScenarioTest, PopulationCacheHitsReturnTheSamePopulation) {
-  service::PopulationCache cache(2);
-  const auto spec = service::parse_scenario("lna:spread=0.05:pop=5");
-  const auto a = cache.get(spec, 4);
-  const auto b = cache.get(spec, 4);
-  EXPECT_EQ(a.get(), b.get()) << "second lookup must hit";
-  EXPECT_EQ(a->size(), 4u);
-  // Distinct device count is a distinct population.
-  const auto c = cache.get(spec, 5);
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(cache.size(), 2u);
-  // Eviction keeps the cache bounded; the evicted population survives
-  // through the shared_ptr still held here.
-  const auto spec2 = service::parse_scenario("lna:spread=0.06:pop=5");
-  (void)cache.get(spec2, 4);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(a->size(), 4u);
-}
-
 /// The World's exact runtime recipe expressed as registry options, so a
 /// registry-resolved runtime for kScenario is fit from the identical
 /// inputs and serial_reference() applies to it unchanged.
@@ -670,6 +665,47 @@ TEST(RegistryTest, ColdStartsFromTheStoreInsteadOfRefitting) {
           << "device " << i << " spec " << s;
   }
   fs::remove_all(root);
+}
+
+TEST(RegistryTest, WarmHitDoesNotWaitForAnotherScenariosFit) {
+  // A scenario's scratch fit runs outside the registry's lock, so a lot on
+  // an already-fitted scenario is served while another scenario fits. Each
+  // trial starts a fit of a fresh cold scenario X on thread B, waits until
+  // B has counted its miss (it is then inside, or about to enter, its fit),
+  // and asks for the warm scenario W: the hit must come back before B's fit
+  // is counted. A fit takes milliseconds and a hit microseconds, so one
+  // pass in five trials is asked; a registry that fits under its lock
+  // fails every trial, because the hit cannot return before the fit ends.
+  namespace telemetry = core::telemetry;
+  if (!telemetry::compiled())
+    GTEST_SKIP() << "built with SIGTEST_TELEMETRY=OFF";
+  telemetry::set_enabled(true);
+  auto options = service::RegistryOptions::lna_defaults();
+  options.calibration_devices = 12;  // keep the scratch fits cheap
+  service::RuntimeRegistry registry(options);
+  const auto warm = service::parse_scenario("lna:spread=0.2:pop=77");
+  (void)registry.get(warm);
+
+  int trials = 0;
+  int passes = 0;
+  for (; trials < 5 && passes == 0; ++trials) {
+    const auto cold = service::parse_scenario(
+        "lna:spread=0.2:pop=" + std::to_string(1000 + trials));
+    const std::uint64_t fits_before = registry.scratch_calibrations();
+    const std::uint64_t misses_before =
+        telemetry::counter_value("registry.misses");
+    std::thread fitter([&] { (void)registry.get(cold); });
+    while (telemetry::counter_value("registry.misses") == misses_before)
+      std::this_thread::yield();
+    (void)registry.get(warm);
+    const bool fit_pending = registry.scratch_calibrations() == fits_before;
+    fitter.join();
+    if (fit_pending) ++passes;
+  }
+  telemetry::set_enabled(false);
+  EXPECT_GE(passes, 1) << "every warm hit waited for another scenario's fit";
+  // One fit per scenario: W once, then each trial's X.
+  EXPECT_EQ(registry.scratch_calibrations(), 1u + trials);
 }
 
 }  // namespace

@@ -7,8 +7,6 @@
 //   * A bundle truncated at EVERY byte offset loads as a typed error
 //     (StoreError / CalibrationParseError / ScreenParseError), never a
 //     crash -- the frame-fuzz discipline applied to the persistence layer.
-//   * The LRU+TTL cache serves hot versions from memory under a synthetic
-//     caller-supplied clock (no wall-clock reads in the store).
 //   * The drift loop closes: a latched drift alarm plus a deep-enough
 //     golden window yields one refit, the rollback guard gates it, the
 //     accepted candidate hot-swaps without stopping the pipeline, and the
@@ -255,43 +253,6 @@ TEST(CalibrationStoreTest, TruncationAtEveryByteFailsTyped) {
   }
   EXPECT_THROW(store::CalibrationStore(root.path()).get(key, 1),
                store::StoreError);
-}
-
-TEST(CalibrationStoreTest, CacheServesWithinTtlUnderSyntheticClock) {
-  TempRoot root("ttl");
-  store::StoreOptions options;
-  options.ttl_us = 1'000'000;
-  store::CalibrationStore cal_store(root.path(), options);
-  const auto key = small_key();
-  const auto cal = make_small_calibration();
-  ASSERT_EQ(cal_store.put(key, cal.model, cal.screen, /*now_us=*/0), 1u);
-
-  // Remove the bundle behind the cache's back: a fresh-enough entry is
-  // served from memory (no disk read), a TTL-expired one must fall back
-  // to disk and fail typed.
-  fs::remove(only_version_file(root.path()));
-  EXPECT_EQ(cal_store.get(key, 1, /*now_us=*/999'999).version, 1u);
-  EXPECT_THROW((void)cal_store.get(key, 1, /*now_us=*/2'000'000),
-               store::StoreError);
-  EXPECT_EQ(cal_store.cache_size(), 0u) << "expired entry must be dropped";
-}
-
-TEST(CalibrationStoreTest, LruBoundsTheCacheAndEvictIsCacheOnly) {
-  TempRoot root("lru");
-  store::StoreOptions options;
-  options.cache_capacity = 1;
-  store::CalibrationStore cal_store(root.path(), options);
-  const auto key = small_key();
-  const auto cal = make_small_calibration();
-  ASSERT_EQ(cal_store.put(key, cal.model, cal.screen), 1u);
-  ASSERT_EQ(cal_store.put(key, cal.model, cal.screen), 2u);
-  EXPECT_EQ(cal_store.cache_size(), 1u) << "capacity 1 must hold";
-
-  EXPECT_EQ(cal_store.evict(key), 1u);
-  EXPECT_EQ(cal_store.cache_size(), 0u);
-  // Disk untouched: both versions still load.
-  EXPECT_EQ(cal_store.get(key, 1).version, 1u);
-  EXPECT_EQ(cal_store.get(key, 2).version, 2u);
 }
 
 TEST(CalibrationStoreTest, KeysListsAndPruneDeletesOldVersions) {
