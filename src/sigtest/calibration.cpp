@@ -1,7 +1,6 @@
 #include "sigtest/calibration.hpp"
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -426,85 +425,6 @@ double normalized_rms_error(const CalibrationModel& model,
     }
   }
   return std::sqrt(score / static_cast<double>(n * n_specs));
-}
-
-CalibrationOptions select_ridge_by_cv(const stf::la::Matrix& signatures,
-                                      const stf::la::Matrix& specs,
-                                      CalibrationOptions base,
-                                      const std::vector<double>& lambdas,
-                                      std::size_t k_folds) {
-  STF_TRACE_SPAN("cal.cv_grid");
-  const std::size_t n = signatures.rows();
-  STF_REQUIRE(!lambdas.empty(), "select_ridge_by_cv: empty lambda grid");
-  STF_REQUIRE(!(k_folds < 2 || n < 2 * k_folds),
-              "select_ridge_by_cv: too few rows for folds");
-  const std::size_t n_specs = specs.cols();
-
-  // Per-spec normalization so specs with different units weigh equally.
-  std::vector<double> spec_scale(n_specs, 1.0);
-  for (std::size_t s = 0; s < n_specs; ++s) {
-    double mu = 0.0;
-    for (std::size_t i = 0; i < n; ++i) mu += specs(i, s);
-    mu /= static_cast<double>(n);
-    double var = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = specs(i, s) - mu;
-      var += d * d;
-    }
-    var /= static_cast<double>(n);
-    spec_scale[s] = var > 1e-30 ? std::sqrt(var) : 1.0;
-  }
-
-  // Every (lambda, fold) fit is independent; parallelize across the lambda
-  // grid (the outer, coarser axis) and keep the serial first-minimum
-  // tie-break below so the selected lambda never depends on thread count.
-  std::vector<double> cv_scores(lambdas.size());
-  stf::core::parallel_for(0, lambdas.size(), [&](std::size_t li) {
-    const double lambda = lambdas[li];
-    STF_REQUIRE(lambda >= 0.0, "select_ridge_by_cv: negative lambda");
-    double score = 0.0;
-    std::size_t count = 0;
-    for (std::size_t fold = 0; fold < k_folds; ++fold) {
-      // Contiguous folds: row i is held out when i % k_folds == fold.
-      std::vector<std::size_t> train_rows, test_rows;
-      for (std::size_t i = 0; i < n; ++i)
-        (i % k_folds == fold ? test_rows : train_rows).push_back(i);
-
-      stf::la::Matrix train_sig(train_rows.size(), signatures.cols());
-      stf::la::Matrix train_specs(train_rows.size(), n_specs);
-      for (std::size_t r = 0; r < train_rows.size(); ++r) {
-        train_sig.set_row(r, signatures.row(train_rows[r]));
-        train_specs.set_row(r, specs.row(train_rows[r]));
-      }
-      CalibrationOptions opts = base;
-      opts.ridge_lambda = lambda;
-      CalibrationModel model(opts);
-      STF_COUNT("cal.cv_fits");
-      model.fit(train_sig, train_specs);
-
-      for (const std::size_t i : test_rows) {
-        const auto pred = model.predict(signatures.row(i));
-        for (std::size_t s = 0; s < n_specs; ++s) {
-          const double e = (pred[s] - specs(i, s)) / spec_scale[s];
-          score += e * e;
-          ++count;
-        }
-      }
-    }
-    cv_scores[li] = score / static_cast<double>(count);
-  });
-
-  double best_score = std::numeric_limits<double>::infinity();
-  // stf-lint: checked -- non-empty grid enforced by REQUIRE at entry.
-  double best_lambda = lambdas.front();
-  for (std::size_t li = 0; li < lambdas.size(); ++li) {
-    if (cv_scores[li] < best_score) {
-      best_score = cv_scores[li];
-      best_lambda = lambdas[li];
-    }
-  }
-  base.ridge_lambda = best_lambda;
-  return base;
 }
 
 }  // namespace stf::sigtest

@@ -132,23 +132,12 @@ void fit_from_captures(CalibrationModel& model, std::size_t n_devices,
                        const CaptureFn& capture, const SpecsFn& specs,
                        int n_avg, CaptureFitData* retained = nullptr);
 
-/// Select the ridge strength by k-fold cross-validation over a candidate
-/// grid: for each lambda, fit on k-1 folds and score the held-out fold's
-/// RMS error (per spec, normalized by that spec's overall spread, then
-/// averaged); returns `base` with ridge_lambda set to the winner. Throws
-/// if there are fewer rows than folds or the grid is empty.
-CalibrationOptions select_ridge_by_cv(const stf::la::Matrix& signatures,
-                                      const stf::la::Matrix& specs,
-                                      CalibrationOptions base,
-                                      const std::vector<double>& lambdas,
-                                      std::size_t k_folds = 5);
-
 /// Normalized RMS prediction error of a fitted model over held-out rows:
 /// sqrt(mean over rows and specs of ((pred - truth) / spec_spread)^2),
 /// with spec_spread the spec's own std over the given rows (1.0 when
-/// degenerate) -- the same per-spec normalization select_ridge_by_cv
-/// scores folds with, so comparing two models on a common holdout is a
-/// cross-validation-style error comparison (the store's rollback guard).
+/// degenerate), so specs in different units weigh equally and two models
+/// scored on a common holdout compare directly (the store's rollback
+/// guard).
 /// Throws on an unfitted model or mismatched shapes.
 double normalized_rms_error(const CalibrationModel& model,
                             const stf::la::Matrix& signatures,

@@ -1,4 +1,5 @@
-// Tests for CV ridge selection, Welch PSD, and the two-stage test flow.
+// Tests for model serialization, Welch PSD, the k-NN regressor, and the
+// two-stage test flow.
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -15,57 +16,6 @@ namespace {
 
 using namespace stf;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// ------------------------------------------------------- CV ridge select --
-
-TEST(CvRidge, PrefersSmallLambdaOnCleanLinearData) {
-  // Noiseless linear data: less shrinkage is strictly better.
-  stats::Rng rng(3);
-  const std::size_t n = 60, m = 4;
-  la::Matrix sig(n, m), specs(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    double y = 1.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      sig(i, j) = rng.uniform(-1.0, 1.0);
-      y += (static_cast<double>(j) + 1.0) * sig(i, j);
-    }
-    specs(i, 0) = y;
-  }
-  sigtest::CalibrationOptions base;
-  base.poly_degree = 1;
-  const auto chosen = sigtest::select_ridge_by_cv(
-      sig, specs, base, {1e-4, 1.0, 100.0});
-  EXPECT_DOUBLE_EQ(chosen.ridge_lambda, 1e-4);
-}
-
-TEST(CvRidge, PrefersShrinkageWhenFeaturesArePureNoise) {
-  // Targets independent of the features: heavy shrinkage must win.
-  stats::Rng rng(5);
-  const std::size_t n = 60, m = 8;
-  la::Matrix sig(n, m), specs(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) sig(i, j) = rng.normal();
-    specs(i, 0) = rng.normal();
-  }
-  sigtest::CalibrationOptions base;
-  base.poly_degree = 1;
-  const auto chosen = sigtest::select_ridge_by_cv(
-      sig, specs, base, {1e-6, 1e3});
-  EXPECT_DOUBLE_EQ(chosen.ridge_lambda, 1e3);
-}
-
-TEST(CvRidge, InvalidInputsThrow) {
-  la::Matrix sig(20, 2), specs(20, 1);
-  sigtest::CalibrationOptions base;
-  EXPECT_THROW(sigtest::select_ridge_by_cv(sig, specs, base, {}),
-               std::invalid_argument);
-  EXPECT_THROW(sigtest::select_ridge_by_cv(sig, specs, base, {-1.0}),
-               std::invalid_argument);
-  la::Matrix tiny(4, 2), tiny_specs(4, 1);
-  EXPECT_THROW(
-      sigtest::select_ridge_by_cv(tiny, tiny_specs, base, {1.0}, 5),
-      std::invalid_argument);
-}
 
 // ----------------------------------------------------- model serialization --
 
