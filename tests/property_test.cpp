@@ -200,13 +200,13 @@ TEST_P(Reciprocity, PassiveNetworkIsReciprocal) {
   const char* nodes[] = {"n1", "n2", "n3", "n4", "n5"};
   // Ladder resistors along the chain plus random shunt R/C.
   for (int i = 0; i < 4; ++i)
-    nl.add_resistor("R" + std::to_string(i), nodes[i], nodes[i + 1],
-                    rng.uniform(10.0, 10e3));
+    nl.add_resistor(std::string("R").append(std::to_string(i)), nodes[i],
+                    nodes[i + 1], rng.uniform(10.0, 10e3));
   for (int i = 0; i < 5; ++i) {
-    nl.add_resistor("RS" + std::to_string(i), nodes[i], "0",
-                    rng.uniform(100.0, 100e3));
-    nl.add_capacitor("CS" + std::to_string(i), nodes[i], "0",
-                     rng.uniform(1e-12, 1e-9));
+    nl.add_resistor(std::string("RS").append(std::to_string(i)), nodes[i],
+                    "0", rng.uniform(100.0, 100e3));
+    nl.add_capacitor(std::string("CS").append(std::to_string(i)), nodes[i],
+                     "0", rng.uniform(1e-12, 1e-9));
   }
   const auto dc = circuit::solve_dc(nl);
   const circuit::AcAnalysis ac(nl, dc);
