@@ -123,12 +123,19 @@ int main(int argc, char** argv) {
   const rf::FaultInjector drift{{rf::FaultSpec::gain_drift(4e-3)}};
 
   std::atomic<bool> done{false};
+  std::atomic<std::size_t> lots_done{0};
   std::vector<sigtest::LotResult> lots;
   std::thread tester([&] {
     while (!done.load()) {
       lots.push_back(runtime->test_lot(lot, stats::Rng(kLotSeed)));
+      lots_done.fetch_add(1);
+      lots_done.notify_all();
     }
   });
+  // The drift loop can swap to version 2 within a few golden checks, so
+  // wait for the tester's first lot: at least one lot then ran on version
+  // 1 however the two threads are scheduled.
+  lots_done.wait(0);
 
   std::printf("\n=== Drift phase: gain drifting 0.4%% per golden check ===\n");
   stats::Rng golden_rng(13);
