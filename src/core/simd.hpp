@@ -4,7 +4,9 @@
 // fixed-width pack of doubles (VecD) with the handful of lane operations the
 // DSP kernels need (arithmetic, IEEE sqrt/div, pair swaps for interleaved
 // complex data, addsub for complex multiplies, deinterleave, strided loads
-// and stores for device-interleaved buffers), and a pack of as many
+// and stores for device-interleaved buffers, and the absolute value,
+// less-or-equal mask and per-lane blend that a batched Jacobi sweep needs
+// to mask one lane's skipped rotation), and a pack of as many
 // unsigned 64-bit integers (VecU64) for the random-number kernels (bitwise
 // ops, wrapping subtract, constant shifts, exact conversion of 53-bit
 // integers to double, a per-lane table lookup and a lane-wise less-than
@@ -241,6 +243,24 @@ inline unsigned less_mask(VecD a, VecD b) noexcept {
   return static_cast<unsigned>(
       _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)));
 }
+/// |a| per lane: clears the sign bit, as std::abs(double) does.
+inline VecD abs(VecD a) noexcept {
+  return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), a.v)};
+}
+/// Bit j set when a[j] <= b[j] (false for NaN operands); le_mask(b, a) is
+/// the a >= b mask.
+inline unsigned le_mask(VecD a, VecD b) noexcept {
+  return static_cast<unsigned>(
+      _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LE_OQ)));
+}
+/// Lane j of a where bit j of mask is set, else lane j of b.
+inline VecD blend(unsigned mask, VecD a, VecD b) noexcept {
+  const __m256i bit = _mm256_setr_epi64x(1, 2, 4, 8);
+  const __m256i on = _mm256_cmpeq_epi64(
+      _mm256_and_si256(_mm256_set1_epi64x(static_cast<long long>(mask)), bit),
+      bit);
+  return {_mm256_blendv_pd(b.v, a.v, _mm256_castsi256_pd(on))};
+}
 
 }  // namespace b_avx2
 
@@ -362,6 +382,18 @@ inline VecD gather(const double* table, VecU64 index) noexcept {
 inline unsigned less_mask(VecD a, VecD b) noexcept {
   return static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(a.v, b.v)));
 }
+inline VecD abs(VecD a) noexcept {
+  return {_mm_andnot_pd(_mm_set1_pd(-0.0), a.v)};
+}
+inline unsigned le_mask(VecD a, VecD b) noexcept {
+  return static_cast<unsigned>(_mm_movemask_pd(_mm_cmple_pd(a.v, b.v)));
+}
+inline VecD blend(unsigned mask, VecD a, VecD b) noexcept {
+  const __m128d on = _mm_castsi128_pd(
+      _mm_set_epi64x(-static_cast<long long>((mask >> 1) & 1u),
+                     -static_cast<long long>(mask & 1u)));
+  return {_mm_or_pd(_mm_and_pd(on, a.v), _mm_andnot_pd(on, b.v))};
+}
 
 }  // namespace b_sse2
 
@@ -458,6 +490,17 @@ inline unsigned less_mask(VecD a, VecD b) noexcept {
   return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1) |
                                ((vgetq_lane_u64(m, 1) & 1) << 1));
 }
+inline VecD abs(VecD a) noexcept { return {vabsq_f64(a.v)}; }
+inline unsigned le_mask(VecD a, VecD b) noexcept {
+  const uint64x2_t m = vcleq_f64(a.v, b.v);
+  return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1) |
+                               ((vgetq_lane_u64(m, 1) & 1) << 1));
+}
+inline VecD blend(unsigned mask, VecD a, VecD b) noexcept {
+  const uint64x2_t on = {(mask & 1u) != 0 ? ~0ULL : 0ULL,
+                         (mask & 2u) != 0 ? ~0ULL : 0ULL};
+  return {vbslq_f64(on, a.v, b.v)};
+}
 
 }  // namespace b_neon
 
@@ -534,6 +577,13 @@ inline VecD gather(const double* table, VecU64 index) noexcept {
 }
 inline unsigned less_mask(VecD a, VecD b) noexcept {
   return a.v < b.v ? 1u : 0u;
+}
+inline VecD abs(VecD a) noexcept { return {__builtin_fabs(a.v)}; }
+inline unsigned le_mask(VecD a, VecD b) noexcept {
+  return a.v <= b.v ? 1u : 0u;
+}
+inline VecD blend(unsigned mask, VecD a, VecD b) noexcept {
+  return (mask & 1u) != 0 ? a : b;
 }
 
 }  // namespace b_scalar

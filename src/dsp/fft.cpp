@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "core/annotations.hpp"
+#include "core/arena.hpp"
 #include "core/contracts.hpp"
 #include "core/simd.hpp"
 #include "core/telemetry.hpp"
@@ -142,6 +143,48 @@ void fft_radix2_vec(cplx* a, const Radix2Plan& plan) {
         const cplx u = lo[k];
         lo[k] = u + v;
         hi[k] = u - v;
+      }
+    }
+  }
+}
+
+// Forward transforms of simd::kLanes signals, one per lane, in split
+// lane-interleaved planes (lane d's element j at re/im[j * kLanes + d]).
+// Every lane runs fft_radix2_impl<false>'s swaps, products and sums in
+// their order with the twiddle broadcast across lanes, so each lane's
+// spectrum is bit-identical to the scalar reference on its signal.
+void fft_radix2_lanes(double* re, double* im, const Radix2Plan& plan) {
+  constexpr std::size_t kL = simd::kLanes;
+  const std::size_t n = plan.n;
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::size_t j = plan.bitrev[i];
+    if (i < j) {
+      std::swap_ranges(re + i * kL, re + (i + 1) * kL, re + j * kL);
+      std::swap_ranges(im + i * kL, im + (i + 1) * kL, im + j * kL);
+    }
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const cplx* w = plan.packed.data() + (half - 1);
+    for (std::size_t i = 0; i < n; i += len) {
+      double* lo_re = re + i * kL;
+      double* lo_im = im + i * kL;
+      double* hi_re = lo_re + half * kL;
+      double* hi_im = lo_im + half * kL;
+      for (std::size_t k = 0; k < half; ++k) {
+        const std::size_t o = k * kL;
+        const simd::VecD wr = simd::broadcast(w[k].real());
+        const simd::VecD wi = simd::broadcast(w[k].imag());
+        const simd::VecD xr = simd::load(hi_re + o);
+        const simd::VecD xi = simd::load(hi_im + o);
+        const simd::VecD vr = xr * wr - xi * wi;
+        const simd::VecD vi = xr * wi + xi * wr;
+        const simd::VecD ur = simd::load(lo_re + o);
+        const simd::VecD ui = simd::load(lo_im + o);
+        simd::store(lo_re + o, ur + vr);
+        simd::store(lo_im + o, ui + vi);
+        simd::store(hi_re + o, ur - vr);
+        simd::store(hi_im + o, ui - vi);
       }
     }
   }
@@ -419,6 +462,35 @@ void fft_pow2_inplace(std::span<cplx> x) {
   STF_COUNT("fft.transforms");
   const auto plan = plan_cache().radix2(x.size());
   fft_radix2(x.data(), *plan, -1);
+}
+
+std::size_t fft_lane_width() { return simd::enabled() ? simd::kLanes : 1; }
+
+void fft_pow2_lanes(std::span<double> re, std::span<double> im,
+                    std::size_t lanes) {
+  STF_REQUIRE(lanes >= 1, "fft_pow2_lanes: lanes must be >= 1");
+  STF_REQUIRE(re.size() == im.size() && re.size() % lanes == 0,
+              "fft_pow2_lanes: re and im must hold lanes x n values");
+  const std::size_t n = re.size() / lanes;
+  STF_REQUIRE(is_pow2(n), "fft_pow2_lanes: length must be a power of two");
+  STF_COUNT("fft.transforms", static_cast<std::uint64_t>(lanes));
+  const auto plan = plan_cache().radix2(n);
+  if (lanes == simd::kLanes && lanes > 1 && simd::enabled()) {
+    fft_radix2_lanes(re.data(), im.data(), *plan);
+    return;
+  }
+  core::Arena& arena = core::capture_arena();
+  const core::ArenaScope scope(arena);
+  core::ArenaVector<cplx> x(n, cplx{}, core::ArenaAllocator<cplx>(&arena));
+  for (std::size_t d = 0; d < lanes; ++d) {
+    for (std::size_t j = 0; j < n; ++j)
+      x[j] = cplx(re[j * lanes + d], im[j * lanes + d]);
+    fft_radix2(x.data(), *plan, -1);
+    for (std::size_t j = 0; j < n; ++j) {
+      re[j * lanes + d] = x[j].real();
+      im[j * lanes + d] = x[j].imag();
+    }
+  }
 }
 
 std::size_t fft_plan_table_alignment() { return simd::kAlignment; }

@@ -44,6 +44,24 @@ std::vector<cplx> fft_real(const std::vector<double>& x);
 /// fft() on the same data.
 void fft_pow2_inplace(std::span<cplx> x);
 
+/// Signals fft_pow2_lanes() runs through one vector pass: the vector width
+/// of the FFT kernels, or 1 when this build has no vector backend or the
+/// runtime STF_SIMD switch is off.
+std::size_t fft_lane_width();
+
+/// fft_pow2_inplace() on each of `lanes` same-length signals held
+/// lane-interleaved element by element, as LoadBoard::capture_lanes lays
+/// out its device buffers, in split planes: lane d's element j is
+/// (re[j * lanes + d], im[j * lanes + d]). The length must be a power of
+/// two. With lanes == fft_lane_width() > 1 one radix-2 pass transforms
+/// every lane, each doing fft_pow2_inplace's operations in their order;
+/// other lane counts transform each signal alone. Either way each lane's
+/// spectrum is bit-identical to fft_pow2_inplace() on that signal. Looks
+/// the plan up once per call and counts `lanes` transforms in
+/// fft.transforms. Scratch comes from the per-thread capture arena.
+void fft_pow2_lanes(std::span<double> re, std::span<double> im,
+                    std::size_t lanes);
+
 /// Alignment (bytes) the plan cache guarantees for twiddle/chirp tables.
 std::size_t fft_plan_table_alignment();
 

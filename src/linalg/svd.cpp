@@ -36,8 +36,7 @@ SvdResult svd_tall(const Matrix& a) {
   Matrix v = Matrix::identity(n);
 
   const double eps = std::numeric_limits<double>::epsilon();
-  const int max_sweeps = 60;
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < detail::kMaxJacobiSweeps; ++sweep) {
     bool converged = true;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {

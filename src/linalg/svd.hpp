@@ -40,4 +40,12 @@ Matrix pinv(const Matrix& a, double rcond = 1e-12);
 std::vector<double> svd_lstsq(const Matrix& a, const std::vector<double>& b,
                               double rcond = 1e-12);
 
+namespace detail {
+
+/// Sweeps the one-sided Jacobi SVD runs at most; la::pinv_lanes() shares
+/// the cap so its lanes stop where svd() stops.
+inline constexpr int kMaxJacobiSweeps = 60;
+
+}  // namespace detail
+
 }  // namespace stf::la

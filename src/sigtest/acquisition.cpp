@@ -359,6 +359,67 @@ void SignatureAcquirer::signature_into(std::span<const double> capture,
   pool_bins_into({bins.data(), bins.size()}, max_bins_, out);
 }
 
+void SignatureAcquirer::signatures_into(std::span<const double> captures,
+                                        std::size_t count,
+                                        std::span<double> out) const {
+  STF_REQUIRE(count >= 1 && !captures.empty() && captures.size() % count == 0,
+              "SignatureAcquirer::signatures_into: captures must hold count "
+              "same-length captures");
+  const std::size_t n_cap = captures.size() / count;
+  const std::size_t m = signature_length_for(n_cap);
+  STF_REQUIRE(out.size() == count * m,
+              "SignatureAcquirer::signatures_into: out must hold one "
+              "signature per capture");
+  const auto capture = [&](std::size_t i) {
+    return captures.subspan(i * n_cap, n_cap);
+  };
+  const auto signature = [&](std::size_t i) { return out.subspan(i * m, m); };
+  const std::size_t width = stf::dsp::fft_lane_width();
+  if (!config_.use_fft_magnitude || width == 1 || count == 1) {
+    for (std::size_t i = 0; i < count; ++i)
+      signature_into(capture(i), signature(i));
+    return;
+  }
+  STF_TRACE_SPAN("acq.fft_lanes");
+  const std::size_t n_fft = stf::dsp::next_pow2(n_cap);
+  const std::size_t n_keep = kept_bins(n_fft);
+  stf::core::Arena& arena = stf::core::capture_arena();
+  const stf::core::ArenaScope scope(arena);
+  stf::core::ArenaVector<double> re(
+      n_fft * width, 0.0, stf::core::ArenaAllocator<double>(&arena));
+  stf::core::ArenaVector<double> im(
+      n_fft * width, 0.0, stf::core::ArenaAllocator<double>(&arena));
+  stf::core::ArenaVector<double> bins(
+      n_keep, 0.0, stf::core::ArenaAllocator<double>(&arena));
+  for (std::size_t g0 = 0; g0 < count; g0 += width) {
+    const std::size_t g = std::min(width, count - g0);
+    if (g == 1) {
+      signature_into(capture(g0), signature(g0));
+      continue;
+    }
+    STF_COUNT("acq.signature_lane_groups");
+    std::fill(re.begin(), re.end(), 0.0);
+    std::fill(im.begin(), im.end(), 0.0);
+    for (std::size_t d = 0; d < g; ++d) {
+      const std::span<const double> c = capture(g0 + d);
+      for (std::size_t i = 0; i < n_cap; ++i) re[i * width + d] = c[i];
+    }
+    stf::dsp::fft_pow2_lanes({re.data(), re.size()}, {im.data(), im.size()},
+                             width);
+    // signature_into's magnitudes and pooling, lane by lane.
+    for (std::size_t d = 0; d < g; ++d) {
+      const std::span<double> sig = signature(g0 + d);
+      const std::span<double> mags =
+          n_keep == m ? sig : std::span<double>(bins.data(), bins.size());
+      for (std::size_t k = 0; k < n_keep; ++k)
+        mags[k] = std::abs(stf::dsp::cplx(re[k * width + d],
+                                          im[k * width + d])) /
+                  static_cast<double>(n_cap);
+      if (n_keep != m) pool_bins_into(mags, max_bins_, sig);
+    }
+  }
+}
+
 Signature SignatureAcquirer::acquire(const stf::rf::RfDut& dut,
                                      const stf::dsp::PwlWaveform& stimulus,
                                      stf::stats::Rng* rng) const {

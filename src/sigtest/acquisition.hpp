@@ -104,6 +104,19 @@ class SignatureAcquirer {
   void signature_into(std::span<const double> capture,
                       std::span<double> out) const;
 
+  /// signature_into() for each of `count` same-length captures held back
+  /// to back in `captures`; signature i lands in out[i * m, (i + 1) * m),
+  /// m = out.size() / count. FFT-magnitude signatures run
+  /// dsp::fft_lane_width() at a time: the zero-padded captures share one
+  /// lane-interleaved buffer (spare lanes stay zero) and one
+  /// dsp::fft_pow2_lanes() pass, and then each lane takes signature_into's
+  /// magnitudes and pooling. A group of one, a width of 1 and time-domain
+  /// signatures take signature_into() per capture. Every signature is
+  /// bit-identical to signature_into() on its capture. Scratch comes from
+  /// the per-thread capture arena.
+  void signatures_into(std::span<const double> captures, std::size_t count,
+                       std::span<double> out) const;
+
   /// The signature stage alone: FFT-magnitude (or pooled time-domain) bins
   /// of an already-digitized capture. Lets callers that need to inspect or
   /// corrupt the capture (the guarded runtime, the fault benches) reuse

@@ -8,9 +8,10 @@
 
 namespace stf::sigtest {
 
-ObjectiveBreakdown signature_objective(const stf::la::Matrix& a_p,
-                                       const stf::la::Matrix& a_s,
-                                       double sigma_m) {
+namespace {
+
+void require_sensitivities(const stf::la::Matrix& a_p,
+                           const stf::la::Matrix& a_s, double sigma_m) {
   STF_REQUIRE(!(a_p.empty() || a_s.empty()),
               "signature_objective: empty sensitivity");
   STF_REQUIRE(a_p.cols() == a_s.cols(),
@@ -20,15 +21,32 @@ ObjectiveBreakdown signature_objective(const stf::la::Matrix& a_p,
                     a_p.size());
   STF_ASSERT_FINITE("signature_objective: non-finite A_s", a_s.data(),
                     a_s.size());
+}
+
+}  // namespace
+
+ObjectiveBreakdown signature_objective(const stf::la::Matrix& a_p,
+                                       const stf::la::Matrix& a_s,
+                                       double sigma_m) {
+  require_sensitivities(a_p, a_s, sigma_m);
+  // Eq. 9: A = A_p * pinv(A_s). pinv(A_s) is k x m.
+  return signature_objective(a_p, a_s, stf::la::pinv(a_s), sigma_m);
+}
+
+ObjectiveBreakdown signature_objective(const stf::la::Matrix& a_p,
+                                       const stf::la::Matrix& a_s,
+                                       const stf::la::Matrix& as_pinv,
+                                       double sigma_m) {
+  require_sensitivities(a_p, a_s, sigma_m);
+  STF_REQUIRE(as_pinv.rows() == a_s.cols() && as_pinv.cols() == a_s.rows(),
+              "signature_objective: pinv(A_s) must be k x m");
 
   const std::size_t n = a_p.rows();  // specs
   const std::size_t m = a_s.rows();  // signature bins
   const std::size_t k = a_p.cols();  // process parameters
 
-  // Eq. 9: A = A_p * pinv(A_s). pinv(A_s) is k x m.
-  const stf::la::Matrix as_pinv = stf::la::pinv(a_s);
   ObjectiveBreakdown out;
-  out.a = a_p * as_pinv;  // n x m
+  out.a = a_p * as_pinv;  // Eq. 9: A = A_p * pinv(A_s), n x m
 
   out.sigma_p.resize(n);
   out.noise_term.resize(n);

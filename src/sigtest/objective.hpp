@@ -30,4 +30,13 @@ ObjectiveBreakdown signature_objective(const stf::la::Matrix& a_p,
                                        const stf::la::Matrix& a_s,
                                        double sigma_m);
 
+/// The same with pinv(A_s) already factored: as_pinv must be
+/// stf::la::pinv(a_s) (k x m), or the bit-identical stf::la::pinv_lanes()
+/// result through which the stimulus optimizer factors a generation's A_s
+/// matrices. The three-argument form computes it and calls this one.
+ObjectiveBreakdown signature_objective(const stf::la::Matrix& a_p,
+                                       const stf::la::Matrix& a_s,
+                                       const stf::la::Matrix& as_pinv,
+                                       double sigma_m);
+
 }  // namespace stf::sigtest

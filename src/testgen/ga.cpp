@@ -20,7 +20,8 @@ struct Individual {
 
 }  // namespace
 
-GaResult ga_minimize(const Objective& objective, const std::vector<double>& lo,
+GaResult ga_minimize(const BatchObjective& objective,
+                     const std::vector<double>& lo,
                      const std::vector<double>& hi,
                      const GaOptions& options) {
   STF_REQUIRE(objective, "ga_minimize: null objective");
@@ -46,20 +47,27 @@ GaResult ga_minimize(const Objective& objective, const std::vector<double>& lo,
   // perturbation set of signatures in the stimulus optimizer), so every
   // generation is split into two phases: genes are drawn serially -- the RNG
   // stream is consumed in exactly the order the serial algorithm used -- and
-  // the objective then runs over the pending individuals in parallel. Each
-  // evaluation writes only its own fitness slot, so results are
-  // bit-identical for any thread count.
+  // the objective then scores the pending individuals in one batch call.
+  // Each fitness depends on its own genes alone, so results are
+  // bit-identical for any thread count and any batching. The pending genes
+  // move into the batch and back, so evaluation copies none.
+  std::vector<std::vector<double>> batch;
+  std::vector<double> fitness;
   const auto evaluate = [&](std::vector<Individual>& individuals,
                             std::size_t begin) {
-    stf::core::parallel_for(
-        begin, individuals.size(),
-        [&individuals, &objective](std::size_t i) {
-          individuals[i].fitness = objective(individuals[i].genes);
-        },
-        1);
-    result.evaluations += individuals.size() - begin;
-    STF_COUNT("ga.objective_evals",
-              static_cast<std::uint64_t>(individuals.size() - begin));
+    STF_TRACE_SPAN("ga.evaluate_batch");
+    const std::size_t count = individuals.size() - begin;
+    batch.resize(count);
+    fitness.assign(count, std::numeric_limits<double>::infinity());
+    for (std::size_t i = 0; i < count; ++i)
+      batch[i].swap(individuals[begin + i].genes);
+    objective(batch, fitness);
+    for (std::size_t i = 0; i < count; ++i) {
+      individuals[begin + i].genes.swap(batch[i]);
+      individuals[begin + i].fitness = fitness[i];
+    }
+    result.evaluations += count;
+    STF_COUNT("ga.objective_evals", static_cast<std::uint64_t>(count));
   };
 
   // Initial population: uniform over the box.
@@ -128,6 +136,20 @@ GaResult ga_minimize(const Objective& objective, const std::vector<double>& lo,
   result.best_genes = pop.front().genes;
   result.best_fitness = pop.front().fitness;
   return result;
+}
+
+GaResult ga_minimize(const Objective& objective, const std::vector<double>& lo,
+                     const std::vector<double>& hi,
+                     const GaOptions& options) {
+  STF_REQUIRE(objective, "ga_minimize: null objective");
+  return ga_minimize(
+      [&objective](std::span<const std::vector<double>> genes,
+                   std::span<double> fitness) {
+        stf::core::parallel_for(
+            0, genes.size(),
+            [&](std::size_t i) { fitness[i] = objective(genes[i]); }, 1);
+      },
+      lo, hi, options);
 }
 
 }  // namespace stf::testgen

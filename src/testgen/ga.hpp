@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace stf::testgen {
@@ -22,6 +23,16 @@ namespace stf::testgen {
 /// atomic or locked. Results are bit-identical for any thread count because
 /// all genetic-operator randomness is drawn serially before evaluation.
 using Objective = std::function<double(const std::vector<double>&)>;
+
+/// Objective over a batch of gene vectors: writes fitness[i], the value to
+/// MINIMIZE, for genes[i]. ga_minimize evaluates each generation's pending
+/// individuals with one call, so an objective can share work across them
+/// (the stimulus optimizer factors its candidates' A_s matrices in vector
+/// lanes). Each fitness must depend on its own genes alone, never on the
+/// batch it arrived in. Called from ga_minimize's thread; it may fan out
+/// over stf::core::parallel_for itself.
+using BatchObjective = std::function<void(
+    std::span<const std::vector<double>> genes, std::span<double> fitness)>;
 
 struct GaOptions {
   std::size_t population = 30;
@@ -47,6 +58,12 @@ struct GaResult {
 
 /// Minimize the objective over the box [lo, hi]^k.
 /// Throws std::invalid_argument on malformed bounds or options.
+GaResult ga_minimize(const BatchObjective& objective,
+                     const std::vector<double>& lo,
+                     const std::vector<double>& hi, const GaOptions& options);
+
+/// The same for a per-individual objective: each batch's individuals are
+/// evaluated through stf::core::parallel_for, one per chunk.
 GaResult ga_minimize(const Objective& objective,
                      const std::vector<double>& lo,
                      const std::vector<double>& hi, const GaOptions& options);

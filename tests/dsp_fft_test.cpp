@@ -1,10 +1,14 @@
 // Tests for FFT, windows, and spectral measurement.
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
+#include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/simd.hpp"
 #include "core/telemetry.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/spectrum.hpp"
@@ -186,6 +190,72 @@ TEST(FftPlanCache, SetCapacityShrinksImmediately) {
   // Capacity 0 is clamped to 1 rather than wedging every insert.
   stf::dsp::fft_plan_cache_set_capacity(0);
   EXPECT_EQ(stf::dsp::fft_plan_cache_capacity(), 1u);
+}
+
+// ------------------------------------------------------------ lane FFT --
+
+// Signals transformed together by fft_pow2_lanes() against each one's own
+// fft_pow2_inplace(), bit for bit. `real` zeroes the imaginary parts, as
+// the signature stage's zero-padded captures do.
+void expect_lanes_match_inplace(std::size_t n, std::size_t lanes, bool real,
+                                stf::stats::Rng& rng) {
+  std::vector<std::vector<cplx>> signals(lanes, std::vector<cplx>(n));
+  std::vector<double> re(n * lanes), im(n * lanes);
+  for (std::size_t d = 0; d < lanes; ++d) {
+    for (std::size_t j = 0; j < n; ++j) {
+      signals[d][j] = cplx(rng.normal(0.0, 1.0), real ? 0.0 : rng.normal());
+      re[j * lanes + d] = signals[d][j].real();
+      im[j * lanes + d] = signals[d][j].imag();
+    }
+  }
+  stf::dsp::fft_pow2_lanes(re, im, lanes);
+  for (std::size_t d = 0; d < lanes; ++d) {
+    stf::dsp::fft_pow2_inplace(signals[d]);
+    std::vector<double> want_re(n), want_im(n), got_re(n), got_im(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      want_re[j] = signals[d][j].real();
+      want_im[j] = signals[d][j].imag();
+      got_re[j] = re[j * lanes + d];
+      got_im[j] = im[j * lanes + d];
+    }
+    EXPECT_EQ(std::memcmp(got_re.data(), want_re.data(), n * sizeof(double)),
+              0)
+        << "n " << n << ", lane " << d << " of " << lanes << ", real part";
+    EXPECT_EQ(std::memcmp(got_im.data(), want_im.data(), n * sizeof(double)),
+              0)
+        << "n " << n << ", lane " << d << " of " << lanes << ", imag part";
+  }
+}
+
+TEST(FftLanes, EveryLaneMatchesItsOwnTransformForEverySizeAndGroup) {
+  stf::stats::Rng rng(2024);
+  for (const bool simd_on : {true, false}) {
+    stf::core::simd::set_enabled(simd_on);
+    const std::size_t w = stf::dsp::fft_lane_width();
+    for (std::size_t n = 2; n <= 1024; n *= 2)
+      for (std::size_t lanes = 1; lanes <= w + 1; ++lanes)
+        for (const bool real : {true, false})
+          expect_lanes_match_inplace(n, lanes, real, rng);
+  }
+  stf::core::simd::clear_enabled_override();
+}
+
+TEST(FftLanes, CountsEveryLaneAsATransformAndRejectsBadShapes) {
+  if (stf::core::telemetry::compiled()) {
+    stf::core::telemetry::set_enabled(true);
+    stf::core::telemetry::reset();
+    std::vector<double> re(64 * 3, 1.0), im(64 * 3, 0.0);
+    stf::dsp::fft_pow2_lanes(re, im, 3);
+    EXPECT_EQ(stf::core::telemetry::counter_value("fft.transforms"), 3u);
+    stf::core::telemetry::set_enabled(false);
+    stf::core::telemetry::reset();
+  }
+  std::vector<double> re(24), im(24);
+  EXPECT_THROW(stf::dsp::fft_pow2_lanes(re, im, 2), std::invalid_argument);
+  EXPECT_THROW(stf::dsp::fft_pow2_lanes(re, im, 0), std::invalid_argument);
+  std::vector<double> short_im(16);
+  EXPECT_THROW(stf::dsp::fft_pow2_lanes({re.data(), 16}, short_im, 3),
+               std::invalid_argument);
 }
 
 TEST(Fft, ParsevalTheorem) {

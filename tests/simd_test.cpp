@@ -27,13 +27,18 @@
 #include "dsp/fft.hpp"
 #include "dsp/iir.hpp"
 #include "dsp/pwl.hpp"
+#include "circuit/lna900.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/pinv_lanes.hpp"
+#include "linalg/svd.hpp"
 #include "rf/dut.hpp"
 #include "rf/loadboard.hpp"
 #include "rf/population.hpp"
 #include "sigtest/acquisition.hpp"
 #include "sigtest/calibration.hpp"
 #include "sigtest/cell.hpp"
+#include "sigtest/sensitivity.hpp"
+#include "simd_lane_ops_checks.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -189,6 +194,10 @@ TEST(SimdPrimitives, IntegerLanesMatchTheirScalarOperations) {
     const double added = i % kStride == 0 ? 100.0 : 0.0;
     EXPECT_EQ(strided[i], static_cast<double>(i) + added) << "element " << i;
   }
+}
+
+TEST(SimdPrimitives, AbsLeMaskAndBlendMatchScalarOps) {
+  check_abs_le_mask_and_blend();
 }
 
 TEST(SimdPrimitives, KillSwitchDisablesDispatch) {
@@ -393,6 +402,95 @@ TEST(SimdRf, BoardRunOnOffBitIdenticalWithNoise) {
     stats::Rng r_off(99);
     const auto off = board.run(stim, fs, lna, &r_off);
     EXPECT_TRUE(bits_equal(on, off)) << "n=" << n;
+  }
+}
+
+// --- GA lanes: batched signatures and pseudoinverses ---
+
+// signatures_into over the first n captures for every n up to 2w + 1,
+// with SIMD on and off, against signature_into on each capture.
+void expect_signatures_match(const sigtest::SignatureTestConfig& cfg,
+                             std::size_t max_bins) {
+  SimdGuard guard;
+  const sigtest::SignatureAcquirer acq(cfg, max_bins);
+  const std::size_t n_cap = acq.capture_length();
+  const std::size_t m = acq.signature_length();
+  stats::Rng rng(31);
+  for (const bool simd_on : {true, false}) {
+    simd::set_enabled(simd_on);
+    const std::size_t w = dsp::fft_lane_width();
+    for (std::size_t n = 1; n <= 2 * w + 1; ++n) {
+      const std::vector<double> captures = random_vector(n * n_cap, rng, 0.1);
+      std::vector<double> want(n * m), got(n * m);
+      for (std::size_t i = 0; i < n; ++i)
+        acq.signature_into({captures.data() + i * n_cap, n_cap},
+                           {want.data() + i * m, m});
+      acq.signatures_into(captures, n, got);
+      EXPECT_TRUE(bits_equal(want, got))
+          << "n=" << n << " max_bins=" << max_bins
+          << " fft=" << cfg.use_fft_magnitude << " simd=" << simd_on;
+    }
+  }
+}
+
+TEST(LaneSignatures, PooledFftSignaturesMatchSignatureInto) {
+  // 64 kept bins pooled down to 16.
+  expect_signatures_match(sigtest::SignatureTestConfig::simulation_study(),
+                          16);
+}
+
+TEST(LaneSignatures, UnpooledFftSignaturesMatchSignatureInto) {
+  const auto cfg = sigtest::SignatureTestConfig::simulation_study();
+  const sigtest::SignatureAcquirer probe(cfg, 1024);
+  ASSERT_GT(probe.signature_length(), 16u) << "kept bins must not pool";
+  expect_signatures_match(cfg, 1024);
+}
+
+TEST(LaneSignatures, TimeDomainSignaturesMatchSignatureInto) {
+  auto cfg = sigtest::SignatureTestConfig::simulation_study();
+  cfg.use_fft_magnitude = false;
+  expect_signatures_match(cfg, 16);
+}
+
+TEST(LaneSignatures, MismatchedShapesThrow) {
+  const sigtest::SignatureAcquirer acq(
+      sigtest::SignatureTestConfig::simulation_study(), 16);
+  std::vector<double> captures(2 * acq.capture_length() + 1);
+  std::vector<double> out(2 * acq.signature_length());
+  EXPECT_THROW(acq.signatures_into(captures, 2, out), std::invalid_argument);
+  captures.pop_back();
+  out.pop_back();
+  EXPECT_THROW(acq.signatures_into(captures, 2, out), std::invalid_argument);
+  EXPECT_THROW(acq.signatures_into(captures, 0, out), std::invalid_argument);
+}
+
+TEST(LanePinv, RealSensitivityMatricesMatchPinv) {
+  // The GA's own inputs: A_s of the LNA perturbation set for random
+  // stimuli, factored in every group size up to two full passes.
+  SimdGuard guard;
+  simd::set_enabled(true);
+  const auto cfg = sigtest::SignatureTestConfig::simulation_study();
+  const sigtest::SignatureAcquirer acq(cfg, 16);
+  const sigtest::PerturbationSet perturbations(
+      sigtest::lna900_factory(), circuit::Lna900::nominal(), 0.05);
+  const std::size_t w = la::pinv_lane_width();
+  stats::Rng rng(41);
+  std::vector<la::Matrix> a_s;
+  for (std::size_t i = 0; i < 2 * w + 1; ++i) {
+    std::vector<double> levels(9);
+    for (double& v : levels) v = rng.uniform(-0.4, 0.4);
+    a_s.push_back(perturbations.signature_sensitivity(
+        acq, dsp::PwlWaveform::uniform(cfg.capture_s, levels)));
+  }
+  for (std::size_t n = 1; n <= a_s.size(); ++n) {
+    std::vector<la::Matrix> out(n);
+    la::pinv_lanes({a_s.data(), n}, out);
+    for (std::size_t i = 0; i < n; ++i) {
+      const la::Matrix want = la::pinv(a_s[i]);
+      EXPECT_TRUE(out[i].rows() == want.rows() &&
+                  bits_equal(out[i].data(), want.data(), want.size()))
+          << "matrix " << i << " of " << n;
+    }
   }
 }
 

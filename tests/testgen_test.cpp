@@ -119,7 +119,9 @@ TEST(Ga, EvaluationBudgetAccounting) {
 TEST(Ga, InvalidArgumentsThrow) {
   const auto obj = [](const std::vector<double>& x) { return x[0]; };
   GaOptions opts;
-  EXPECT_THROW(ga_minimize(nullptr, {0.0}, {1.0}, opts),
+  EXPECT_THROW(ga_minimize(Objective{}, {0.0}, {1.0}, opts),
+               std::invalid_argument);
+  EXPECT_THROW(ga_minimize(BatchObjective{}, {0.0}, {1.0}, opts),
                std::invalid_argument);
   EXPECT_THROW(ga_minimize(obj, {}, {}, opts), std::invalid_argument);
   EXPECT_THROW(ga_minimize(obj, {1.0}, {0.0}, opts), std::invalid_argument);
