@@ -53,6 +53,14 @@ class PerturbationSet {
       const SignatureAcquirer& acquirer,
       const stf::dsp::PwlWaveform& stimulus) const;
 
+  /// The same into `a_s`, reshaped to m x k only when its shape differs,
+  /// so a caller that reuses one matrix per candidate stimulus (the GA's
+  /// batch objective) allocates it once. Scratch comes from the calling
+  /// thread's capture arena.
+  void signature_sensitivity(const SignatureAcquirer& acquirer,
+                             const stf::dsp::PwlWaveform& stimulus,
+                             stf::la::Matrix& a_s) const;
+
   std::size_t n_params() const { return x0_.size(); }
   std::size_t n_specs() const { return nominal_.specs.size(); }
   const std::vector<double>& x0() const { return x0_; }
