@@ -164,7 +164,10 @@ SigtestServer::SigtestServer(
 SigtestServer::~SigtestServer() { stop(); }
 
 void SigtestServer::start() {
-  STF_REQUIRE(!started_.exchange(true), "SigtestServer: started twice");
+  // The state change stays outside the contract: an unchecked build
+  // compiles the condition out, and stop() keys on started_.
+  const bool already_started = started_.exchange(true);
+  STF_REQUIRE(!already_started, "SigtestServer: started twice");
   listener_ = std::make_unique<stf::net::Listener>(config_.bind_address,
                                                    config_.port);
   queue_ = std::make_unique<stf::core::BoundedQueue<Work>>(
