@@ -66,6 +66,12 @@ Rule registry (see DESIGN.md "Static analysis contract" for how to add one):
                       the unit's header, nontrivial body, at least one
                       parameter) open with an STF_REQUIRE/STF_ASSERT
                       contract validating their inputs
+    contract-side-effect
+                      no side effect inside an STF_REQUIRE/STF_ENSURE/
+                      STF_ASSERT/STF_ASSERT_FINITE condition (++/--, an
+                      assignment, a mutating member call) -- a
+                      SIGTEST_CHECKED=OFF build compiles the condition out
+                      and the side effect with it
 
 Suppressions: append `// stf-analyze: allow(rule-a, rule-b)` to the finding
 line, or put it in a comment on the line directly above. Every suppression
@@ -825,6 +831,72 @@ def check_api_contract(ctx: Context):
                     "open with STF_REQUIRE (see core/contracts.hpp) or "
                     "suppress with a justification")
             idx = idx_next
+
+
+CONTRACT_CALL_RE = re.compile(
+    r"\b(STF_REQUIRE|STF_ENSURE|STF_ASSERT|STF_ASSERT_FINITE)\s*\(")
+SIDE_EFFECT_RE = re.compile(
+    r"\+\+|--"
+    r"|(?:<<|>>|[-+*/%&|^])="
+    r"|(?<![=!<>\[])=(?!=)"
+    r"|(?:\.|->)\s*(exchange|fetch_\w+|compare_exchange_\w+|store"
+    r"|push\w*|emplace\w*|pop\w*|insert|erase|clear|reset|release|lock)"
+    r"\s*\(")
+
+
+def macro_arguments(code: str, open_paren: int) -> list[str]:
+    """Split the argument list whose '(' is at code[open_paren] on its
+    top-level commas."""
+    args: list[str] = []
+    depth = 0
+    start = open_paren + 1
+    for i in range(open_paren, len(code)):
+        c = code[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                break
+        elif c == "," and depth == 1:
+            args.append(code[start:i])
+            start = i + 1
+    args.append(code[start:i])
+    return args
+
+
+@rule("contract-side-effect")
+def check_contract_side_effect(ctx: Context):
+    """No side effect inside a contract condition.
+
+    A -DSIGTEST_CHECKED=OFF build names a contract's condition only inside
+    sizeof(), so it is never evaluated: a state change written into the
+    condition silently disappears from that build. The condition may not
+    contain ++/--, an assignment or compound assignment, or a mutating
+    member call (exchange, fetch_*, compare_exchange_*, store, push*,
+    emplace*, pop*, insert, erase, clear, reset, release, lock). Do the
+    change first, keep its result in a local, and check the local.
+    """
+    for f in ctx.files:
+        code = "\n".join(
+            "" if line.lstrip().startswith("#") else line
+            for line in f.code_lines)
+        for m in CONTRACT_CALL_RE.finditer(code):
+            args = macro_arguments(code, m.end() - 1)
+            # STF_ASSERT_FINITE(what, ...) checks everything after `what`;
+            # the others check their first argument.
+            conditions = (args[1:] if m.group(1) == "STF_ASSERT_FINITE"
+                          else args[:1])
+            hit = next((h for h in (SIDE_EFFECT_RE.search(c)
+                                    for c in conditions) if h), None)
+            line_no = code.count("\n", 0, m.start()) + 1
+            if hit and not allowed(f, line_no, "contract-side-effect"):
+                yield Finding(
+                    "contract-side-effect", f.rel, line_no,
+                    f"'{hit.group(0).strip()}' inside a {m.group(1)} "
+                    "condition is compiled out with the contract "
+                    "(SIGTEST_CHECKED=OFF); do it before the contract "
+                    "and check its result")
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,44 @@ def test_api_contract_inline_ctor_body_does_not_swallow_followers(
         [f.render() for f in findings]
 
 
+def test_contract_side_effect_flags_state_changes(tmp: Path) -> None:
+    # Body line k is file line k + 2 (the include and a blank line).
+    body = ("void f(A& a, V& v, int& n) {\n"
+            '  STF_REQUIRE(!a.started.exchange(true), "started twice");\n'
+            '  STF_ASSERT(++n < 3, "n");\n'
+            '  STF_ENSURE((n = 2) > 0, "n");\n'
+            '  STF_REQUIRE(n += 1, "n");\n'
+            "  STF_REQUIRE(\n"
+            "      v.push_back(1),\n"
+            '      "multi-line");\n'
+            '  STF_ASSERT_FINITE("v", v.emplace_back(1.0));\n'
+            '  STF_ASSERT(n-- > 0, "n");\n'
+            "}\n")
+    findings = hits(run(tmp, unit("service", "x", body)),
+                    "contract-side-effect")
+    assert [f.line for f in findings] == [4, 5, 6, 7, 8, 11, 12], \
+        [f.render() for f in findings]
+
+
+def test_contract_side_effect_accepts_pure_conditions(tmp: Path) -> None:
+    body = ("void f(A& a, V& v, int n, int m) {\n"
+            "  const bool was = a.started.exchange(true);\n"
+            '  STF_REQUIRE(!was, "started twice");\n'
+            '  STF_REQUIRE(n == m && n != 0 && n <= m && m >= n, "a = b");\n'
+            '  STF_REQUIRE(a.flag.load() && a.p->size() > 0, "x++");\n'
+            "  STF_REQUIRE(std::all_of(v.begin(), v.end(),\n"
+            '                          [=](double x) { return x > n; }),\n'
+            '              "all positive");\n'
+            '  STF_ASSERT_FINITE("n = ++m", v);\n'
+            '  STF_ASSERT(++n > 0, "x");  '
+            "// stf-analyze: allow(contract-side-effect) -- fixture\n"
+            "}\n"
+            "#define STF_REQUIRE(cond, what) CHECK(cond, what)\n")
+    findings = run(tmp, unit("service", "x", body))
+    assert hits(findings, "contract-side-effect") == [], \
+        [f.render() for f in findings]
+
+
 # ---------------------------------------------------------------------------
 # Suppressions, baseline, CLI
 # ---------------------------------------------------------------------------
