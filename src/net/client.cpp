@@ -72,18 +72,32 @@ void SigtestClient::set_transport_faults(const TransportFaultInjector* faults,
                                          std::uint64_t fault_seed) {
   faults_ = faults;
   fault_seed_ = fault_seed;
+  if (faults_ != nullptr && !faults_->empty()) {
+    const stf::core::LockGuard lock(idle_mutex_);
+    idle_.clear();
+  }
 }
 
 namespace {
 
-/// One attempt: connect, send, reassemble responses. Returns true when the
-/// attempt produced a final answer (kOk or kRejected) in `result`; throws
+/// Open a new connection, counted so exported data shows which lots paid
+/// for a handshake.
+Socket connect_new(const ClientOptions& options, std::uint16_t port) {
+  Socket socket = connect_to(options.host, port, options.connect_timeout_ms);
+  STF_COUNT("net.client.connects");
+  return socket;
+}
+
+/// One attempt over `socket`: send, reassemble responses. Puts the final
+/// answer (kOk or kRejected) in `result` and returns whether the exchange
+/// ended clean, so the server keeps the session open and the connection
+/// may be reused: LotDone for this request, or a Reject that carries its
+/// request_id, with no bytes left in the reader. Throws
 /// SocketError/ProtocolError when the attempt must be retried.
-bool run_attempt(std::uint16_t port, const ClientOptions& options,
+bool run_attempt(Socket& socket, const ClientOptions& options,
                  const LotRequest& request,
                  std::span<const std::uint8_t> frame_bytes,
                  const TransportFaultPlan& plan, ClientLotResult& result) {
-  Socket socket = connect_to(options.host, port, options.connect_timeout_ms);
   send_with_plan(socket, frame_bytes, plan);
 
   FrameReader reader;
@@ -112,7 +126,8 @@ bool run_attempt(std::uint16_t port, const ClientOptions& options,
           result.reject_code = reject.code;
           result.message = reject.message;
           STF_COUNT("net.client.rejects");
-          return true;
+          // After a session-level refusal the server closes its side.
+          return reject.request_id != 0 && reader.buffered() == 0;
         }
         case FrameType::kDispositions: {
           DispositionChunk chunk = decode_dispositions(frame.payload);
@@ -146,7 +161,7 @@ bool run_attempt(std::uint16_t port, const ClientOptions& options,
           result.predicted = done.predicted;
           result.retried = done.retried;
           result.routed = done.routed;
-          return true;
+          return reader.buffered() == 0;
         }
         case FrameType::kRequest:
           throw ProtocolError("client: server sent a request frame");
@@ -157,6 +172,26 @@ bool run_attempt(std::uint16_t port, const ClientOptions& options,
 
 }  // namespace
 
+Socket SigtestClient::take_connection() const {
+  while (true) {
+    Socket idle;
+    {
+      const stf::core::LockGuard lock(idle_mutex_);
+      if (idle_.empty()) break;
+      idle = std::move(idle_.back());
+      idle_.pop_back();
+    }
+    // A readable idle connection has seen EOF or a reset (the server
+    // stopped) or holds stray bytes; its destructor closes it.
+    if (!idle.wait_readable(0)) {
+      STF_COUNT("net.client.reuses");
+      return idle;
+    }
+    STF_COUNT("net.client.stale_closed");
+  }
+  return connect_new(options_, port_);
+}
+
 ClientLotResult SigtestClient::run_lot(const LotRequest& request) const {
   STF_REQUIRE(request.lot_size >= 1 && request.lot_size <= kMaxLotSize,
               "run_lot: lot_size outside [1, kMaxLotSize]");
@@ -164,6 +199,9 @@ ClientLotResult SigtestClient::run_lot(const LotRequest& request) const {
   // under STF_REQUIRE; malformed local input fails loudly here rather than
   // as a server-side kBadRequest.
   const std::vector<std::uint8_t> frame_bytes = encode_request(request);
+  // Injected faults leave connections in states a later lot must not
+  // inherit, so a faulted client connects anew for every attempt.
+  const bool keep = faults_ == nullptr || faults_->empty();
   ClientLotResult result;
   std::string last_error = "no attempts made";
   for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
@@ -177,8 +215,13 @@ ClientLotResult SigtestClient::run_lot(const LotRequest& request) const {
       plan = faults_->plan_attempt(attempt, rng);
     }
     try {
-      if (run_attempt(port_, options_, request, frame_bytes, plan, result))
-        return result;
+      Socket socket = keep ? take_connection() : connect_new(options_, port_);
+      if (run_attempt(socket, options_, request, frame_bytes, plan, result) &&
+          keep) {
+        const stf::core::LockGuard lock(idle_mutex_);
+        idle_.push_back(std::move(socket));
+      }
+      return result;
     } catch (const SocketError& e) {
       last_error = e.what();
     } catch (const ProtocolError& e) {

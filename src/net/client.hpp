@@ -2,13 +2,21 @@
 // bounded timeouts, capped exponential backoff, and idempotent retry keyed
 // by request id.
 //
-// run_lot() opens a connection, sends the request frame, and reassembles
-// the streamed disposition chunks into lot order. Transport loss (reset,
-// timeout, injected fault, malformed server bytes) fails the ATTEMPT, not
-// the call: the client retries with the SAME request_id -- the server
-// recognizes a finished id and replays the cached response instead of
-// recomputing -- until ClientOptions::max_attempts is exhausted. A typed
-// server Reject is a final answer, never blind-retried.
+// run_lot() sends the request frame and reassembles the streamed
+// disposition chunks into lot order. Each attempt runs on a kept idle
+// connection when one is left, or on a new one: the server serves request
+// after request on one connection, so a lot after the first pays for no
+// handshake and no new server reader thread (the persistent connections of
+// HTTP/1.1, RFC 9112 section 9.3). A connection goes back to the idle stack
+// only after a clean exchange -- LotDone for this request, or a Reject that
+// carries its request_id, with no bytes left over -- and is closed in every
+// other case. Before reuse an idle connection must be quiet: a readable one
+// has seen EOF or a reset (the server stopped) or holds stray bytes, and is
+// closed. Transport loss (reset, timeout, injected fault, malformed server
+// bytes) fails the ATTEMPT, not the call: the client retries with the SAME
+// request_id -- the server recognizes a finished id and replays the cached
+// response instead of recomputing -- until ClientOptions::max_attempts is
+// exhausted. A typed server Reject is a final answer, never blind-retried.
 //
 // Determinism: the client needs no wall clock (timeouts ride on poll();
 // backoff sleeps go through an injectable sleep_ms hook, which tests pin
@@ -22,7 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "core/annotations.hpp"
 #include "net/frame.hpp"
+#include "net/socket.hpp"
 #include "net/transport_faults.hpp"
 #include "sigtest/guard.hpp"
 
@@ -62,15 +72,20 @@ struct ClientLotResult {
   int attempts = 0;  ///< Attempts consumed (>= 1).
 };
 
-/// Per-lot client. Stateless between calls except for configuration, so
-/// one instance may be shared by threads issuing different requests.
+/// Per-lot client. Thread-safe: threads issuing different requests may
+/// share one instance. It holds its idle connections between calls, at
+/// most one per concurrent caller, and each kept connection counts against
+/// the server's max_clients until the client is destroyed; destruction
+/// closes them, so the server's readers see EOF and exit.
 class SigtestClient {
  public:
   explicit SigtestClient(std::uint16_t port, ClientOptions options = {});
 
   /// Arm deterministic transport fault injection. `faults` must outlive the
   /// client; pass nullptr to disarm. `fault_seed` is the base of the
-  /// per-(request, attempt) derivation chain.
+  /// per-(request, attempt) derivation chain. While a non-empty injector is
+  /// armed the client keeps no connections: every attempt connects anew,
+  /// and arming closes the idle ones.
   void set_transport_faults(const TransportFaultInjector* faults,
                             std::uint64_t fault_seed);
 
@@ -82,10 +97,16 @@ class SigtestClient {
   const ClientOptions& options() const { return options_; }
 
  private:
+  /// Pop the most recently kept connection that is still quiet, or
+  /// connect when none is left.
+  Socket take_connection() const;
+
   std::uint16_t port_;
   ClientOptions options_;
   const TransportFaultInjector* faults_ = nullptr;
   std::uint64_t fault_seed_ = 0;
+  mutable stf::core::Mutex idle_mutex_;
+  mutable std::vector<Socket> idle_ STF_GUARDED_BY(idle_mutex_);
 };
 
 }  // namespace stf::net

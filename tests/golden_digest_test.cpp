@@ -167,6 +167,8 @@ TEST(GoldenLotDigest, FaultedLot) {
 
 // The same lots requested from an in-process server on loopback: request
 // seed kLotSeed, the scenario that names Cell's devices, first sequence 0.
+// Each lot is served twice through one client, the second time over the
+// connection the first left open.
 void expect_wire_digest(const std::string& fault_spec, std::uint64_t want) {
   const Cell& c = cell();
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -180,16 +182,19 @@ void expect_wire_digest(const std::string& fault_spec, std::uint64_t want) {
     options.response_timeout_ms = 30000;
     const net::SigtestClient client(server.port(), options);
     net::LotRequest request;
-    request.request_id = 1;
     request.seed = kLotSeed;
     request.lot_size = static_cast<std::uint32_t>(c.lot.size());
     request.batch = 5;
     request.scenario = kScenario;
     request.fault_spec = fault_spec;
-    const net::ClientLotResult served = client.run_lot(request);
+    for (const std::uint64_t id : {std::uint64_t{1}, std::uint64_t{2}}) {
+      request.request_id = id;
+      const net::ClientLotResult served = client.run_lot(request);
+      ASSERT_EQ(served.status, net::ClientStatus::kOk) << served.message;
+      EXPECT_EQ(digest(served.dispositions), want)
+          << "threads " << threads << ", request " << id;
+    }
     server.stop();
-    ASSERT_EQ(served.status, net::ClientStatus::kOk) << served.message;
-    EXPECT_EQ(digest(served.dispositions), want) << "threads " << threads;
   }
 }
 

@@ -3,7 +3,8 @@
 // bit-exact doubles, decoder rejection of malformed payloads, incremental
 // FrameReader reassembly with ceiling-before-allocation, loopback socket
 // plumbing, deterministic transport fault planning, and the client's capped
-// exponential backoff through the injectable sleep hook.
+// exponential backoff through the injectable sleep hook, and which
+// exchanges let the client keep its connection.
 #include "net/frame.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
@@ -376,6 +378,146 @@ TEST(Client, LargeBackoffBaseNeverOverflowsTheDoubling) {
   EXPECT_EQ(sleeps[1], 4096);
   for (std::size_t i = 2; i < sleeps.size(); ++i)
     EXPECT_EQ(sleeps[i], 5000) << "retry " << i;
+}
+
+/// How ScriptedServer answers one request.
+enum class Reply {
+  kLotDone,                ///< Dispositions and LotDone.
+  kLotDoneThenStrayBytes,  ///< The same, then one byte no frame owns.
+  kRejectRequest,          ///< A Reject carrying the request's id.
+  kRejectSession,          ///< A session-level Reject (request_id 0).
+};
+
+/// A one-thread server on loopback that answers requests in turn with a
+/// script of replies. It serves each connection until EOF or reset before
+/// it accepts the next, never closes a connection itself, and records on
+/// which connection (1-based, in accept order) each request arrived.
+class ScriptedServer {
+ public:
+  explicit ScriptedServer(std::vector<Reply> script)
+      : script_(std::move(script)), thread_([this] {
+          try {
+            serve();
+          } catch (const std::exception& e) {
+            ADD_FAILURE() << "scripted server: " << e.what();
+          }
+          arrivals_.resize(script_.size(), 0);
+        }) {}
+  ~ScriptedServer() {
+    if (thread_.joinable()) thread_.join();
+  }
+  ScriptedServer(const ScriptedServer&) = delete;
+  ScriptedServer& operator=(const ScriptedServer&) = delete;
+
+  std::uint16_t port() const { return listener_.port(); }
+
+  /// Wait for the script to finish; element k is request k's connection,
+  /// 0 when it never arrived.
+  std::vector<int> arrivals() {
+    thread_.join();
+    return arrivals_;
+  }
+
+ private:
+  void serve() {
+    net::Socket connection;
+    int connection_no = 0;
+    net::FrameReader reader;
+    std::uint8_t buffer[4096];
+    for (const Reply reply : script_) {
+      net::Frame frame;
+      bool got = false;
+      while (!got) {
+        if (!connection.valid()) {
+          if (!listener_.wait_acceptable(5000)) break;
+          connection = listener_.accept_connection();
+          ++connection_no;
+          reader = net::FrameReader();
+          continue;
+        }
+        if (!connection.wait_readable(5000)) break;
+        std::size_t n = 0;
+        try {
+          n = connection.recv_some(buffer);
+        } catch (const net::SocketError&) {
+        }  // a reset ends the connection like EOF
+        if (n == 0) {
+          connection.close();
+          continue;
+        }
+        reader.feed(std::span<const std::uint8_t>(buffer, n));
+        got = reader.next(frame);
+      }
+      if (!got) break;
+      arrivals_.push_back(connection_no);
+      const net::LotRequest request = net::decode_request(frame.payload);
+      std::vector<std::uint8_t> bytes;
+      if (reply == Reply::kRejectRequest || reply == Reply::kRejectSession) {
+        const bool session = reply == Reply::kRejectSession;
+        bytes = net::encode_reject(
+            {session ? 0 : request.request_id,
+             session ? net::RejectCode::kTooManyClients
+                     : net::RejectCode::kShedOverload,
+             "scripted"});
+      } else {
+        net::DispositionChunk chunk;
+        chunk.request_id = request.request_id;
+        chunk.dispositions.resize(request.lot_size);  // all routed
+        bytes = net::encode_dispositions(chunk);
+        const auto done = net::encode_lot_done(
+            {request.request_id, request.lot_size, 0, 0, request.lot_size});
+        bytes.insert(bytes.end(), done.begin(), done.end());
+        if (reply == Reply::kLotDoneThenStrayBytes) bytes.push_back(0xA5);
+      }
+      connection.send_all(bytes);
+    }
+  }
+
+  net::Listener listener_{"127.0.0.1", 0};
+  std::vector<Reply> script_;
+  std::vector<int> arrivals_;
+  std::thread thread_;  // last: serve() uses every member above
+};
+
+std::vector<net::ClientLotResult> run_lots(std::uint16_t port, int n) {
+  net::ClientOptions options;
+  options.max_attempts = 1;
+  const net::SigtestClient client(port, options);
+  std::vector<net::ClientLotResult> results;
+  for (int i = 0; i < n; ++i) {
+    net::LotRequest request = sample_request();
+    request.request_id = 1 + static_cast<std::uint64_t>(i);
+    request.lot_size = 3;
+    results.push_back(client.run_lot(request));
+  }
+  return results;
+}
+
+TEST(Client, KeepsItsConnectionAfterLotDoneAndARequestReject) {
+  ScriptedServer server(
+      {Reply::kLotDone, Reply::kRejectRequest, Reply::kLotDone});
+  const auto results = run_lots(server.port(), 3);
+  EXPECT_EQ(server.arrivals(), (std::vector<int>{1, 1, 1}));
+  ASSERT_EQ(results[0].status, net::ClientStatus::kOk) << results[0].message;
+  EXPECT_EQ(results[0].dispositions.size(), 3u);
+  ASSERT_EQ(results[1].status, net::ClientStatus::kRejected);
+  EXPECT_EQ(results[1].reject_code, net::RejectCode::kShedOverload);
+  EXPECT_EQ(results[2].status, net::ClientStatus::kOk) << results[2].message;
+}
+
+TEST(Client, ClosesItsConnectionAfterStrayBytesOrASessionReject) {
+  // Stray bytes after LotDone: whether they arrive with it or after it,
+  // the connection is not reused. A session-level Reject means the server
+  // closes its side, so the client does not wait for that.
+  ScriptedServer server(
+      {Reply::kLotDoneThenStrayBytes, Reply::kRejectSession, Reply::kLotDone});
+  const auto results = run_lots(server.port(), 3);
+  EXPECT_EQ(server.arrivals(), (std::vector<int>{1, 2, 3}));
+  ASSERT_EQ(results[0].status, net::ClientStatus::kOk) << results[0].message;
+  ASSERT_EQ(results[1].status, net::ClientStatus::kRejected);
+  EXPECT_EQ(results[1].reject_code, net::RejectCode::kTooManyClients);
+  EXPECT_EQ(results[2].status, net::ClientStatus::kOk) << results[2].message;
+  for (const auto& r : results) EXPECT_EQ(r.attempts, 1);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // in-process serial guarded reference for any client count, interleaving,
 // transport fault scenario, retry pattern and STF_THREADS setting -- plus
 // typed overload shedding, idempotent replay, bad-request rejection,
-// malformed-peer isolation, graceful drain, and the admission/scenario
-// units with a synthetic clock.
+// malformed-peer isolation, graceful drain, kept client connections, and
+// the admission/scenario units with a synthetic clock.
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
@@ -68,6 +68,37 @@ class EnvVarGuard {
  private:
   std::string name_;
 };
+
+/// Telemetry on and zeroed for one test, off and zeroed after it (counters
+/// are process-wide). Counter checks run only when telemetry is compiled in.
+class CountersOn {
+ public:
+  CountersOn() {
+    core::telemetry::set_enabled(true);
+    core::telemetry::reset();
+  }
+  ~CountersOn() {
+    core::telemetry::set_enabled(false);
+    core::telemetry::reset();
+  }
+  CountersOn(const CountersOn&) = delete;
+  CountersOn& operator=(const CountersOn&) = delete;
+
+  static std::uint64_t count(const char* name) {
+    return core::telemetry::counter_value(name);
+  }
+};
+
+/// Poll `done` every 5 ms for up to 10 s (thread exits and reaping are
+/// asynchronous, but bounded by the server's 5 ms poll interval).
+template <class Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  return done();
+}
 
 class ServiceTest : public ::testing::Test {
  protected:
@@ -326,14 +357,15 @@ TEST_F(ServiceTest, OverloadShedsTypedAndAdmittedLotsStillComplete) {
 
 TEST_F(ServiceTest, ConnectionCapRefusesTyped) {
   ThreadCountGuard guard(1);
+  const CountersOn counters;
   service::ServerConfig config = fast_config();
   config.admission.max_clients = 1;
   service::SigtestServer server(world().runtime, config);
   server.start();
-  // Occupy the single slot with a raw idle connection...
+  // Occupy the single slot with a raw idle connection, and wait until the
+  // accept loop has admitted it (its reader runs)...
   net::Socket occupier = net::connect_to("127.0.0.1", server.port(), 2000);
-  // ...give the accept loop a beat to admit it...
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(eventually([&] { return server.reader_threads() == 1; }));
   // ...then a real client must get the typed refusal, not a hang.
   net::ClientOptions options = quiet_client();
   options.max_attempts = 1;
@@ -341,7 +373,20 @@ TEST_F(ServiceTest, ConnectionCapRefusesTyped) {
   const auto result = client.run_lot(request_for(1, 9001));
   ASSERT_EQ(result.status, net::ClientStatus::kRejected) << result.message;
   EXPECT_EQ(result.reject_code, net::RejectCode::kTooManyClients);
+  // Once the occupier has left, the same client is served on a new
+  // connection: the refused one was closed, not kept.
   occupier.close();
+  ASSERT_TRUE(eventually([&] { return server.reader_threads() == 0; }));
+  const auto served = client.run_lot(request_for(2, 9001));
+  ASSERT_EQ(served.status, net::ClientStatus::kOk) << served.message;
+  EXPECT_EQ(served.attempts, 1);
+  expect_identical(serial_reference(9001, nullptr), served.dispositions,
+                   "after the refusal");
+  if (core::telemetry::compiled()) {
+    EXPECT_EQ(counters.count("net.client.connects"), 2u);
+    EXPECT_EQ(counters.count("net.client.reuses"), 0u);
+    EXPECT_EQ(counters.count("net.client.stale_closed"), 0u);
+  }
   server.stop();
 }
 
@@ -357,6 +402,9 @@ TEST_F(ServiceTest, ExitedSessionsReaderThreadsAreReapedWhileRunning) {
     net::SigtestClient client(server.port(), quiet_client());
     const auto result = client.run_lot(request_for(700, 9001));
     ASSERT_EQ(result.status, net::ClientStatus::kOk) << result.message;
+    // The client keeps its connection, so its session's reader lives on
+    // until the client is destroyed and closes it.
+    EXPECT_EQ(server.reader_threads(), 1u);
   }
   for (int c = 0; c < 4; ++c) {
     net::Socket idle = net::connect_to("127.0.0.1", server.port(), 2000);
@@ -462,6 +510,127 @@ TEST_F(ServiceTest, GracefulStopDrainsAdmittedLotsWithoutLossOrDuplication) {
   // client saw a duplicated or partial disposition set (expect_identical
   // above plus the client's all-slots-filled check).
   EXPECT_EQ(server.lots_completed(), oks);
+}
+
+TEST_F(ServiceTest, SequentialLotsShareOneConnection) {
+  ThreadCountGuard guard(4);
+  const CountersOn counters;
+  service::SigtestServer server(world().runtime, fast_config());
+  server.start();
+  net::SigtestClient client(server.port(), quiet_client());
+  for (std::uint64_t k = 0; k < 5; ++k) {
+    const auto served = client.run_lot(request_for(1 + k, 9001 + k));
+    ASSERT_EQ(served.status, net::ClientStatus::kOk) << served.message;
+    EXPECT_EQ(served.attempts, 1);
+    expect_identical(serial_reference(9001 + k, nullptr), served.dispositions,
+                     "lot " + std::to_string(k));
+  }
+  server.stop();
+  if (!core::telemetry::compiled())
+    GTEST_SKIP() << "telemetry compiled out: connection counts unchecked";
+  EXPECT_EQ(counters.count("svc.connections"), 1u);
+  EXPECT_EQ(counters.count("net.client.connects"), 1u);
+  EXPECT_EQ(counters.count("net.client.reuses"), 4u);
+  EXPECT_EQ(counters.count("net.client.stale_closed"), 0u);
+}
+
+TEST_F(ServiceTest, SharedClientKeepsAtMostOneConnectionPerCaller) {
+  // Three threads share one client, as the benchmark's open-loop callers
+  // do; the idle stack is the state they share.
+  ThreadCountGuard guard(4);
+  const CountersOn counters;
+  const std::uint64_t seeds[3] = {9001, 424242, 7};
+  std::vector<std::vector<sigtest::TestDisposition>> references;
+  for (const std::uint64_t seed : seeds)
+    references.push_back(serial_reference(seed, nullptr));
+  service::SigtestServer server(world().runtime, fast_config());
+  server.start();
+  const net::SigtestClient client(server.port(), quiet_client());
+  constexpr std::size_t kCallers = 3;
+  constexpr std::size_t kLots = 3;
+  std::vector<net::ClientLotResult> results(kCallers * kLots);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c)
+    callers.emplace_back([&, c] {
+      for (std::size_t k = 0; k < kLots; ++k)
+        results[c * kLots + k] =
+            client.run_lot(request_for(500 + c * kLots + k, seeds[k]));
+    });
+  for (std::thread& t : callers) t.join();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_EQ(results[i].status, net::ClientStatus::kOk)
+        << "lot " << i << ": " << results[i].message;
+    expect_identical(references[i % kLots], results[i].dispositions,
+                     "lot " + std::to_string(i));
+  }
+  server.stop();
+  if (!core::telemetry::compiled())
+    GTEST_SKIP() << "telemetry compiled out: connection counts unchecked";
+  EXPECT_LE(counters.count("svc.connections"), kCallers);
+  EXPECT_LE(counters.count("net.client.connects"), kCallers);
+  EXPECT_EQ(counters.count("net.client.connects") +
+                counters.count("net.client.reuses"),
+            kCallers * kLots);
+}
+
+TEST_F(ServiceTest, KeptConnectionOutlivesAServerRestartOnTheSamePort) {
+  // The first server's stop closes the kept connection; the client sees
+  // its EOF before reuse and connects to the restarted server instead of
+  // spending an attempt on a dead connection.
+  ThreadCountGuard guard(1);
+  const CountersOn counters;
+  service::ServerConfig config = fast_config();
+  service::SigtestServer first(world().runtime, config);
+  first.start();
+  net::SigtestClient client(first.port(), quiet_client());
+  const auto before = client.run_lot(request_for(1, 9001));
+  ASSERT_EQ(before.status, net::ClientStatus::kOk) << before.message;
+  first.stop();
+
+  config.port = first.port();  // the Listener binds with SO_REUSEADDR
+  service::SigtestServer second(world().runtime, config);
+  second.start();
+  const auto after = client.run_lot(request_for(2, 424242));
+  ASSERT_EQ(after.status, net::ClientStatus::kOk) << after.message;
+  EXPECT_EQ(after.attempts, 1);
+  expect_identical(serial_reference(424242, nullptr), after.dispositions,
+                   "after the restart");
+  second.stop();
+  if (core::telemetry::compiled()) {
+    EXPECT_EQ(counters.count("net.client.stale_closed"), 1u);
+    EXPECT_EQ(counters.count("net.client.connects"), 2u);
+  }
+}
+
+TEST_F(ServiceTest, ArmedTransportFaultsConnectAnewForEveryAttempt) {
+  ThreadCountGuard guard(1);
+  const CountersOn counters;
+  const auto reference = serial_reference(31337, nullptr);
+  const auto transport_faults = net::TransportFaultInjector::parse(
+      "trunc:0.5,oversize:0.5,garbage:0.5,disconnect:0.5,slow:0.5,dup:0.5");
+  service::SigtestServer server(world().runtime, fast_config());
+  server.start();
+  net::SigtestClient client(server.port(), quiet_client());
+  // A clean lot first leaves an idle connection; arming closes it, and its
+  // session's reader sees EOF and exits.
+  const auto clean = client.run_lot(request_for(1, 31337));
+  ASSERT_EQ(clean.status, net::ClientStatus::kOk) << clean.message;
+  client.set_transport_faults(&transport_faults, 555);
+  EXPECT_TRUE(eventually([&] { return server.reader_threads() == 0; }));
+  int attempts = 0;
+  for (std::uint64_t id = 2; id <= 3; ++id) {
+    const auto faulted = client.run_lot(request_for(id, 31337));
+    ASSERT_EQ(faulted.status, net::ClientStatus::kOk) << faulted.message;
+    expect_identical(reference, faulted.dispositions,
+                     "faulted lot " + std::to_string(id));
+    attempts += faulted.attempts;
+  }
+  server.stop();
+  if (!core::telemetry::compiled())
+    GTEST_SKIP() << "telemetry compiled out: connection counts unchecked";
+  EXPECT_EQ(counters.count("net.client.connects"),
+            1u + static_cast<std::uint64_t>(attempts));
+  EXPECT_EQ(counters.count("net.client.reuses"), 0u);
 }
 
 TEST_F(ServiceTest, ServerConfigRoutesStfPortAndMaxClients) {
