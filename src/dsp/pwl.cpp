@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 #include "core/contracts.hpp"
 
@@ -80,21 +79,6 @@ std::string PwlWaveform::to_csv() const {
   os.precision(17);
   for (const auto& p : points_) os << p.t << ',' << p.v << '\n';
   return os.str();
-}
-
-PwlWaveform PwlWaveform::parse_csv(const std::string& csv) {
-  std::vector<PwlPoint> pts;
-  std::istringstream is(csv);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const auto comma = line.find(',');
-    if (comma == std::string::npos)
-      throw std::invalid_argument("PwlWaveform::parse_csv: malformed line");
-    pts.push_back({std::stod(line.substr(0, comma)),
-                   std::stod(line.substr(comma + 1))});
-  }
-  return PwlWaveform(std::move(pts));
 }
 
 }  // namespace stf::dsp

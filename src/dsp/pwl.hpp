@@ -51,9 +51,8 @@ class PwlWaveform {
   /// New waveform with all values multiplied by s.
   PwlWaveform scaled(double s) const;
 
-  /// CSV serialization "t,v" per line (round-trippable via parse_csv).
+  /// CSV serialization "t,v" per line, 17 significant digits.
   std::string to_csv() const;
-  static PwlWaveform parse_csv(const std::string& csv);
 
  private:
   std::vector<PwlPoint> points_;

@@ -1,10 +1,9 @@
 #include "dsp/resample.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "core/contracts.hpp"
-#include "dsp/fir.hpp"
 
 namespace stf::dsp {
 
@@ -92,20 +91,6 @@ void resample_interleaved_into(std::span<const double> x,
 std::vector<std::complex<double>> resample_linear(
     const std::vector<std::complex<double>>& x, double fs_in, double fs_out) {
   return resample_impl(x, fs_in, fs_out);
-}
-
-std::vector<double> decimate(const std::vector<double>& x, std::size_t factor) {
-  STF_REQUIRE(factor != 0, "decimate: factor must be > 0");
-  if (factor == 1) return x;
-  // Anti-alias filter relative to the notional input rate of 1.0.
-  const auto taps = design_fir_lowpass(0.45 / static_cast<double>(factor), 1.0,
-                                       63, WindowType::kHamming);
-  const auto filtered = fir_filter(taps, x);
-  std::vector<double> y;
-  y.reserve(x.size() / factor + 1);
-  for (std::size_t i = 0; i < filtered.size(); i += factor)
-    y.push_back(filtered[i]);
-  return y;
 }
 
 }  // namespace stf::dsp

@@ -2,8 +2,8 @@
 //
 // The envelope simulation runs at a rate set by the LPF model; the
 // digitizer then captures at the tester rate (20 MHz in the simulation
-// study, 1 MHz in the hardware study). Decimation applies an anti-alias
-// FIR first; arbitrary-ratio conversion interpolates linearly.
+// study, 1 MHz in the hardware study). The conversion interpolates
+// linearly; the LPF ahead of the digitizer band-limits the envelope.
 #pragma once
 
 #include <complex>
@@ -41,9 +41,5 @@ void resample_interleaved_into(std::span<const double> x,
 /// Complex variant of resample_linear.
 std::vector<std::complex<double>> resample_linear(
     const std::vector<std::complex<double>>& x, double fs_in, double fs_out);
-
-/// Integer-factor decimation with an anti-alias lowpass (cutoff at
-/// 0.45 * fs_in / factor).
-std::vector<double> decimate(const std::vector<double>& x, std::size_t factor);
 
 }  // namespace stf::dsp

@@ -31,37 +31,6 @@ std::complex<double> windowed_correlation(const std::vector<T>& x, double freq,
 
 }  // namespace
 
-std::complex<double> goertzel(const std::vector<double>& x, double freq,
-                              double fs) {
-  STF_REQUIRE(!x.empty(), "goertzel: empty signal");
-  const double omega = 2.0 * std::numbers::pi * freq / fs;
-  const double coeff = 2.0 * std::cos(omega);
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0;
-  for (double v : x) {
-    s0 = v + coeff * s1 - s2;
-    s2 = s1;
-    s1 = s0;
-  }
-  const auto n = static_cast<double>(x.size());
-  // Phase-corrected final correlation (standard Goertzel epilogue).
-  const std::complex<double> w(std::cos(omega), std::sin(omega));
-  const std::complex<double> y = s1 - s2 * std::conj(w);
-  const double ang = -omega * (n - 1.0);
-  return y * std::complex<double>(std::cos(ang), std::sin(ang));
-}
-
-std::complex<double> goertzel(const std::vector<std::complex<double>>& x,
-                              double freq, double fs) {
-  STF_REQUIRE(!x.empty(), "goertzel: empty signal");
-  const double dphi = -2.0 * std::numbers::pi * freq / fs;
-  std::complex<double> acc{};
-  for (std::size_t n = 0; n < x.size(); ++n) {
-    const double ang = dphi * static_cast<double>(n);
-    acc += x[n] * std::complex<double>(std::cos(ang), std::sin(ang));
-  }
-  return acc;
-}
-
 double tone_amplitude(const std::vector<double>& x, double freq, double fs,
                       WindowType window) {
   const auto acc = windowed_correlation(x, freq, fs, window);
@@ -138,18 +107,6 @@ std::vector<double> welch_psd(const std::vector<double>& x, double fs,
   }
   for (double& v : psd) v /= static_cast<double>(n_segments);
   return psd;
-}
-
-std::vector<double> amplitude_spectrum(const std::vector<double>& x) {
-  STF_REQUIRE(!x.empty(), "amplitude_spectrum: empty input");
-  const auto spec = fft_real(x);
-  const auto n = x.size();
-  std::vector<double> amp(n / 2 + 1);
-  for (std::size_t k = 0; k < amp.size(); ++k) {
-    const double scale = (k == 0 || (n % 2 == 0 && k == n / 2)) ? 1.0 : 2.0;
-    amp[k] = scale * std::abs(spec[k]) / static_cast<double>(n);
-  }
-  return amp;
 }
 
 }  // namespace stf::dsp

@@ -2,9 +2,9 @@
 //
 // Conventional-test emulation measures gain from a single tone and IIP3
 // from two-tone intermodulation products; both need accurate amplitude
-// readings at known frequencies. The Goertzel recurrence evaluates a single
-// DFT bin in O(N) and, combined with a flat-top window, reads off-bin tone
-// amplitudes accurately.
+// readings at known frequencies. A windowed single-bin correlation at the
+// tone frequency, with a flat-top window, reads off-bin tone amplitudes
+// accurately.
 #pragma once
 
 #include <complex>
@@ -14,16 +14,6 @@
 #include "dsp/window.hpp"
 
 namespace stf::dsp {
-
-/// Single-bin DFT via the Goertzel recurrence at an arbitrary (possibly
-/// off-bin) frequency. Returns the complex correlation
-/// sum_n x[n] exp(-j 2 pi f n / fs).
-std::complex<double> goertzel(const std::vector<double>& x, double freq,
-                              double fs);
-
-/// Complex-signal variant of goertzel().
-std::complex<double> goertzel(const std::vector<std::complex<double>>& x,
-                              double freq, double fs);
 
 /// Amplitude (peak, not RMS) of the sinusoidal component at freq, using the
 /// given window to control leakage. For a pure tone A*cos(2 pi f t) this
@@ -48,10 +38,6 @@ double signal_power(const std::vector<double>& x);
 /// Mean-square power of a complex envelope (|x|^2 averaged; passband power
 /// of the corresponding real signal is half this value).
 double signal_power(const std::vector<std::complex<double>>& x);
-
-/// One-sided amplitude spectrum of a real signal: bin k holds the peak
-/// amplitude of the component at k*fs/N (DC and Nyquist unscaled by 2).
-std::vector<double> amplitude_spectrum(const std::vector<double>& x);
 
 /// Welch-averaged one-sided power spectral density estimate (V^2/Hz).
 ///

@@ -322,15 +322,6 @@ TEST(Window, GainMatchesSum) {
 
 // -------------------------------------------------------------- spectrum --
 
-TEST(Spectrum, GoertzelMatchesFftBin) {
-  const double fs = 1000.0;
-  auto x = make_tone(1.0, 125.0, fs, 64);
-  auto spec = stf::dsp::fft_real(x);
-  auto g = stf::dsp::goertzel(x, 125.0, fs);
-  // Bin 8 of a 64-point FFT at fs=1000 is 125 Hz.
-  EXPECT_NEAR(std::abs(g - spec[8]), 0.0, 1e-8);
-}
-
 TEST(Spectrum, ToneAmplitudeOnBin) {
   const double fs = 1000.0;
   auto x = make_tone(0.7, 125.0, fs, 256);
@@ -377,18 +368,6 @@ TEST(Spectrum, DbmConversionRoundTrip) {
 TEST(Spectrum, SignalPowerOfTone) {
   auto x = make_tone(2.0, 100.0, 1000.0, 1000);
   EXPECT_NEAR(stf::dsp::signal_power(x), 2.0, 0.02);  // A^2/2
-}
-
-TEST(Spectrum, AmplitudeSpectrumOfTwoTones) {
-  const double fs = 1024.0;
-  const std::size_t n = 1024;
-  auto x = make_tone(1.0, 100.0, fs, n);
-  auto y = make_tone(0.3, 200.0, fs, n);
-  for (std::size_t i = 0; i < n; ++i) x[i] += y[i];
-  auto amp = stf::dsp::amplitude_spectrum(x);
-  EXPECT_NEAR(amp[100], 1.0, 1e-9);
-  EXPECT_NEAR(amp[200], 0.3, 1e-9);
-  EXPECT_NEAR(amp[150], 0.0, 1e-9);
 }
 
 }  // namespace

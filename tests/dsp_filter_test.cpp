@@ -235,16 +235,6 @@ TEST(Pwl, ScaledMultipliesValues) {
   EXPECT_DOUBLE_EQ(s.points()[1].v, -1.0);
 }
 
-TEST(Pwl, CsvRoundTrip) {
-  auto w = stf::dsp::PwlWaveform::uniform(5e-6, {0.1, -0.4, 0.25, 0.0, 0.9});
-  auto w2 = stf::dsp::PwlWaveform::parse_csv(w.to_csv());
-  ASSERT_EQ(w2.points().size(), w.points().size());
-  for (std::size_t i = 0; i < w.points().size(); ++i) {
-    EXPECT_DOUBLE_EQ(w2.points()[i].t, w.points()[i].t);
-    EXPECT_DOUBLE_EQ(w2.points()[i].v, w.points()[i].v);
-  }
-}
-
 // -------------------------------------------------------------- resample --
 
 TEST(Resample, IdentityWhenRatesEqual) {
@@ -271,25 +261,9 @@ TEST(Resample, ToneSurvivesModerateResampling) {
   EXPECT_NEAR(stf::dsp::tone_amplitude(y, 10.0, 80.0), 1.0, 0.02);
 }
 
-TEST(Resample, DecimateRemovesHighFrequency) {
-  const double fs = 1000.0;
-  auto lo = make_tone(1.0, 10.0, fs, 2000);
-  auto hi = make_tone(1.0, 400.0, fs, 2000);
-  std::vector<double> x(2000);
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = lo[i] + hi[i];
-  auto y = stf::dsp::decimate(x, 4);  // new fs = 250, 400 Hz aliased band
-  const double fs_out = fs / 4.0;
-  std::vector<double> mid(y.begin() + 50, y.end() - 50);
-  EXPECT_NEAR(stf::dsp::tone_amplitude(mid, 10.0, fs_out), 1.0, 0.05);
-  // The 400 Hz tone would alias to 100 Hz; the anti-alias filter kills it.
-  EXPECT_LT(stf::dsp::tone_amplitude(mid, 100.0, fs_out), 0.02);
-}
-
 TEST(Resample, InvalidInputsThrow) {
   std::vector<double> x{1.0};
   EXPECT_THROW(stf::dsp::resample_linear(x, 1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(stf::dsp::decimate(std::vector<double>{1.0, 2.0}, 0),
-               std::invalid_argument);
 }
 
 }  // namespace
