@@ -840,7 +840,8 @@ SIDE_EFFECT_RE = re.compile(
     r"|(?:<<|>>|[-+*/%&|^])="
     r"|(?<![=!<>\[])=(?!=)"
     r"|(?:\.|->)\s*(exchange|fetch_\w+|compare_exchange_\w+|store"
-    r"|push\w*|emplace\w*|pop\w*|insert|erase|clear|reset|release|lock)"
+    r"|push(?:_back|_front)?|emplace(?:_back|_front|_hint)?"
+    r"|pop(?:_back|_front)?|insert|erase|clear|reset|release|lock)"
     r"\s*\(")
 
 
@@ -873,8 +874,9 @@ def check_contract_side_effect(ctx: Context):
     sizeof(), so it is never evaluated: a state change written into the
     condition silently disappears from that build. The condition may not
     contain ++/--, an assignment or compound assignment, or a mutating
-    member call (exchange, fetch_*, compare_exchange_*, store, push*,
-    emplace*, pop*, insert, erase, clear, reset, release, lock). Do the
+    member call (exchange, fetch_*, compare_exchange_*, store, push,
+    emplace, pop and their _back/_front forms, insert, erase, clear,
+    reset, release, lock). Do the
     change first, keep its result in a local, and check the local.
     """
     for f in ctx.files:

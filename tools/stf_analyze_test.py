@@ -369,6 +369,7 @@ def test_contract_side_effect_accepts_pure_conditions(tmp: Path) -> None:
             '  STF_REQUIRE(!was, "started twice");\n'
             '  STF_REQUIRE(n == m && n != 0 && n <= m && m >= n, "a = b");\n'
             '  STF_REQUIRE(a.flag.load() && a.p->size() > 0, "x++");\n'
+            '  STF_REQUIRE(a.population() > 0 && !a.locked(), "x");\n'
             "  STF_REQUIRE(std::all_of(v.begin(), v.end(),\n"
             '                          [=](double x) { return x > n; }),\n'
             '              "all positive");\n'
