@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
   server_config.poll_interval_ms = 5;
   // A retrying client's new connection overlaps its dying one until the
   // server's reader drains the EOF, so size the session cap for 2x plus
-  // slack -- this smoke exercises shedding via the queue, not the cap.
+  // slack, and let every session's lot wait for a compute slot: this
+  // smoke must not shed.
   server_config.admission.max_clients = 2 * n_clients + 8;
   server_config.work_queue_capacity = 2 * n_clients;
   service::SigtestServer server(runtime, server_config);

@@ -4,9 +4,9 @@
 // The framework guarantees bit-identical dispositions for a (seed, lot,
 // scenario) at any STF_THREADS. That guarantee is only as strong as the
 // locking around the handful of pieces of genuinely shared mutable state:
-// the worker pool's job/config state (core/parallel), the bounded queues
-// (core/pipeline), the telemetry registry (core/telemetry), and the FFT
-// plan cache (dsp/fft). This header wraps Clang's Thread Safety Analysis
+// the worker pool's job/config state (core/parallel), the service's
+// admission gate (service/admission), the telemetry registry
+// (core/telemetry), and the FFT plan cache (dsp/fft). This header wraps Clang's Thread Safety Analysis
 // attributes so that discipline is checked by the compiler -- a build with
 // -DSIGTEST_THREAD_SAFETY=ON adds -Wthread-safety -Werror under clang, and
 // any access to STF_GUARDED_BY state outside its mutex, or any call to an

@@ -38,11 +38,14 @@ bool TokenBucket::try_acquire(std::uint64_t now_us) {
   return true;
 }
 
-AdmissionController::AdmissionController(const AdmissionPolicy& policy)
+AdmissionController::AdmissionController(const AdmissionPolicy& policy,
+                                         std::size_t compute_slots,
+                                         std::size_t wait_capacity)
     : policy_(policy),
+      compute_slots_(compute_slots),
+      wait_capacity_(wait_capacity),
       bucket_(policy.lots_per_second, policy.burst_lots) {
-  STF_REQUIRE(policy.per_client_inflight_cap >= 1,
-              "AdmissionController: per_client_inflight_cap < 1");
+  STF_REQUIRE(compute_slots >= 1, "AdmissionController: compute_slots < 1");
   STF_REQUIRE(policy.max_clients >= 1,
               "AdmissionController: max_clients < 1");
 }
@@ -57,52 +60,53 @@ bool AdmissionController::try_admit_client() {
   return true;
 }
 
-void AdmissionController::release_client(std::uint64_t client_id) {
+void AdmissionController::release_client() {
   const stf::core::LockGuard lock(mutex_);
   STF_ASSERT(n_clients_ >= 1, "AdmissionController: client underflow");
   --n_clients_;
-  // A vanished client must not leak its inflight count against the total:
-  // the server completes every admitted lot before releasing the session,
-  // so the per-client entry is just bookkeeping to erase.
-  const auto it = per_client_.find(client_id);
-  if (it != per_client_.end()) {
-    STF_ASSERT(it->second == 0,
-               "AdmissionController: released client with inflight lots");
-    per_client_.erase(it);
-  }
 }
 
-stf::net::RejectCode AdmissionController::admit_lot(std::uint64_t client_id,
-                                                    std::uint64_t now_us) {
-  STF_REQUIRE(client_id != 0, "admit_lot: client_id 0 is reserved");
-  const stf::core::LockGuard lock(mutex_);
-  std::size_t& inflight = per_client_[client_id];
-  if (inflight >= policy_.per_client_inflight_cap) {
-    STF_COUNT("svc.shed_inflight_cap");
-    return stf::net::RejectCode::kShedOverload;
-  }
+// Any u64 clock value is valid input (TokenBucket::try_acquire clamps a
+// backwards step), so there is no precondition to state.
+// stf-analyze: allow(api-contract) -- every input is in-contract
+stf::net::RejectCode AdmissionController::admit_lot(std::uint64_t now_us) {
+  stf::core::UniqueLock lock(mutex_);
   if (!bucket_.try_acquire(now_us)) {
     STF_COUNT("svc.shed_rate_limit");
     return stf::net::RejectCode::kShedOverload;
   }
-  ++inflight;
-  ++total_inflight_;
+  if (computing_ < compute_slots_) {
+    ++computing_;
+    return stf::net::RejectCode::kNone;
+  }
+  if (tickets_ - granted_ >= wait_capacity_) {
+    STF_COUNT("svc.shed_queue_full");
+    return stf::net::RejectCode::kShedOverload;
+  }
+  const std::uint64_t ticket = tickets_++;
+  // Explicit wait loop: the analysis does not carry lock state into lambda
+  // bodies. complete_lot grants tickets in order, so this is arrival order.
+  while (granted_ <= ticket) slot_granted_.wait(lock.native());
   return stf::net::RejectCode::kNone;
 }
 
-void AdmissionController::complete_lot(std::uint64_t client_id) {
-  const stf::core::LockGuard lock(mutex_);
-  const auto it = per_client_.find(client_id);
-  STF_ASSERT(it != per_client_.end() && it->second >= 1 &&
-                 total_inflight_ >= 1,
-             "AdmissionController: completion without admission");
-  --it->second;
-  --total_inflight_;
+void AdmissionController::complete_lot() {
+  {
+    const stf::core::LockGuard lock(mutex_);
+    STF_ASSERT(computing_ >= 1,
+               "AdmissionController: completion without admission");
+    if (granted_ == tickets_) {
+      --computing_;
+      return;
+    }
+    ++granted_;  // the slot passes to the oldest waiter
+  }
+  slot_granted_.notify_all();
 }
 
 std::size_t AdmissionController::inflight() const {
   const stf::core::LockGuard lock(mutex_);
-  return total_inflight_;
+  return computing_ + static_cast<std::size_t>(tickets_ - granted_);
 }
 
 std::size_t AdmissionController::clients() const {

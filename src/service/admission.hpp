@@ -1,26 +1,31 @@
 // Admission control of the signature-test service: the overload-safety
-// layer between the socket readers and the worker queue.
+// layer between the socket readers and the lots they compute.
 //
-// Three independent gates, checked in order, each with a typed outcome
+// Three gates, checked in order, each with a typed outcome
 // (net::RejectCode) -- an overloaded server always answers, it never hangs
 // a client and never grows unbounded state:
 //
-//   1. connection cap      -- at accept time (kTooManyClients)
-//   2. token-bucket rate   -- lots/second with a burst allowance
-//                             (kShedOverload)
-//   3. per-client inflight -- bounds queued+running lots per session, so
-//                             one greedy client cannot starve the rest
-//                             (kShedOverload)
+//   1. connection cap    -- at accept time (kTooManyClients)
+//   2. token-bucket rate -- lots/second with a burst allowance
+//                           (kShedOverload)
+//   3. compute slots     -- at most `compute_slots` lots compute at once;
+//                           up to `wait_capacity` more wait for a slot and
+//                           get one in arrival order, and a lot that finds
+//                           the wait line full is shed (kShedOverload)
 //
-// The bucket is caller-clocked: admit() takes `now_us` as a parameter, so
-// the policy itself is a pure deterministic function and tests drive it
+// A session computes one lot at a time (its reader runs it), so a session
+// holds at most one slot and max_clients bounds the sessions: one greedy
+// client cannot take every slot.
+//
+// The bucket is caller-clocked: admit_lot() takes `now_us` as a parameter,
+// so the policy itself is a pure deterministic function and tests drive it
 // with a synthetic clock (the server's single wall-clock read lives in
 // server.cpp, explicitly suppressed for the nondet-source lint).
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 
 #include "core/annotations.hpp"
 #include "net/frame.hpp"
@@ -34,8 +39,6 @@ struct AdmissionPolicy {
   double lots_per_second = 0.0;
   /// Bucket capacity (burst allowance, in lots).
   double burst_lots = 8.0;
-  /// Queued+running lots allowed per client session.
-  std::size_t per_client_inflight_cap = 4;
   /// Concurrent client sessions (gate 1; enforced by the server's accept
   /// loop through try_admit_client()).
   std::size_t max_clients = 8;
@@ -62,33 +65,44 @@ class TokenBucket {
 /// The admission state machine. Thread-safe; every outcome typed.
 class AdmissionController {
  public:
-  explicit AdmissionController(const AdmissionPolicy& policy);
+  /// `compute_slots` lots compute at once and `wait_capacity` more may
+  /// wait for a slot (the server passes worker_threads and
+  /// work_queue_capacity).
+  AdmissionController(const AdmissionPolicy& policy, std::size_t compute_slots,
+                      std::size_t wait_capacity);
 
   /// Gate 1: a new connection. False = kTooManyClients.
   bool try_admit_client();
-  /// A session ended (its inflight count must already be zero).
-  void release_client(std::uint64_t client_id);
+  /// A session ended.
+  void release_client();
 
-  /// Gates 2+3 for one lot from `client_id` at time `now_us`. Returns
-  /// kNone (admitted; inflight incremented) or the reject code.
-  stf::net::RejectCode admit_lot(std::uint64_t client_id,
-                                 std::uint64_t now_us);
-  /// A lot finished (or was rolled back after a failed queue push).
-  void complete_lot(std::uint64_t client_id);
+  /// Gates 2+3 for one lot at time `now_us`. Returns kShedOverload at once
+  /// when the bucket is empty or the wait line is full; otherwise blocks
+  /// until every earlier waiter has a slot and one is free, and returns
+  /// kNone: the caller holds a compute slot until complete_lot().
+  stf::net::RejectCode admit_lot(std::uint64_t now_us);
+  /// Free the caller's compute slot (the oldest waiter, if any, takes it).
+  void complete_lot();
 
-  /// Lots currently admitted and not yet completed (all clients).
+  /// Lots computing plus lots waiting for a slot.
   std::size_t inflight() const;
   /// Sessions currently admitted.
   std::size_t clients() const;
 
-  const AdmissionPolicy& policy() const { return policy_; }
-
  private:
-  AdmissionPolicy policy_;
+  const AdmissionPolicy policy_;
+  const std::size_t compute_slots_;
+  const std::size_t wait_capacity_;
   mutable stf::core::Mutex mutex_;
+  std::condition_variable slot_granted_;
   TokenBucket bucket_ STF_GUARDED_BY(mutex_);
-  std::map<std::uint64_t, std::size_t> per_client_ STF_GUARDED_BY(mutex_);
-  std::size_t total_inflight_ STF_GUARDED_BY(mutex_) = 0;
+  /// Slots in use. A slot is free only while nobody waits: complete_lot
+  /// hands a freed slot straight to the oldest waiter.
+  std::size_t computing_ STF_GUARDED_BY(mutex_) = 0;
+  /// Tickets handed to waiters, and how many of them hold a slot since;
+  /// their difference is the wait line.
+  std::uint64_t tickets_ STF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t granted_ STF_GUARDED_BY(mutex_) = 0;
   std::size_t n_clients_ STF_GUARDED_BY(mutex_) = 0;
 };
 

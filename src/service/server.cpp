@@ -1,8 +1,6 @@
 #include "service/server.hpp"
 
 #include <chrono>
-#include <condition_variable>
-#include <set>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -56,26 +54,15 @@ std::string clipped_message(const std::string& text) {
 
 }  // namespace
 
-/// One connected client. The socket has two independent concerns: the
-/// reader thread owns the receive direction outright (no lock), and the
-/// send direction is shared by workers + reader under write_mutex.
+/// One connected client, owned by its reader thread: the only thread that
+/// reads from or writes to the socket, so nothing here takes a lock.
 struct SigtestServer::Session {
-  std::uint64_t id = 0;
   stf::net::Socket socket;
+  bool write_dead = false;  ///< A send failed; later frames are dropped.
 
-  stf::core::Mutex write_mutex;
-  bool write_dead STF_GUARDED_BY(write_mutex) = false;
-
-  stf::core::Mutex state_mutex;
-  std::condition_variable drained_cv;
-  /// Request ids admitted on this session and not yet flushed.
-  std::set<std::uint64_t> inflight STF_GUARDED_BY(state_mutex);
-
-  /// Send frames in order under the write lock. A transport failure marks
-  /// the session dead (the client will retry on a new connection) -- it
-  /// never propagates into the worker.
-  void send_frames(const std::vector<std::vector<std::uint8_t>>& frames) {
-    const stf::core::LockGuard lock(write_mutex);
+  /// Send frames in order. A transport failure marks the session dead (the
+  /// client will retry on a new connection) -- it never propagates.
+  void send_frames(const Frames& frames) {
     if (write_dead) return;
     try {
       for (const std::vector<std::uint8_t>& frame : frames)
@@ -86,39 +73,10 @@ struct SigtestServer::Session {
     }
   }
 
-  void add_inflight(std::uint64_t request_id) {
-    const stf::core::LockGuard lock(state_mutex);
-    inflight.insert(request_id);
+  void send_reject(std::uint64_t request_id, RejectCode code,
+                   const std::string& message) {
+    send_frames({stf::net::encode_reject({request_id, code, message})});
   }
-
-  bool is_inflight(std::uint64_t request_id) {
-    const stf::core::LockGuard lock(state_mutex);
-    return inflight.count(request_id) != 0;
-  }
-
-  void finish_inflight(std::uint64_t request_id) {
-    {
-      const stf::core::LockGuard lock(state_mutex);
-      inflight.erase(request_id);
-    }
-    drained_cv.notify_all();
-  }
-
-  /// Block until every admitted lot of this session has flushed (the
-  /// reader's exit barrier; workers signal via finish_inflight).
-  void wait_drained() {
-    stf::core::UniqueLock lock(state_mutex);
-    while (!inflight.empty()) drained_cv.wait(lock.native());
-  }
-};
-
-/// A validated, admitted lot waiting for a worker.
-struct SigtestServer::Work {
-  std::shared_ptr<Session> session;
-  LotRequest request;
-  ScenarioSpec scenario;
-  stf::rf::FaultInjector faults;  ///< empty() == clean tester.
-  std::string replay_key;
 };
 
 ServerConfig ServerConfig::from_environment() {
@@ -146,7 +104,8 @@ SigtestServer::SigtestServer(
     : runtime_(std::move(runtime)),
       registry_(std::move(registry)),
       config_(std::move(config)),
-      admission_(config_.admission),
+      admission_(config_.admission, config_.worker_threads,
+                 config_.work_queue_capacity),
       populations_(config_.population_cache_entries,
                    "svc.population_cache_hits", "svc.population_cache_misses"),
       replay_(kReplayLots) {
@@ -154,7 +113,6 @@ SigtestServer::SigtestServer(
               "SigtestServer: exactly one of runtime/registry");
   STF_REQUIRE(runtime_ == nullptr || runtime_->calibrated(),
               "SigtestServer: runtime not calibrated");
-  STF_REQUIRE(config_.worker_threads >= 1, "SigtestServer: no workers");
   STF_REQUIRE(config_.work_queue_capacity >= 1,
               "SigtestServer: work_queue_capacity < 1");
   STF_REQUIRE(config_.poll_interval_ms >= 1 && config_.send_timeout_ms >= 1,
@@ -170,11 +128,6 @@ void SigtestServer::start() {
   STF_REQUIRE(!already_started, "SigtestServer: started twice");
   listener_ = std::make_unique<stf::net::Listener>(config_.bind_address,
                                                    config_.port);
-  queue_ = std::make_unique<stf::core::BoundedQueue<Work>>(
-      config_.work_queue_capacity);
-  workers_.reserve(config_.worker_threads);
-  for (std::size_t w = 0; w < config_.worker_threads; ++w)
-    workers_.emplace_back([this] { worker_loop(); });
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -185,16 +138,12 @@ std::uint16_t SigtestServer::port() const {
 
 void SigtestServer::stop() {
   if (!started_.load() || stopping_.exchange(true)) return;
-  // Drain order matters: (1) stop admitting connections, (2) close the
-  // queue so workers finish the admitted backlog and exit, (3) only then
-  // join the readers -- their exit barrier is "every inflight lot flushed",
-  // which the worker join guarantees is reachable -- and let the sessions
-  // close as the last shared_ptrs die.
+  // Stop admitting connections, then join the readers. A reader sees
+  // stopping_ only between requests, so the lot it is computing or waiting
+  // for completes and flushes first; the lots holding slots need nothing
+  // but compute, so every waiter's turn comes.
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listener_ != nullptr) listener_->close();
-  if (queue_ != nullptr) queue_->close();
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
   std::vector<ReaderSlot> readers;
   {
     const stf::core::LockGuard lock(readers_mutex_);
@@ -250,13 +199,11 @@ void SigtestServer::accept_loop() {
       }
       continue;
     }
-    auto session = std::make_shared<Session>();
-    session->id = next_client_id_.fetch_add(1) + 1;
-    session->socket = std::move(socket);
     ReaderSlot slot;
     slot.exited = std::make_shared<std::atomic<bool>>(false);
     slot.thread = std::thread(
-        [this, session = std::move(session), exited = slot.exited] {
+        [this, session = Session{std::move(socket)},
+         exited = slot.exited]() mutable {
           reader_loop(session);
           exited->store(true);
         });
@@ -265,14 +212,14 @@ void SigtestServer::accept_loop() {
   }
 }
 
-void SigtestServer::reader_loop(std::shared_ptr<Session> session) {
+void SigtestServer::reader_loop(Session& session) {
   stf::net::FrameReader reader;
   std::uint8_t buffer[4096];
   stf::net::Frame frame;
   try {
     while (!stopping_.load()) {
-      if (!session->socket.wait_readable(config_.poll_interval_ms)) continue;
-      const std::size_t n = session->socket.recv_some(buffer);
+      if (!session.socket.wait_readable(config_.poll_interval_ms)) continue;
+      const std::size_t n = session.socket.recv_some(buffer);
       if (n == 0) break;  // orderly EOF
       reader.feed(std::span<const std::uint8_t>(buffer, n));
       while (reader.next(frame)) {
@@ -282,126 +229,94 @@ void SigtestServer::reader_loop(std::shared_ptr<Session> session) {
       }
     }
   } catch (const ProtocolError&) {
-    // Malformed peer: drop this connection, nothing else. The admitted
-    // lots it already queued still complete and flush below.
+    // Malformed peer: drop this connection, nothing else. Its admitted
+    // lots have already completed: this thread ran them.
     STF_COUNT("svc.protocol_errors");
   } catch (const SocketError&) {
     STF_COUNT("svc.transport_errors");
   }
-  session->wait_drained();
-  admission_.release_client(session->id);
+  admission_.release_client();
 }
 
-void SigtestServer::handle_request(const std::shared_ptr<Session>& session,
+// decode_request has validated every field, and the session is the calling
+// reader's own; process_lot restates the ranges it relies on.
+// stf-analyze: allow(api-contract) -- inputs validated by decode_request
+void SigtestServer::handle_request(Session& session,
                                    const LotRequest& request) {
-  STF_REQUIRE(session != nullptr, "handle_request: null session");
   STF_COUNT("svc.requests");
   // The replay key is the canonical request encoding; decode -> encode is
-  // the identity for well-formed requests.
+  // the identity for well-formed requests. A duplicate on this connection
+  // is read only after its first run has finished, so it lands here too.
   const std::vector<std::uint8_t> encoded = stf::net::encode_request(request);
   const std::string key(encoded.begin(), encoded.end());
   if (const auto frames = replay_.find(key)) {
     STF_COUNT("svc.replays");
-    session->send_frames(*frames);
-    return;
-  }
-  if (session->is_inflight(request.request_id)) {
-    // Same-session duplicate while the lot is still running: the answer is
-    // already on its way; answering twice would duplicate dispositions.
-    STF_COUNT("svc.duplicates_dropped");
+    session.send_frames(*frames);
     return;
   }
   if (stopping_.load()) {
-    send_reject(session, request.request_id, RejectCode::kShuttingDown,
-                "server draining");
+    session.send_reject(request.request_id, RejectCode::kShuttingDown,
+                        "server draining");
     return;
   }
 
-  Work work;
-  work.session = session;
-  work.request = request;
-  work.replay_key = key;
+  ScenarioSpec scenario;
+  stf::rf::FaultInjector faults;  // empty() == clean tester
   try {
-    work.scenario = parse_scenario(request.scenario);
+    scenario = parse_scenario(request.scenario);
     if (!request.fault_spec.empty())
-      work.faults = stf::rf::FaultInjector::parse(request.fault_spec);
+      faults = stf::rf::FaultInjector::parse(request.fault_spec);
   } catch (const std::invalid_argument& e) {
     STF_COUNT("svc.bad_requests");
-    send_reject(session, request.request_id, RejectCode::kBadRequest,
-                clipped_message(e.what()));
+    session.send_reject(request.request_id, RejectCode::kBadRequest,
+                        clipped_message(e.what()));
     return;
   }
 
-  const RejectCode admitted =
-      admission_.admit_lot(session->id, now_us());
+  const RejectCode admitted = admission_.admit_lot(now_us());
   if (admitted != RejectCode::kNone) {
     STF_COUNT("svc.shed");
-    send_reject(session, request.request_id, admitted,
-                "admission shed: rate or inflight cap");
+    session.send_reject(request.request_id, admitted,
+                        "admission shed: rate limit or full wait line");
     return;
   }
-
-  session->add_inflight(request.request_id);
-  const std::uint64_t request_id = request.request_id;
-  switch (queue_->try_push(std::move(work))) {
-    case stf::core::PushResult::kAccepted:
-      return;
-    case stf::core::PushResult::kFull:
-      STF_COUNT("svc.shed_queue_full");
-      admission_.complete_lot(session->id);
-      session->finish_inflight(request_id);
-      send_reject(session, request_id, RejectCode::kShedOverload,
-                  "work queue full");
-      return;
-    case stf::core::PushResult::kClosed:
-      admission_.complete_lot(session->id);
-      session->finish_inflight(request_id);
-      send_reject(session, request_id, RejectCode::kShuttingDown,
-                  "server draining");
-      return;
+  Frames frames;
+  bool computed = false;
+  try {
+    frames = process_lot(request, scenario, faults);
+    computed = true;
+  } catch (const std::exception& e) {
+    // A lot that fails to materialize (population build OOM, contract
+    // failure surfaced as an exception) is answered, not dropped.
+    STF_COUNT("svc.lot_failures");
+    frames = {stf::net::encode_reject({request.request_id,
+                                       RejectCode::kBadRequest,
+                                       clipped_message(e.what())})};
   }
+  // The slot goes before the send: a stalled client holds none.
+  admission_.complete_lot();
+  // Only computed lots enter the replay cache: caching the reject of a
+  // transient failure would replay a permanent-looking kBadRequest at
+  // every retry of that request until LRU eviction. A retried failure
+  // re-admits and recomputes instead.
+  if (computed) replay_.put(key, std::make_shared<const Frames>(frames));
+  session.send_frames(frames);
+  lots_completed_.fetch_add(1);
 }
 
-void SigtestServer::worker_loop() {
-  Work work;
-  while (queue_->pop(work)) {
-    std::vector<std::vector<std::uint8_t>> frames;
-    bool computed = false;
-    try {
-      frames = process_lot(work);
-      computed = true;
-    } catch (const std::exception& e) {
-      // A lot that fails to materialize (population build OOM, contract
-      // failure surfaced as an exception) is answered, not dropped.
-      STF_COUNT("svc.lot_failures");
-      frames.push_back(stf::net::encode_reject(
-          {work.request.request_id, RejectCode::kBadRequest,
-           clipped_message(e.what())}));
-    }
-    // Only computed lots enter the replay cache: caching the reject of a
-    // transient failure would replay a permanent-looking kBadRequest at
-    // every retry of that request until LRU eviction. A retried failure
-    // re-admits and recomputes instead.
-    if (computed)
-      replay_.put(work.replay_key, std::make_shared<const Frames>(frames));
-    work.session->send_frames(frames);
-    admission_.complete_lot(work.session->id);
-    work.session->finish_inflight(work.request.request_id);
-    lots_completed_.fetch_add(1);
-    work = Work();  // drop the session reference before the next pop blocks
-  }
-}
-
-std::vector<std::vector<std::uint8_t>> SigtestServer::process_lot(
-    const Work& work) {
-  STF_REQUIRE(work.session != nullptr, "process_lot: work has no session");
+SigtestServer::Frames SigtestServer::process_lot(
+    const LotRequest& request, const ScenarioSpec& scenario,
+    const stf::rf::FaultInjector& faults) {
+  STF_REQUIRE(request.lot_size >= 1 &&
+                  request.lot_size <= stf::net::kMaxLotSize &&
+                  request.batch >= 1,
+              "process_lot: lot_size or batch out of range");
   STF_TRACE_SPAN("svc.lot");
-  const LotRequest& request = work.request;
   const auto population = populations_.get_or_build(
-      work.scenario.canonical() + ":n=" + std::to_string(request.lot_size),
+      scenario.canonical() + ":n=" + std::to_string(request.lot_size),
       [&] {
         return std::make_shared<const std::vector<stf::rf::DeviceRecord>>(
-            build_population(work.scenario, request.lot_size));
+            build_population(scenario, request.lot_size));
       });
 
   // The determinism contract's server side: base rng from the request
@@ -416,14 +331,14 @@ std::vector<std::vector<std::uint8_t>> SigtestServer::process_lot(
   // Holding the shared_ptr pins the runtime for this lot even if the
   // registry LRU evicts the scenario mid-flight.
   std::shared_ptr<const stf::sigtest::TestCell> runtime = runtime_;
-  if (registry_ != nullptr) runtime = registry_->get(work.scenario);
+  if (registry_ != nullptr) runtime = registry_->get(scenario);
   stf::sigtest::BatchOptions batch = runtime->options();
   batch.batch_size = request.batch;
   const stf::sigtest::LotResult result = runtime->test_lot(
       lot, stf::stats::Rng(request.seed),
-      work.faults.empty() ? nullptr : &work.faults, 0, batch);
+      faults.empty() ? nullptr : &faults, 0, batch);
 
-  std::vector<std::vector<std::uint8_t>> frames;
+  Frames frames;
   frames.reserve(result.dispositions.size() / kChunkDevices + 2);
   for (std::uint32_t first = 0; first < result.dispositions.size();
        first += kChunkDevices) {
@@ -451,14 +366,6 @@ std::vector<std::vector<std::uint8_t>> SigtestServer::process_lot(
   // hook: a trace shows exactly when lots moved to a new version).
   STF_RECORD("svc.model_version", static_cast<double>(result.model_version));
   return frames;
-}
-
-void SigtestServer::send_reject(const std::shared_ptr<Session>& session,
-                                std::uint64_t request_id, RejectCode code,
-                                const std::string& message) {
-  std::vector<std::vector<std::uint8_t>> frames;
-  frames.push_back(stf::net::encode_reject({request_id, code, message}));
-  session->send_frames(frames);
 }
 
 }  // namespace stf::service

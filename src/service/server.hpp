@@ -2,28 +2,30 @@
 // framework. Accepts framed lot requests (net/frame.hpp) from concurrent
 // clients and multiplexes them onto one shared sigtest::TestCell.
 //
-// Thread structure (all I/O threads; device testing itself happens inside
-// TestCell::test_lot, which the lot workers run on the shared
-// parallel_for pool, taking turns like any other pool caller):
+// Thread structure (device testing itself happens inside
+// TestCell::test_lot, which takes turns on the shared parallel_for pool
+// like any other pool caller):
 //
-//   accept thread   -- admits connections (kTooManyClients past the cap)
-//                      and spawns one reader per session
-//   reader threads  -- reassemble frames, validate + admit requests, and
-//                      feed a BoundedQueue<Work>; try_push, never push, so
-//                      a full queue is a typed kShedOverload, not a hang
-//   worker threads  -- pop lots, run TestCell::test_lot, stream the
-//                      disposition chunks back under the session's write
-//                      lock
+//   accept thread  -- admits connections (kTooManyClients past the cap)
+//                     and spawns one reader per session
+//   reader threads -- reassemble frames, validate + admit requests, run
+//                     each admitted lot and send its disposition chunks
+//                     back. A session's requests run one at a time, in
+//                     arrival order; admission (service/admission.hpp)
+//                     lets `worker_threads` lots compute at once and
+//                     `work_queue_capacity` more wait for a slot, and
+//                     sheds the rest with a typed kShedOverload
 //
 // Robustness contract:
-//   * Overload always answers: rate limit, per-client cap, queue-full and
-//     connection cap each produce a typed Reject; memory stays bounded by
-//     the queue capacity, the replay cache cap and the population LRU.
+//   * Overload always answers: rate limit, full wait line and connection
+//     cap each produce a typed Reject; memory stays bounded by the compute
+//     slots, the wait line, the replay cache cap and the population LRU.
 //   * Malformed bytes (ProtocolError) drop that connection only.
 //   * Idempotent retry: a finished request's response frames are cached
 //     (keyed by the full encoded request, so a colliding request_id with
 //     different parameters can never replay the wrong lot) and replayed
-//     without recomputation or re-admission.
+//     without recomputation or re-admission. A duplicate on the same
+//     connection is read after its first run has finished, so it replays.
 //   * stop() drains: admitted lots complete and their dispositions flush
 //     before the sockets close; nothing is lost or duplicated.
 //
@@ -46,8 +48,8 @@
 
 #include "core/annotations.hpp"
 #include "core/lru_cache.hpp"
-#include "core/pipeline.hpp"
 #include "net/socket.hpp"
+#include "rf/faults.hpp"
 #include "service/admission.hpp"
 #include "service/registry.hpp"
 #include "service/scenario.hpp"
@@ -62,8 +64,8 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read the choice via port().
   AdmissionPolicy admission;
-  std::size_t work_queue_capacity = 8;  ///< Lots queued across all clients.
-  std::size_t worker_threads = 2;
+  std::size_t work_queue_capacity = 8;  ///< Lots waiting for a compute slot.
+  std::size_t worker_threads = 2;       ///< Lots computing at once.
   std::size_t population_cache_entries = 4;  ///< Populations kept.
   int poll_interval_ms = 50;   ///< Accept/reader wakeup cadence.
   int send_timeout_ms = 10000; ///< Bound on a stalled client's write path.
@@ -79,7 +81,7 @@ class SigtestServer {
  public:
   /// The runtime must already be calibrated and must outlive the server
   /// (shared_ptr enforces it). It is shared state: test_lot is const and
-  /// reentrant, which is what lets workers run lots concurrently.
+  /// reentrant, which is what lets readers run lots concurrently.
   SigtestServer(std::shared_ptr<const stf::sigtest::TestCell> runtime,
                 ServerConfig config = {});
 
@@ -94,12 +96,12 @@ class SigtestServer {
   SigtestServer(const SigtestServer&) = delete;
   SigtestServer& operator=(const SigtestServer&) = delete;
 
-  /// Bind, then spawn workers + accept loop. Throws net::SocketError when
-  /// the port is taken. Call at most once.
+  /// Bind, then spawn the accept loop. Throws net::SocketError when the
+  /// port is taken. Call at most once.
   void start();
 
   /// Graceful drain (idempotent): stop accepting, let every admitted lot
-  /// complete and flush, join every thread, then close the sockets.
+  /// complete and flush, then join the readers, which close their sockets.
   void stop();
 
   /// The bound port (valid after start(); ephemeral binds resolved).
@@ -116,7 +118,6 @@ class SigtestServer {
 
  private:
   struct Session;
-  struct Work;
   /// One finished lot's response frames.
   using Frames = std::vector<std::vector<std::uint8_t>>;
 
@@ -133,16 +134,14 @@ class SigtestServer {
   /// the accept loop each wakeup, so a long-lived server never accumulates
   /// exited-but-unjoined thread handles).
   void reap_finished_readers();
-  void reader_loop(std::shared_ptr<Session> session);
-  void worker_loop();
-  void handle_request(const std::shared_ptr<Session>& session,
-                      const stf::net::LotRequest& request);
+  void reader_loop(Session& session);
+  /// Answer one request: replay, reject, or admit, compute and send it.
+  void handle_request(Session& session, const stf::net::LotRequest& request);
   /// Compute one lot and encode its response frames (dispositions chunks +
   /// completion marker).
-  std::vector<std::vector<std::uint8_t>> process_lot(const Work& work);
-  void send_reject(const std::shared_ptr<Session>& session,
-                   std::uint64_t request_id, stf::net::RejectCode code,
-                   const std::string& message);
+  Frames process_lot(const stf::net::LotRequest& request,
+                     const ScenarioSpec& scenario,
+                     const stf::rf::FaultInjector& faults);
   /// The shared tail of both public constructors; exactly one of
   /// runtime/registry must be non-null.
   SigtestServer(std::shared_ptr<const stf::sigtest::TestCell> runtime,
@@ -159,15 +158,12 @@ class SigtestServer {
   /// alone could collide across parameters and replay the wrong lot.
   stf::core::LruCache<const Frames> replay_;
   std::unique_ptr<stf::net::Listener> listener_;
-  std::unique_ptr<stf::core::BoundedQueue<Work>> queue_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> lots_completed_{0};
-  std::atomic<std::uint64_t> next_client_id_{0};
 
   std::thread accept_thread_;
-  std::vector<std::thread> workers_;
   mutable stf::core::Mutex readers_mutex_;
   std::vector<ReaderSlot> readers_ STF_GUARDED_BY(readers_mutex_);
 };

@@ -236,7 +236,6 @@ TEST_F(ServiceTest, ConcurrentClientsAreBitIdenticalAtAnyInterleaving) {
     ThreadCountGuard guard(4);
     service::ServerConfig config = fast_config();
     config.work_queue_capacity = 16;  // no shedding in this test
-    config.admission.per_client_inflight_cap = 4;
     service::SigtestServer server(world().runtime, config);
     server.start();
     std::vector<net::ClientLotResult> results(n_clients);
@@ -310,6 +309,63 @@ TEST_F(ServiceTest, DuplicateRequestIdReplaysInsteadOfRecomputing) {
   // Counter is final once stop() has joined the workers: one computation.
   server.stop();
   EXPECT_EQ(server.lots_completed(), 1u) << "replay recomputed the lot";
+}
+
+TEST_F(ServiceTest, SameConnectionDuplicateIsAnsweredFromTheReplayCache) {
+  // The `dup` transport fault: one request sent twice, back to back, on one
+  // connection. The reader runs the first copy before it reads the second,
+  // so the second replays the first's frames.
+  ThreadCountGuard guard(4);
+  const CountersOn counters;
+  service::SigtestServer server(world().runtime, fast_config());
+  server.start();
+  net::Socket raw = net::connect_to("127.0.0.1", server.port(), 2000);
+  const std::vector<std::uint8_t> request =
+      net::encode_request(request_for(9, 9001));
+  std::vector<std::uint8_t> bytes = request;
+  bytes.insert(bytes.end(), request.begin(), request.end());
+  raw.send_all(bytes);
+
+  net::FrameReader reader;
+  std::uint8_t buffer[4096];
+  // One answer: the dispositions chunks in order, up to the LotDone.
+  const auto read_answer = [&] {
+    std::vector<sigtest::TestDisposition> served;
+    net::Frame frame;
+    for (;;) {
+      while (reader.next(frame)) {
+        if (frame.type == net::FrameType::kLotDone) return served;
+        if (frame.type != net::FrameType::kDispositions) {
+          ADD_FAILURE() << "unexpected frame type "
+                        << static_cast<int>(frame.type);
+          return served;
+        }
+        const auto chunk = net::decode_dispositions(frame.payload);
+        EXPECT_EQ(chunk.first_index, served.size());
+        served.insert(served.end(), chunk.dispositions.begin(),
+                      chunk.dispositions.end());
+      }
+      if (!raw.wait_readable(30000)) {
+        ADD_FAILURE() << "no complete answer within 30 s";
+        return served;
+      }
+      const std::size_t n = raw.recv_some(buffer);
+      if (n == 0) {
+        ADD_FAILURE() << "server closed the connection";
+        return served;
+      }
+      reader.feed(std::span<const std::uint8_t>(buffer, n));
+    }
+  };
+  const auto reference = serial_reference(9001, nullptr);
+  expect_identical(reference, read_answer(), "first copy");
+  expect_identical(reference, read_answer(), "second copy");
+  raw.close();
+  server.stop();
+  EXPECT_EQ(server.lots_completed(), 1u) << "the duplicate was recomputed";
+  if (core::telemetry::compiled()) {
+    EXPECT_EQ(counters.count("svc.replays"), 1u);
+  }
 }
 
 TEST_F(ServiceTest, OverloadShedsTypedAndAdmittedLotsStillComplete) {
@@ -689,27 +745,77 @@ TEST(AdmissionTest, TokenBucketClockRewindMintsNoPhantomTokens) {
   EXPECT_TRUE(strict.try_acquire(6'000'000));
 }
 
-TEST(AdmissionTest, PerClientCapAndClientSlotsAreTypedAndReleasable) {
+TEST(AdmissionTest, ClientSlotsAreTypedAndReleasable) {
   service::AdmissionPolicy policy;
-  policy.per_client_inflight_cap = 2;
   policy.max_clients = 2;
-  service::AdmissionController admission(policy);
+  service::AdmissionController admission(policy, 1, 1);
   EXPECT_TRUE(admission.try_admit_client());   // client 1
   EXPECT_TRUE(admission.try_admit_client());   // client 2
   EXPECT_FALSE(admission.try_admit_client());  // cap
-  EXPECT_EQ(admission.admit_lot(1, 0), net::RejectCode::kNone);
-  EXPECT_EQ(admission.admit_lot(1, 0), net::RejectCode::kNone);
-  EXPECT_EQ(admission.admit_lot(1, 0), net::RejectCode::kShedOverload);
-  EXPECT_EQ(admission.admit_lot(2, 0), net::RejectCode::kNone);
-  EXPECT_EQ(admission.inflight(), 3u);
-  admission.complete_lot(1);
-  EXPECT_EQ(admission.admit_lot(1, 0), net::RejectCode::kNone);
-  admission.complete_lot(1);
-  admission.complete_lot(1);
-  admission.complete_lot(2);
-  EXPECT_EQ(admission.inflight(), 0u);
-  admission.release_client(1);
+  EXPECT_EQ(admission.clients(), 2u);
+  admission.release_client();
   EXPECT_TRUE(admission.try_admit_client());  // the slot came back
+}
+
+/// admit_lot on its own thread: `started` is set once it returns kNone.
+class WaitingLot {
+ public:
+  explicit WaitingLot(service::AdmissionController& admission)
+      : thread_([this, &admission] {
+          code_ = admission.admit_lot(0);
+          started_.store(true);
+        }) {}
+  ~WaitingLot() { thread_.join(); }
+  WaitingLot(const WaitingLot&) = delete;
+  WaitingLot& operator=(const WaitingLot&) = delete;
+
+  bool started() const { return started_.load(); }
+  /// Valid once started() is true.
+  net::RejectCode code() const { return code_; }
+
+ private:
+  std::atomic<bool> started_{false};
+  net::RejectCode code_ = net::RejectCode::kShedOverload;
+  std::thread thread_;
+};
+
+TEST(AdmissionTest, FullComputeSlotsMakeLotsWaitAndAFullWaitLineSheds) {
+  const CountersOn counters;
+  service::AdmissionController admission(service::AdmissionPolicy{}, 1, 1);
+  EXPECT_EQ(admission.admit_lot(0), net::RejectCode::kNone);  // computes
+  WaitingLot second(admission);
+  ASSERT_TRUE(eventually([&] { return admission.inflight() == 2; }));
+  EXPECT_FALSE(second.started());
+  // One computing, one waiting: the third finds the wait line full.
+  EXPECT_EQ(admission.admit_lot(0), net::RejectCode::kShedOverload);
+  EXPECT_FALSE(second.started());
+  admission.complete_lot();
+  ASSERT_TRUE(eventually([&] { return second.started(); }));
+  EXPECT_EQ(second.code(), net::RejectCode::kNone);
+  EXPECT_EQ(admission.inflight(), 1u);
+  admission.complete_lot();
+  EXPECT_EQ(admission.inflight(), 0u);
+  if (core::telemetry::compiled()) {
+    EXPECT_EQ(CountersOn::count("svc.shed_queue_full"), 1u);
+  }
+}
+
+TEST(AdmissionTest, WaitingLotsGetSlotsInArrivalOrder) {
+  service::AdmissionController admission(service::AdmissionPolicy{}, 1, 2);
+  EXPECT_EQ(admission.admit_lot(0), net::RejectCode::kNone);
+  WaitingLot second(admission);
+  ASSERT_TRUE(eventually([&] { return admission.inflight() == 2; }));
+  WaitingLot third(admission);
+  ASSERT_TRUE(eventually([&] { return admission.inflight() == 3; }));
+  admission.complete_lot();
+  ASSERT_TRUE(eventually([&] { return second.started(); }));
+  // The slot went to the older waiter; the younger one still waits.
+  EXPECT_FALSE(third.started());
+  EXPECT_EQ(admission.inflight(), 2u);
+  admission.complete_lot();
+  ASSERT_TRUE(eventually([&] { return third.started(); }));
+  admission.complete_lot();
+  EXPECT_EQ(admission.inflight(), 0u);
 }
 
 TEST(ScenarioTest, ParsesTheGrammarAndRejectsGarbageTyped) {

@@ -31,8 +31,8 @@ Rule registry (see DESIGN.md "Static analysis contract" for how to add one):
     test-coverage     every src/<mod>/<name>.cpp is referenced from tests/
     raw-thread        no std::thread/std::async/pthread_create outside
                       src/core/ (the pool owns every worker thread) and
-                      src/service/ (whose I/O threads move bytes but never
-                      compute dispositions)
+                      src/service/ (whose accept and reader threads are
+                      bounded by its connection cap and compute slots)
     no-empty-catch    no empty `catch (...) {}` outside src/core/
     blocking-io-confinement
                       raw socket/poll syscalls (and their headers) only in
@@ -437,9 +437,11 @@ def check_raw_threads(ctx: Context):
     The parallel execution core owns every worker thread in the process;
     threading elsewhere would bypass STF_THREADS, the nested-region inlining
     that prevents pool deadlock, and the determinism contract. The service
-    layer is the second sanctioned home: its accept/reader/worker threads
-    move bytes and queue work but never compute a disposition themselves --
-    every lot still runs through TestCell::test_lot on the core pool.
+    layer is the second sanctioned home: one accept thread and one reader
+    per session, capped by max_clients. A reader runs its session's lots
+    through TestCell::test_lot, which dispatches onto the core pool like
+    any other caller, and the admission gate's compute slots bound how many
+    lots run at once.
     """
     for f in ctx.files:
         if f.in_dir("core") or f.in_dir("service"):
