@@ -2,8 +2,8 @@
 //
 // The paper draws device instances with every statistical parameter
 // uniformly distributed within +/-20% of nominal (Section 4.1). These
-// helpers generate such populations, plus Latin hypercube designs for more
-// uniform coverage at small sample counts (used for sensitivity estimation).
+// helpers generate such populations. sample_matrix and the Latin hypercube
+// design have no caller outside their own tests.
 #pragma once
 
 #include <cstddef>
