@@ -77,53 +77,4 @@ FlowResult run_production_flow(
   return r;
 }
 
-TwoStageResult run_two_stage_flow(
-    const std::vector<std::vector<double>>& truth,
-    const std::vector<std::vector<double>>& wafer_predicted,
-    const std::vector<std::vector<double>>& final_predicted,
-    const std::vector<SpecLimit>& limits, const TwoStageCosts& costs,
-    double wafer_guard, double final_guard) {
-  STF_REQUIRE(!(truth.size() != wafer_predicted.size() || truth.size() != final_predicted.size()),
-              "run_two_stage_flow: device count mismatch");
-  STF_REQUIRE(!limits.empty(), "run_two_stage_flow: no limits");
-  STF_REQUIRE(!(wafer_guard < 0.0 || final_guard < 0.0),
-              "run_two_stage_flow: negative guard band");
-
-  auto passes_all = [&](const std::vector<double>& specs, double guard) {
-    STF_REQUIRE(specs.size() == limits.size(),
-                "run_two_stage_flow: spec size mismatch");
-    for (std::size_t s = 0; s < limits.size(); ++s) {
-      SpecLimit l = limits[s];
-      l.lower += guard;
-      l.upper -= guard;
-      if (!l.passes(specs[s])) return false;
-    }
-    return true;
-  };
-
-  TwoStageResult r;
-  r.dies = static_cast<int>(truth.size());
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    const bool truly_good = passes_all(truth[i], 0.0);
-    const bool wafer_pass = passes_all(wafer_predicted[i], wafer_guard);
-
-    // Two-stage: screen, package survivors, final-test them.
-    r.cost_two_stage += costs.wafer_test_usd;
-    if (wafer_pass) {
-      ++r.packaged;
-      r.cost_two_stage += costs.package_usd + costs.final_test_usd;
-      if (passes_all(final_predicted[i], final_guard)) {
-        ++r.shipped;
-        if (!truly_good) ++r.shipped_bad;
-      }
-    } else if (truly_good) {
-      ++r.good_scrapped_at_wafer;
-    }
-
-    // Reference: package everything, final test decides.
-    r.cost_final_only += costs.package_usd + costs.final_test_usd;
-  }
-  return r;
-}
-
 }  // namespace stf::ate

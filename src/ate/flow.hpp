@@ -61,35 +61,4 @@ FlowResult run_production_flow(
     const std::vector<stf::sigtest::TestDisposition>& lot,
     const std::vector<SpecLimit>& limits, double guard_band = 0.0);
 
-/// Economics of the paper's "test earlier" strategy (Section 1): a cheap
-/// wafer-level signature screen discards gross fails before packaging, and
-/// final test decides shipping.
-struct TwoStageCosts {
-  double package_usd = 0.30;     ///< Assembly cost per packaged die.
-  double wafer_test_usd = 0.01;  ///< Signature screen per die.
-  double final_test_usd = 0.05;  ///< Final test per packaged part.
-};
-
-struct TwoStageResult {
-  int dies = 0;            ///< Total dies entering the flow.
-  int packaged = 0;        ///< Dies passing the wafer screen.
-  int shipped = 0;         ///< Parts passing final test.
-  int good_scrapped_at_wafer = 0;  ///< Yield loss of the wafer screen.
-  int shipped_bad = 0;     ///< Test escapes after both stages.
-  double cost_two_stage = 0.0;  ///< Total cost with the wafer screen.
-  double cost_final_only = 0.0; ///< Total cost packaging everything.
-
-  double cost_saved() const { return cost_final_only - cost_two_stage; }
-};
-
-/// Run the two-stage flow. wafer_predicted drives the pre-package screen
-/// (with wafer_guard); final_predicted drives the ship decision (with
-/// final_guard). Device i is skipped at final if scrapped at wafer.
-TwoStageResult run_two_stage_flow(
-    const std::vector<std::vector<double>>& truth,
-    const std::vector<std::vector<double>>& wafer_predicted,
-    const std::vector<std::vector<double>>& final_predicted,
-    const std::vector<SpecLimit>& limits, const TwoStageCosts& costs,
-    double wafer_guard = 0.0, double final_guard = 0.0);
-
 }  // namespace stf::ate

@@ -1,6 +1,8 @@
 #include "core/env.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -55,6 +57,21 @@ std::uint64_t parse_u64(const std::string& name, const std::string& text,
     throw std::invalid_argument(
         name + ": value out of range [" + std::to_string(min_value) + ", " +
         std::to_string(max_value) + "]: \"" + text + "\"");
+  return value;
+}
+
+double parse_double(const std::string& name, const std::string& text) {
+  // std::from_chars, not std::stod: stod honors the process locale, so under
+  // de_DE.UTF-8 it would reject "0.2", and it throws std::out_of_range on
+  // "1e999" and on subnormals such as "1e-320", which a caller that catches
+  // std::invalid_argument lets escape.
+  double value = 0.0;
+  const char* first = text.data();
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || ptr != last || !std::isfinite(value))
+    throw std::invalid_argument(name + ": expected a finite decimal number, "
+                                "got \"" + text + "\"");
   return value;
 }
 

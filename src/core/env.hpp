@@ -34,6 +34,13 @@ namespace stf::core::env {
 std::uint64_t parse_u64(const std::string& name, const std::string& text,
                         std::uint64_t min_value, std::uint64_t max_value);
 
+/// Locale-independent parse of all of `text` as a finite double, through
+/// std::from_chars: '.' is the decimal point whatever the process locale,
+/// and no whitespace, sign prefix '+' or trailing character is accepted.
+/// Throws std::invalid_argument naming `name` on garbage, on a value
+/// outside the double range, and on inf or nan.
+double parse_double(const std::string& name, const std::string& text);
+
 /// Boolean flag parse: {0, off, false, no} -> false and {1, on, true, yes}
 /// -> true, case-insensitive, surrounding whitespace ignored. Anything else
 /// throws std::invalid_argument naming `name`.

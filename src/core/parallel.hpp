@@ -1,5 +1,5 @@
 // Parallel execution core: a lazily-initialized thread pool behind
-// parallel_for / parallel_map.
+// parallel_for.
 //
 // The framework's hot loops (GA population evaluation, perturbation-set
 // sensitivities, Monte-Carlo characterization, per-spec regression fits) are
@@ -29,9 +29,6 @@
 #include <cstddef>
 #include <functional>
 #include <string>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace stf::core {
 
@@ -70,19 +67,5 @@ bool in_parallel_region() noexcept;
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain = 0);
-
-/// Evaluate fn(i) for i in [0, n) in parallel and return the results in
-/// index order. T must be default-constructible; each slot is written
-/// exactly once by its own index.
-template <class Fn>
-auto parallel_map(std::size_t n, Fn&& fn, std::size_t grain = 0) {
-  using T = std::decay_t<decltype(fn(std::size_t{0}))>;
-  static_assert(std::is_default_constructible_v<T>,
-                "parallel_map: result type must be default-constructible");
-  std::vector<T> out(n);
-  parallel_for(
-      0, n, [&out, &fn](std::size_t i) { out[i] = fn(i); }, grain);
-  return out;
-}
 
 }  // namespace stf::core

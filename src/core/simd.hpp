@@ -3,7 +3,7 @@
 // Every vector kernel in the repo is written against this one header: a
 // fixed-width pack of doubles (VecD) with the handful of lane operations the
 // DSP kernels need (arithmetic, IEEE sqrt/div, pair swaps for interleaved
-// complex data, addsub for complex multiplies, deinterleave, strided loads
+// complex data, addsub for complex multiplies, strided loads
 // and stores for device-interleaved buffers, and the absolute value,
 // less-or-equal mask and per-lane blend that a batched Jacobi sweep needs
 // to mask one lane's skipped rotation), and a pack of as many
@@ -150,18 +150,6 @@ inline VecD dup_odd(VecD a) noexcept {
 /// Even lanes a-b, odd lanes a+b (the complex-multiply cross term).
 inline VecD addsub(VecD a, VecD b) noexcept {
   return {_mm256_addsub_pd(a.v, b.v)};
-}
-/// Negate odd lanes: conjugates (re, im) pairs by flipping the sign bit.
-inline VecD conj_pairs(VecD a) noexcept {
-  return {_mm256_xor_pd(a.v, _mm256_set_pd(-0.0, 0.0, -0.0, 0.0))};
-}
-/// Split two interleaved vectors into even lanes and odd lanes:
-/// (a,b) = [x0 x1 x2 x3][x4 x5 x6 x7] -> ev = [x0 x2 x4 x6], od = odds.
-inline void deinterleave(VecD a, VecD b, VecD& ev, VecD& od) noexcept {
-  const __m256d lo = _mm256_unpacklo_pd(a.v, b.v);  // [x0 x4 x2 x6]
-  const __m256d hi = _mm256_unpackhi_pd(a.v, b.v);  // [x1 x5 x3 x7]
-  ev = {_mm256_permute4x64_pd(lo, 0b11011000)};
-  od = {_mm256_permute4x64_pd(hi, 0b11011000)};
 }
 
 /// Lanes from p[0], p[stride], p[2 * stride], ... and back: element j of
@@ -311,13 +299,6 @@ inline VecD addsub(VecD a, VecD b) noexcept {
   const __m128d flip = _mm_set_pd(0.0, -0.0);
   return {_mm_add_pd(a.v, _mm_xor_pd(b.v, flip))};
 }
-inline VecD conj_pairs(VecD a) noexcept {
-  return {_mm_xor_pd(a.v, _mm_set_pd(-0.0, 0.0))};
-}
-inline void deinterleave(VecD a, VecD b, VecD& ev, VecD& od) noexcept {
-  ev = {_mm_unpacklo_pd(a.v, b.v)};
-  od = {_mm_unpackhi_pd(a.v, b.v)};
-}
 
 inline VecD load_strided(const double* p, std::size_t stride) noexcept {
   return {_mm_setr_pd(p[0], p[stride])};
@@ -429,15 +410,6 @@ inline VecD addsub(VecD a, VecD b) noexcept {
       veorq_u64(vreinterpretq_u64_f64(b.v), flip));
   return {vaddq_f64(a.v, nb)};
 }
-inline VecD conj_pairs(VecD a) noexcept {
-  const uint64x2_t flip = {0, 0x8000000000000000ULL};
-  return {vreinterpretq_f64_u64(
-      veorq_u64(vreinterpretq_u64_f64(a.v), flip))};
-}
-inline void deinterleave(VecD a, VecD b, VecD& ev, VecD& od) noexcept {
-  ev = {vuzp1q_f64(a.v, b.v)};
-  od = {vuzp2q_f64(a.v, b.v)};
-}
 
 inline VecD load_strided(const double* p, std::size_t stride) noexcept {
   return {float64x2_t{p[0], p[stride]}};
@@ -531,11 +503,6 @@ inline VecD swap_pairs(VecD a) noexcept { return a; }
 inline VecD dup_even(VecD a) noexcept { return a; }
 inline VecD dup_odd(VecD a) noexcept { return a; }
 inline VecD addsub(VecD a, VecD b) noexcept { return {a.v - b.v}; }
-inline VecD conj_pairs(VecD a) noexcept { return a; }
-inline void deinterleave(VecD a, VecD b, VecD& ev, VecD& od) noexcept {
-  ev = a;
-  od = b;
-}
 
 inline VecD load_strided(const double* p, std::size_t) noexcept {
   return {*p};

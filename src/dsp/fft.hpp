@@ -2,15 +2,14 @@
 //
 // The signature itself is the magnitude of the FFT of the demodulated
 // baseband response (paper Section 2.1, Fig. 3) -- taking the magnitude
-// removes the path-length phase term of Eq. 5. An iterative radix-2
-// Cooley-Tukey kernel handles power-of-two sizes; Bluestein's chirp-z
-// algorithm extends it to arbitrary lengths so capture windows need not be
-// padded.
+// removes the path-length phase term of Eq. 5. The tester zero-pads every
+// capture to a power of two, so one forward iterative radix-2 Cooley-Tukey
+// kernel is the only transform it runs.
 //
-// Per-size precomputes (twiddle tables, bit-reversal permutations, Bluestein
-// chirp and convolution spectra) live in a process-wide, thread-safe plan
-// cache: production runs transform the same capture length thousands of
-// times, so the setup cost is paid once per size, not per call.
+// Per-size precomputes (twiddle tables, bit-reversal permutations) live in a
+// process-wide, thread-safe plan cache: production runs transform the same
+// capture length thousands of times, so the setup cost is paid once per
+// size, not per call.
 #pragma once
 
 #include <complex>
@@ -28,20 +27,10 @@ bool is_pow2(std::size_t n);
 /// Smallest power of two >= n.
 std::size_t next_pow2(std::size_t n);
 
-/// Forward DFT: X[k] = sum_n x[n] exp(-j 2 pi k n / N).
-/// Works for any length (radix-2 fast path, Bluestein otherwise).
-std::vector<cplx> fft(const std::vector<cplx>& x);
-
-/// Inverse DFT with 1/N normalization (ifft(fft(x)) == x).
-std::vector<cplx> ifft(const std::vector<cplx>& x);
-
-/// Forward DFT of a real signal; returns the full complex spectrum.
-std::vector<cplx> fft_real(const std::vector<double>& x);
-
-/// In-place forward DFT of a power-of-two-length buffer. Allocation-free
-/// (the plan comes from the cache, scratch is the caller's buffer), so the
-/// per-device signature path can run out of arena memory. Same results as
-/// fft() on the same data.
+/// In-place forward DFT X[k] = sum_n x[n] exp(-j 2 pi k n / N) of a
+/// power-of-two-length buffer. Allocation-free (the plan comes from the
+/// cache, scratch is the caller's buffer), so the per-device signature path
+/// can run out of arena memory.
 void fft_pow2_inplace(std::span<cplx> x);
 
 /// Signals fft_pow2_lanes() runs through one vector pass: the vector width
@@ -62,45 +51,25 @@ std::size_t fft_lane_width();
 void fft_pow2_lanes(std::span<double> re, std::span<double> im,
                     std::size_t lanes);
 
-/// Alignment (bytes) the plan cache guarantees for twiddle/chirp tables.
+/// Alignment (bytes) the plan cache guarantees for twiddle tables.
 std::size_t fft_plan_table_alignment();
 
-/// True when every cached table for size n (radix-2 twiddles, or Bluestein
-/// chirp + kernel spectrum + convolution twiddles for non-power-of-two n)
-/// starts on an fft_plan_table_alignment() boundary. Builds the plan if it
-/// is not cached yet; regression hook for the lane-alignment contract.
+/// True when the cached twiddle table for power-of-two size n starts on an
+/// fft_plan_table_alignment() boundary. Builds the plan if it is not cached
+/// yet; regression hook for the lane-alignment contract.
 bool fft_plan_tables_aligned(std::size_t n);
-
-/// Elementwise magnitudes of a complex spectrum.
-std::vector<double> magnitude(const std::vector<cplx>& x);
-
-/// Bin center frequencies for an N-point DFT at sample rate fs.
-/// Bins k <= N/2 map to k*fs/N, bins above map to negative frequencies.
-std::vector<double> fft_frequencies(std::size_t n, double fs);
 
 /// Brute-force O(N^2) DFT, used as the test oracle for the fast paths.
 std::vector<cplx> dft_reference(const std::vector<cplx>& x);
 
-/// Number of cached FFT plans (radix-2 sizes + Bluestein (size, direction)
-/// entries). Observability hook for tests and benchmarks.
+/// Number of cached FFT plans: at most one per power-of-two size, so never
+/// more than the bits of std::size_t. Observability hook for tests and
+/// benchmarks.
 std::size_t fft_plan_cache_size();
 
 /// Drop every cached plan. Exists so benchmarks can measure the cold
 /// (plan-building) path; in-flight transforms keep their plan alive, but do
 /// not call concurrently with transforms you want to stay warm.
 void fft_plan_cache_clear();
-
-/// Maximum number of cached plans (radix-2 + Bluestein entries combined).
-/// Past the cap the least-recently-used plan is evicted (counted in the
-/// "fft.plan_cache_evictions" telemetry counter), so a long-lived server
-/// sweeping many capture lengths holds a bounded working set instead of
-/// leaking plans. In-flight transforms keep an evicted plan alive through
-/// their shared_ptr. Default: 64.
-std::size_t fft_plan_cache_capacity();
-
-/// Change the plan-cache capacity (clamped to >= 1); shrinking evicts
-/// least-recently-used plans immediately. Hit behavior below the cap is
-/// unchanged.
-void fft_plan_cache_set_capacity(std::size_t capacity);
 
 }  // namespace stf::dsp

@@ -1,36 +1,11 @@
 #include "dsp/fir.hpp"
 
-#include <cmath>
-#include <numbers>
+#include <cstddef>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
 
 namespace stf::dsp {
-
-std::vector<double> design_fir_lowpass(double cutoff_hz, double fs,
-                                       std::size_t n_taps, WindowType window) {
-  STF_REQUIRE(n_taps % 2 != 0, "design_fir_lowpass: n_taps must be odd");
-  STF_REQUIRE(!(cutoff_hz <= 0.0 || cutoff_hz >= fs / 2.0),
-              "design_fir_lowpass: cutoff must be in (0, fs/2)");
-  const double fc = cutoff_hz / fs;  // Normalized cutoff (cycles/sample).
-  const auto mid = static_cast<double>(n_taps - 1) / 2.0;
-  // Symmetric window: taps must be exactly symmetric for linear phase.
-  const auto w = make_window_symmetric(window, n_taps);
-  std::vector<double> taps(n_taps);
-  for (std::size_t i = 0; i < n_taps; ++i) {
-    const double m = static_cast<double>(i) - mid;
-    const double arg = 2.0 * std::numbers::pi * fc * m;
-    const double sinc = (m == 0.0) ? 2.0 * fc
-                                   : std::sin(arg) / (std::numbers::pi * m);
-    taps[i] = sinc * w[i];
-  }
-  // Normalize to unity DC gain.
-  double sum = 0.0;
-  for (double t : taps) sum += t;
-  for (double& t : taps) t /= sum;
-  return taps;
-}
 
 namespace {
 
@@ -66,17 +41,6 @@ std::vector<std::complex<double>> fir_filter(
     const std::vector<double>& taps,
     const std::vector<std::complex<double>>& x) {
   return convolve_same(taps, x);
-}
-
-std::complex<double> fir_response(const std::vector<double>& taps, double freq,
-                                  double fs) {
-  const double dphi = -2.0 * std::numbers::pi * freq / fs;
-  std::complex<double> h{};
-  for (std::size_t k = 0; k < taps.size(); ++k) {
-    const double ang = dphi * static_cast<double>(k);
-    h += taps[k] * std::complex<double>(std::cos(ang), std::sin(ang));
-  }
-  return h;
 }
 
 }  // namespace stf::dsp

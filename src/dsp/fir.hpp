@@ -1,23 +1,15 @@
-// FIR filter design (windowed sinc) and application.
+// FIR filter application.
 //
-// The load board's anti-alias path ahead of the digitizer is modeled with a
-// linear-phase FIR lowpass; windowed-sinc design keeps the implementation
-// auditable against the textbook formula.
+// The EVM extension's QPSK chain (rf/evm) shapes and matched-filters its
+// symbols with root-raised-cosine taps (dsp/rrc) through the complex
+// fir_filter. The load board's anti-alias path is not an FIR: it is the
+// Butterworth biquad cascade in dsp/iir.
 #pragma once
 
 #include <complex>
-#include <cstddef>
 #include <vector>
 
-#include "dsp/window.hpp"
-
 namespace stf::dsp {
-
-/// Linear-phase lowpass FIR via windowed sinc.
-/// cutoff_hz is the -6 dB point; n_taps must be odd for exact linear phase.
-std::vector<double> design_fir_lowpass(double cutoff_hz, double fs,
-                                       std::size_t n_taps,
-                                       WindowType window = WindowType::kHamming);
 
 /// Convolve signal with taps, returning a same-length output with the
 /// filter's group delay compensated (suitable for measurement pipelines).
@@ -28,9 +20,5 @@ std::vector<double> fir_filter(const std::vector<double>& taps,
 std::vector<std::complex<double>> fir_filter(
     const std::vector<double>& taps,
     const std::vector<std::complex<double>>& x);
-
-/// Complex frequency response of a tap set at the given frequency.
-std::complex<double> fir_response(const std::vector<double>& taps, double freq,
-                                  double fs);
 
 }  // namespace stf::dsp

@@ -8,15 +8,12 @@
 
 namespace stf::dsp {
 
-namespace {
-
-// Shared kernel: t[i] in [0, 1) (periodic) or [0, 1] (symmetric).
-std::vector<double> window_impl(WindowType type, std::size_t n,
-                                double denominator) {
+std::vector<double> make_window(WindowType type, std::size_t n) {
+  STF_REQUIRE(n != 0, "make_window: n must be > 0");
   std::vector<double> w(n, 1.0);
   const double two_pi = 2.0 * std::numbers::pi;
   for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i) / denominator;
+    const double t = static_cast<double>(i) / static_cast<double>(n);
     switch (type) {
       case WindowType::kRect:
         w[i] = 1.0;
@@ -44,31 +41,10 @@ std::vector<double> window_impl(WindowType type, std::size_t n,
   return w;
 }
 
-}  // namespace
-
-std::vector<double> make_window(WindowType type, std::size_t n) {
-  STF_REQUIRE(n != 0, "make_window: n must be > 0");
-  return window_impl(type, n, static_cast<double>(n));
-}
-
-std::vector<double> make_window_symmetric(WindowType type, std::size_t n) {
-  STF_REQUIRE(n != 0, "make_window_symmetric: n must be > 0");
-  if (n == 1) return {1.0};
-  return window_impl(type, n, static_cast<double>(n - 1));
-}
-
 double window_gain(const std::vector<double>& w) {
   double s = 0.0;
   for (double x : w) s += x;
   return s;
-}
-
-std::vector<double> apply_window(const std::vector<double>& x,
-                                 const std::vector<double>& w) {
-  STF_REQUIRE(x.size() == w.size(), "apply_window: size mismatch");
-  std::vector<double> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i] * w[i];
-  return y;
 }
 
 }  // namespace stf::dsp

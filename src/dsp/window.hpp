@@ -17,16 +17,7 @@ enum class WindowType { kRect, kHann, kHamming, kBlackman, kFlatTop };
 /// blocks).
 std::vector<double> make_window(WindowType type, std::size_t n);
 
-/// Symmetric variant (w[i] uses i/(n-1), so w[0] == w[n-1]): required for
-/// linear-phase FIR design, where the taps must be exactly symmetric about
-/// the center.
-std::vector<double> make_window_symmetric(WindowType type, std::size_t n);
-
 /// Sum of window coefficients, used to normalize amplitude spectra.
 double window_gain(const std::vector<double>& w);
-
-/// Multiply a real signal elementwise by a window (sizes must match).
-std::vector<double> apply_window(const std::vector<double>& x,
-                                 const std::vector<double>& w);
 
 }  // namespace stf::dsp

@@ -107,8 +107,4 @@ std::vector<double> QrDecomposition::solve(const std::vector<double>& b) const {
   return x;
 }
 
-std::vector<double> qr_lstsq(const Matrix& a, const std::vector<double>& b) {
-  return QrDecomposition(a).solve(b);
-}
-
 }  // namespace stf::la

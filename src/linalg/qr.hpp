@@ -1,4 +1,4 @@
-// Householder QR factorization and QR-based least squares.
+// Householder QR factorization and its least-squares solve.
 //
 // Used for overdetermined regression fits where the normal equations would
 // square the condition number.
@@ -35,8 +35,5 @@ class QrDecomposition {
   Matrix qr_;
   std::vector<double> beta_;  // Householder scaling factors.
 };
-
-/// One-shot least squares min ||A x - b||_2 via Householder QR.
-std::vector<double> qr_lstsq(const Matrix& a, const std::vector<double>& b);
 
 }  // namespace stf::la

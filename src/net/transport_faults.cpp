@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/contracts.hpp"
+#include "core/env.hpp"
 
 namespace stf::net {
 
@@ -101,14 +102,9 @@ TransportFaultInjector TransportFaultInjector::parse(const std::string& spec) {
     f.kind = kind_from_name(term.substr(0, colon));
     if (colon != std::string::npos) {
       const std::string prob = term.substr(colon + 1);
-      std::size_t used = 0;
-      try {
-        f.probability = std::stod(prob, &used);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("transport fault: bad probability '" +
-                                    prob + "'");
-      }
-      if (used != prob.size() || f.probability < 0.0 || f.probability > 1.0)
+      f.probability =
+          stf::core::env::parse_double("transport fault: probability", prob);
+      if (f.probability < 0.0 || f.probability > 1.0)
         throw std::invalid_argument("transport fault: bad probability '" +
                                     prob + "'");
     }

@@ -1,35 +1,10 @@
 #include "rf/envelope.hpp"
 
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
 
 namespace stf::rf {
-
-EnvelopeSignal EnvelopeSignal::from_real(const std::vector<double>& samples,
-                                         double fs, double fc) {
-  STF_REQUIRE(fs > 0.0, "EnvelopeSignal::from_real: fs must be > 0");
-  EnvelopeSignal s;
-  s.fs = fs;
-  s.fc = fc;
-  s.x.resize(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i)
-    s.x[i] = Cplx(samples[i], 0.0);
-  return s;
-}
-
-std::vector<double> EnvelopeSignal::to_real(double f_offset_hz,
-                                            double phase_rad) const {
-  std::vector<double> out(x.size());
-  const double dphi = 2.0 * std::numbers::pi * f_offset_hz / fs;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double ang = dphi * static_cast<double>(i) + phase_rad;
-    out[i] = (x[i] * Cplx(std::cos(ang), std::sin(ang))).real();
-  }
-  return out;
-}
 
 double envelope_power(const EnvelopeSignal& s) {
   STF_REQUIRE(!s.x.empty(), "envelope_power: empty signal");

@@ -23,19 +23,6 @@ struct EnvelopeSignal {
   std::vector<Cplx> x;
 
   std::size_t size() const { return x.size(); }
-  double duration() const {
-    return x.empty() ? 0.0 : static_cast<double>(x.size() - 1) / fs;
-  }
-
-  /// Construct from a real baseband waveform (e.g. the rendered PWL test
-  /// stimulus): the envelope of x_t(t)*cos(2 pi fc t) is just x_t(t).
-  static EnvelopeSignal from_real(const std::vector<double>& samples,
-                                  double fs, double fc);
-
-  /// Reconstruct passband samples Re{ x~ e^{j 2 pi f_offset t} } at the
-  /// envelope rate; used when a block (the second mixer) shifts the signal
-  /// down to a real IF/baseband.
-  std::vector<double> to_real(double f_offset_hz, double phase_rad) const;
 };
 
 /// Mean envelope power E|x~|^2 (passband power is half this).

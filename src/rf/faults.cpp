@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/contracts.hpp"
+#include "core/env.hpp"
 
 namespace stf::rf {
 
@@ -161,14 +162,9 @@ FaultInjector FaultInjector::parse(const std::string& spec) {
     double p[2] = {0.0, 0.0};
     int n_params = 0;
     std::string value;
-    while (n_params < 2 && std::getline(fields, value, ':')) {
-      std::size_t used = 0;
-      p[n_params] = std::stod(value, &used);
-      if (used != value.size())
-        throw std::invalid_argument("FaultInjector::parse: bad number '" +
-                                    value + "' in '" + term + "'");
-      ++n_params;
-    }
+    while (n_params < 2 && std::getline(fields, value, ':'))
+      p[n_params++] = stf::core::env::parse_double(
+          "FaultInjector::parse: '" + term + "'", value);
     if (n_params == 0)
       throw std::invalid_argument("FaultInjector::parse: '" + term +
                                   "' has no parameter (want name:p1[:p2])");

@@ -14,10 +14,6 @@ namespace stf::rf {
 
 namespace simd = stf::core::simd;
 
-void MixerModel::apply(EnvelopeSignal& s) const {
-  apply(std::span<Cplx>(s.x));
-}
-
 namespace {
 
 // The mixer's AM/AM constants: linear gain and 1/A^2 of its IP3 amplitude.
@@ -158,28 +154,8 @@ void LoadBoard::run_upconverted_into(std::span<Cplx> env, double fs_sim,
         2.0 * std::numbers::pi * config_.lo_offset_hz / fs_sim;
     const auto& rot = rotation_table(n, dphi, config_.path_phase_rad);
     const double feed = config_.down_mixer.lo_feedthrough_v;
-    // Re{y * rot} + feedthrough: the even lane of the interleaved complex
-    // product is exactly the scalar yr*c - yi*s, so two product vectors
-    // deinterleave into one vector of real outputs.
-    std::size_t i = 0;
-    if constexpr (simd::kLanes >= 2) {
-      if (simd::enabled()) {
-        const simd::VecD fv = simd::broadcast(feed);
-        const double* e = reinterpret_cast<const double*>(env.data());
-        const double* r = reinterpret_cast<const double*>(rot.data());
-        for (; i + simd::kLanes <= n; i += simd::kLanes) {
-          const simd::VecD m1 =
-              simd::complex_mul(simd::load(e + 2 * i), simd::load(r + 2 * i));
-          const simd::VecD m2 =
-              simd::complex_mul(simd::load(e + 2 * i + simd::kLanes),
-                                simd::load(r + 2 * i + simd::kLanes));
-          simd::VecD ev, od;
-          simd::deinterleave(m1, m2, ev, od);
-          simd::store(out.data() + i, ev + fv);
-        }
-      }
-    }
-    for (; i < n; ++i)
+    // Re{y * rot} + feedthrough.
+    for (std::size_t i = 0; i < n; ++i)
       out[i] =
           (env[i].real() * rot[i].real() - env[i].imag() * rot[i].imag()) +
           feed;

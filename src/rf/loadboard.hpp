@@ -31,9 +31,6 @@ struct MixerModel {
   double lo_feedthrough_v = 0.0;     ///< DC offset from LO self-mixing.
 
   /// Apply gain + cubic compression to an envelope in place.
-  void apply(EnvelopeSignal& s) const;
-
-  /// Span variant of apply() for envelopes in caller-managed storage.
   void apply(std::span<Cplx> x) const;
 
   /// Equal mixers transform every envelope identically (a cache key).

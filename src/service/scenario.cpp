@@ -13,18 +13,11 @@ namespace stf::service {
 namespace {
 
 double parse_spread(const std::string& value) {
-  // std::from_chars, not std::stod: stod honors the process locale, so a
-  // client under de_DE.UTF-8 would reject "0.2" (expecting "0,2") and the
-  // canonical() forms -- always '.'-formatted via to_chars -- would fail to
-  // re-parse. from_chars is locale-independent by construction and
-  // round-trips every canonical() string exactly.
-  double spread = 0.0;
-  const char* first = value.data();
-  const char* last = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(first, last, spread);
-  if (ec != std::errc())
-    throw std::invalid_argument("scenario: bad spread '" + value + "'");
-  if (ptr != last || !(spread >= 0.0) || spread >= 1.0)
+  // Locale-independent (env::parse_double reads through std::from_chars),
+  // so every canonical() form -- always '.'-formatted via to_chars --
+  // re-parses exactly under any process locale.
+  const double spread = stf::core::env::parse_double("scenario: spread", value);
+  if (spread < 0.0 || spread >= 1.0)
     throw std::invalid_argument("scenario: spread must be in [0, 1), got '" +
                                 value + "'");
   return spread;

@@ -269,7 +269,9 @@ std::size_t pooled_count(std::size_t n, std::size_t max_bins) {
 
 Signature SignatureAcquirer::signature_from_capture(
     const std::vector<double>& capture) const {
-  return to_signature(capture);
+  Signature s(signature_length_for(capture.size()));
+  signature_into(capture, s);
+  return s;
 }
 
 // Pure length arithmetic: any n_capture (including 0, which yields 0 bins)
@@ -308,13 +310,6 @@ Signature SignatureAcquirer::acquire(const stf::rf::RfDut& dut,
   faults.apply(cap_span, config_.digitizer.fs_hz, sequence, *rng);
   Signature s(signature_length_for(capture.size()));
   signature_into(cap_span, s);
-  return s;
-}
-
-Signature SignatureAcquirer::to_signature(
-    const std::vector<double>& capture) const {
-  Signature s(signature_length_for(capture.size()));
-  signature_into(capture, s);
   return s;
 }
 

@@ -133,7 +133,6 @@ class SignatureAcquirer {
   const SignatureTestConfig& config() const { return config_; }
 
  private:
-  Signature to_signature(const std::vector<double>& capture) const;
   /// Signature length signature_into() produces for an n_capture-sample
   /// capture (pool_bins ceil-division semantics).
   std::size_t signature_length_for(std::size_t n_capture) const;

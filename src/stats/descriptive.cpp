@@ -62,20 +62,4 @@ double percentile(std::vector<double> v, double p) {
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
-double covariance(const std::vector<double>& a, const std::vector<double>& b) {
-  STF_REQUIRE(a.size() == b.size(), "covariance: size mismatch");
-  STF_REQUIRE(a.size() >= 2, "covariance: need >= 2");
-  const double ma = mean(a), mb = mean(b);
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += (a[i] - ma) * (b[i] - mb);
-  return s / static_cast<double>(a.size() - 1);
-}
-
-double pearson(const std::vector<double>& a, const std::vector<double>& b) {
-  const double c = covariance(a, b);
-  const double sa = stddev(a), sb = stddev(b);
-  STF_REQUIRE(!(sa == 0.0 || sb == 0.0), "pearson: zero-variance input");
-  return c / (sa * sb);
-}
-
 }  // namespace stf::stats

@@ -30,10 +30,4 @@ double median(std::vector<double> v);
 /// Linear-interpolated percentile, p in [0, 100].
 double percentile(std::vector<double> v, double p);
 
-/// Sample covariance between paired vectors (divides by n-1).
-double covariance(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Pearson correlation coefficient in [-1, 1].
-double pearson(const std::vector<double>& a, const std::vector<double>& b);
-
 }  // namespace stf::stats

@@ -30,11 +30,6 @@ double std_error(const std::vector<double>& truth,
   return stddev_population(residuals(truth, predicted));
 }
 
-double mean_error(const std::vector<double>& truth,
-                  const std::vector<double>& predicted) {
-  return mean(residuals(truth, predicted));
-}
-
 double max_abs_error(const std::vector<double>& truth,
                      const std::vector<double>& predicted) {
   const auto r = residuals(truth, predicted);

@@ -22,10 +22,6 @@ double rms_error(const std::vector<double>& truth,
 double std_error(const std::vector<double>& truth,
                  const std::vector<double>& predicted);
 
-/// Mean signed error (bias of the predictor).
-double mean_error(const std::vector<double>& truth,
-                  const std::vector<double>& predicted);
-
 /// Largest absolute residual.
 double max_abs_error(const std::vector<double>& truth,
                      const std::vector<double>& predicted);

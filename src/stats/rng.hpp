@@ -145,12 +145,6 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Uniform relative spread: nominal * (1 + U(-frac, +frac)).
-  /// The paper draws process parameters uniformly within +/-20% (frac=0.2).
-  double uniform_spread(double nominal, double frac) {
-    return nominal * (1.0 + uniform(-frac, frac));
-  }
-
   /// Standard normal sample scaled to the given sigma and mean.
   ///
   /// Implemented with a ziggurat rather than std::normal_distribution: the

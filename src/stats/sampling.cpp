@@ -1,9 +1,5 @@
 #include "stats/sampling.hpp"
 
-#include <stdexcept>
-
-#include "core/contracts.hpp"
-
 namespace stf::stats {
 
 std::vector<double> UniformBox::sample(Rng& rng) const {
@@ -11,29 +7,6 @@ std::vector<double> UniformBox::sample(Rng& rng) const {
   for (std::size_t i = 0; i < nominal.size(); ++i)
     x[i] = rng.uniform(lo(i), hi(i));
   return x;
-}
-
-la::Matrix UniformBox::sample_matrix(std::size_t n, Rng& rng) const {
-  la::Matrix m(n, nominal.size());
-  for (std::size_t r = 0; r < n; ++r) m.set_row(r, sample(rng));
-  return m;
-}
-
-la::Matrix latin_hypercube(const UniformBox& box, std::size_t n, Rng& rng) {
-  STF_REQUIRE(n != 0, "latin_hypercube: n must be > 0");
-  const std::size_t k = box.nominal.size();
-  la::Matrix m(n, k);
-  for (std::size_t d = 0; d < k; ++d) {
-    const auto perm = rng.permutation(n);
-    const double lo = box.lo(d), hi = box.hi(d);
-    const double w = (hi - lo) / static_cast<double>(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      // Random position inside the permuted stratum.
-      const double u = rng.uniform(0.0, 1.0);
-      m(r, d) = lo + (static_cast<double>(perm[r]) + u) * w;
-    }
-  }
-  return m;
 }
 
 }  // namespace stf::stats

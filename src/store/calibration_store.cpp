@@ -368,11 +368,18 @@ std::size_t CalibrationStore::prune(const StoreKey& key,
   fs::directory_iterator it(dir, ec);
   if (ec) return 0;
   std::vector<fs::path> victims;
+  std::uint64_t newest = 0;
   for (const auto& entry : it) {
     const std::uint64_t v =
         version_of_filename(entry.path().filename().string());
+    newest = std::max(newest, v);
     if (v != 0 && v < keep_from) victims.push_back(entry.path());
   }
+  if (newest != 0 && keep_from > newest)
+    throw StoreError("prune: keep_from " + std::to_string(keep_from) +
+                     " is past the newest version " + std::to_string(newest) +
+                     " of " + key.canonical() +
+                     "; a prune never deletes every version");
   for (const fs::path& victim : victims) {
     fs::remove(victim, ec);
     if (ec)

@@ -109,7 +109,8 @@ class CalibrationStore {
   std::vector<StoreKey> keys() const;
 
   /// Delete persisted versions of `key` strictly older than keep_from;
-  /// returns the count deleted.
+  /// returns the count deleted. Throws StoreError, deleting nothing, when
+  /// keep_from is past the newest version: a prune never empties a key.
   std::size_t prune(const StoreKey& key, std::uint64_t keep_from);
 
   const std::string& root() const { return root_; }

@@ -6,6 +6,7 @@
 #include "circuit/sallen_key.hpp"
 #include "sigtest/analog.hpp"
 #include "stats/rng.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -120,12 +121,14 @@ TEST(AnalogSignature, BadConfigThrows) {
   auto cfg = test_config();
   const auto stim = test_stimulus(cfg.capture_s);
   cfg.sim_dt = 0.0;
-  EXPECT_THROW(sigtest::acquire_analog_signature(nl, stim, cfg, nullptr),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(
+      sigtest::acquire_analog_signature(nl, stim, cfg, nullptr),
+      std::invalid_argument);
   cfg = test_config();
   cfg.fs_capture_hz = -1.0;
-  EXPECT_THROW(sigtest::acquire_analog_signature(nl, stim, cfg, nullptr),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(
+      sigtest::acquire_analog_signature(nl, stim, cfg, nullptr),
+      std::invalid_argument);
   cfg = test_config();
   cfg.out_node = "nope";
   EXPECT_THROW(sigtest::acquire_analog_signature(nl, stim, cfg, nullptr),
@@ -139,8 +142,8 @@ TEST(AnalogSignature, PopulationGeneration) {
   for (std::size_t i = 1; i < pop.size(); ++i)
     cutoff_varies |= pop[i].specs.f3db_hz != pop[0].specs.f3db_hz;
   EXPECT_TRUE(cutoff_varies);
-  EXPECT_THROW(sigtest::make_filter_population(0, 0.2, 3),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(sigtest::make_filter_population(0, 0.2, 3),
+                        std::invalid_argument);
 }
 
 TEST(AnalogSignature, RuntimePredictsFilterSpecs) {
@@ -153,7 +156,7 @@ TEST(AnalogSignature, RuntimePredictsFilterSpecs) {
   const auto cfg = test_config();
   sigtest::AnalogSignatureRuntime rt(cfg, test_stimulus(cfg.capture_s));
   stats::Rng rng(7);
-  EXPECT_THROW(rt.test_device(pop[0].process, rng), std::logic_error);
+  EXPECT_CONTRACT_THROW(rt.test_device(pop[0].process, rng), std::logic_error);
   rt.calibrate(train, rng);
   ASSERT_TRUE(rt.calibrated());
   const auto rep = rt.validate(val, rng);

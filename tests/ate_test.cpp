@@ -9,6 +9,7 @@
 #include "ate/cost.hpp"
 #include "ate/flow.hpp"
 #include "ate/timing.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -38,8 +39,8 @@ TEST(Timing, SignaturePlanIsMuchFaster) {
 TEST(Timing, PartsPerHour) {
   EXPECT_DOUBLE_EQ(parts_per_hour(1.0), 3600.0);
   EXPECT_DOUBLE_EQ(parts_per_hour(0.5, 4), 28800.0);
-  EXPECT_THROW(parts_per_hour(0.0), std::invalid_argument);
-  EXPECT_THROW(parts_per_hour(1.0, 0), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(parts_per_hour(0.0), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(parts_per_hour(1.0, 0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ cost --
@@ -63,9 +64,9 @@ TEST(Cost, CostPerPartKnownValue) {
 TEST(Cost, InvalidParametersThrow) {
   TesterCostModel m;
   m.utilization = 0.0;
-  EXPECT_THROW(m.cost_per_second(), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(m.cost_per_second(), std::invalid_argument);
   TesterCostModel ok;
-  EXPECT_THROW(ok.cost_per_part(-1.0), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(ok.cost_per_part(-1.0), std::invalid_argument);
 }
 
 TEST(Cost, SignatureFlowCheaperPerPart) {
@@ -188,26 +189,27 @@ TEST(Flow, DispositionOverloadValidatesSizes) {
   std::vector<SpecLimit> limits = {{"gain", 14.0, kInf}};
   const std::vector<stf::sigtest::TestDisposition> short_lot = {
       disposition(Kind::kPredicted, {15.0})};
-  EXPECT_THROW(run_production_flow(truth, short_lot, limits),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(run_production_flow(truth, short_lot, limits),
+                        std::invalid_argument);
   // A predicted device with an empty prediction vector is a caller bug.
   const std::vector<stf::sigtest::TestDisposition> holey = {
       disposition(Kind::kPredicted, {15.0}), disposition(Kind::kPredicted, {})};
-  EXPECT_THROW(run_production_flow(truth, holey, limits),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(run_production_flow(truth, holey, limits),
+                        std::invalid_argument);
 }
 
 TEST(Flow, InvalidInputsThrow) {
   std::vector<std::vector<double>> a = {{1.0}};
   std::vector<std::vector<double>> b = {{1.0}, {2.0}};
   std::vector<SpecLimit> limits = {{"x", 0.0, 2.0}};
-  EXPECT_THROW(run_production_flow(a, b, limits), std::invalid_argument);
-  EXPECT_THROW(run_production_flow(a, a, {}), std::invalid_argument);
-  EXPECT_THROW(run_production_flow(a, a, limits, -0.1),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(run_production_flow(a, b, limits),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(run_production_flow(a, a, {}), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(run_production_flow(a, a, limits, -0.1),
+                        std::invalid_argument);
   std::vector<std::vector<double>> wrong = {{1.0, 2.0}};
-  EXPECT_THROW(run_production_flow(wrong, wrong, limits),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(run_production_flow(wrong, wrong, limits),
+                        std::invalid_argument);
 }
 
 }  // namespace

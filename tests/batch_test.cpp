@@ -24,6 +24,7 @@
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
 #include "stats/rng.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -227,16 +228,16 @@ TEST_F(BatchRuntimeTest, RepeatedLotsRegisterNoNewTelemetryThreads) {
 }
 
 TEST_F(BatchRuntimeTest, RejectsInvalidOptionsAndUncalibratedUse) {
-  EXPECT_THROW(sigtest::TestCell(
-                   sigtest::SignatureTestConfig::simulation_study(),
-                   World::stimulus(), circuit::LnaSpecs::names(),
-                   World::policy(), sigtest::BatchOptions{0}),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(sigtest::TestCell(
+                            sigtest::SignatureTestConfig::simulation_study(),
+                            World::stimulus(), circuit::LnaSpecs::names(),
+                            World::policy(), sigtest::BatchOptions{0}),
+                        std::invalid_argument);
   sigtest::TestCell uncalibrated(
       sigtest::SignatureTestConfig::simulation_study(), World::stimulus(),
       circuit::LnaSpecs::names(), World::policy());
-  EXPECT_THROW(uncalibrated.test_lot(world().lot, stats::Rng(1)),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(uncalibrated.test_lot(world().lot, stats::Rng(1)),
+                        std::invalid_argument);
 }
 
 TEST_F(BatchRuntimeTest, AteFlowConsumesLotDispositions) {

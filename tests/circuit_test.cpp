@@ -12,6 +12,7 @@
 #include "circuit/netlist.hpp"
 #include "circuit/noise.hpp"
 #include "circuit/rfmeasure.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -270,7 +271,7 @@ TEST(Dc, BjtBiasPointKnownCurrent) {
 
 TEST(Dc, EmptyCircuitThrows) {
   Netlist nl;
-  EXPECT_THROW(solve_dc(nl), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(solve_dc(nl), std::invalid_argument);
 }
 
 // -------------------------------------------------------------------- AC --
@@ -578,11 +579,11 @@ TEST(Distortion, BadSetupsThrow) {
   s.f1 = 12e6;
   s.f2 = 10e6;  // f1 >= f2
   s.out_node = nl.node("out");
-  EXPECT_THROW(two_tone_ip3(ac, s), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(two_tone_ip3(ac, s), std::invalid_argument);
   s.f1 = 10e6;
   s.f2 = 12e6;
   s.out_node = 0;
-  EXPECT_THROW(two_tone_ip3(ac, s), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(two_tone_ip3(ac, s), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- rfmeasure --

@@ -25,6 +25,7 @@
 #include "sigtest/calibration.hpp"
 #include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -33,12 +34,6 @@ namespace la = stf::la;
 namespace sigtest = stf::sigtest;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-#define SKIP_IF_UNCHECKED()                                              \
-  do {                                                                   \
-    if (!stf::contracts::enabled())                                      \
-      GTEST_SKIP() << "contracts compiled out (SIGTEST_CHECKED=OFF)";    \
-  } while (0)
 
 // ------------------------------------------------------------- diagnostics --
 

@@ -77,6 +77,28 @@ TEST(EnvParseU64, EnforcesTheRangeAndNamesTheVariable) {
   }
 }
 
+TEST(EnvParseDouble, AcceptsFiniteNumbersInTheirWholeText) {
+  EXPECT_EQ(env::parse_double("x", "0.12"), 0.12);
+  EXPECT_EQ(env::parse_double("x", "-2e3"), -2e3);
+  EXPECT_EQ(env::parse_double("x", "1.7976931348623157e308"),
+            1.7976931348623157e308);
+  // A subnormal is finite: it parses rather than escaping as out_of_range.
+  EXPECT_GT(env::parse_double("x", "1e-320"), 0.0);
+}
+
+TEST(EnvParseDouble, RejectsGarbageOverflowAndNonFiniteNamingTheField) {
+  for (const char* bad : {"", "abc", "0.1x", " 0.1", "0.1 ", "+0.1", "0,1",
+                          "1e999", "-1e999", "1e-400", "inf", "nan"})
+    EXPECT_THROW(env::parse_double("x", bad), std::invalid_argument) << bad;
+  try {
+    env::parse_double("clip level", "1e999");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("clip level"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("1e999"), std::string::npos);
+  }
+}
+
 TEST(EnvParseFlag, AcceptsTheDocumentedTokensCaseInsensitively) {
   for (const char* t : {"1", "on", "ON", "true", "True", "yes", " YES "})
     EXPECT_TRUE(env::parse_flag("X", t)) << t;

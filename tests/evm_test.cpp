@@ -8,6 +8,7 @@
 #include "rf/dut.hpp"
 #include "rf/evm.hpp"
 #include "stats/rng.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -55,10 +56,10 @@ TEST(Rrc, SingularityPointsAreFinite) {
 }
 
 TEST(Rrc, BadArgumentsThrow) {
-  EXPECT_THROW(dsp::design_rrc(-0.1, 8, 6), std::invalid_argument);
-  EXPECT_THROW(dsp::design_rrc(1.1, 8, 6), std::invalid_argument);
-  EXPECT_THROW(dsp::design_rrc(0.3, 1, 6), std::invalid_argument);
-  EXPECT_THROW(dsp::design_rrc(0.3, 8, 0), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(dsp::design_rrc(-0.1, 8, 6), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(dsp::design_rrc(1.1, 8, 6), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(dsp::design_rrc(0.3, 1, 6), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(dsp::design_rrc(0.3, 8, 0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------- EVM --
@@ -128,8 +129,8 @@ TEST(Evm, TooFewSymbolsThrows) {
   rf::EvmConfig cfg;
   cfg.n_symbols = 8;
   rf::IdealGainDut dut({1.0, 0.0});
-  EXPECT_THROW(rf::measure_evm_percent(dut, cfg, nullptr),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(rf::measure_evm_percent(dut, cfg, nullptr),
+                        std::invalid_argument);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "sigtest/diagnosis.hpp"
 #include "sigtest/outlier.hpp"
 #include "stats/rng.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -96,7 +97,8 @@ TEST(SParams, BadSetupThrows) {
   tp.input_node = "nin";
   tp.output_node = "nin";
   tp.z0 = -1.0;
-  EXPECT_THROW(circuit::s_parameters(ac, 1e9, tp), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(circuit::s_parameters(ac, 1e9, tp),
+                        std::invalid_argument);
 }
 
 // --------------------------------------------------------- outlier screen --
@@ -133,15 +135,15 @@ TEST(Outlier, FarSignatureFlagged) {
 
 TEST(Outlier, MisuseThrows) {
   sigtest::OutlierScreen screen;
-  EXPECT_THROW(screen.score({1.0}), std::logic_error);
+  EXPECT_CONTRACT_THROW(screen.score({1.0}), std::logic_error);
   la::Matrix one_row(1, 3);
-  EXPECT_THROW(screen.fit(one_row), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(screen.fit(one_row), std::invalid_argument);
   la::Matrix ok(5, 3);
-  EXPECT_THROW(screen.fit(ok, {1.0}), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(screen.fit(ok, {1.0}), std::invalid_argument);
   screen.fit(ok);
-  EXPECT_THROW(screen.score({1.0}), std::invalid_argument);
-  EXPECT_THROW(screen.is_outlier({1.0, 2.0, 3.0}, -1.0),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(screen.score({1.0}), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(screen.is_outlier({1.0, 2.0, 3.0}, -1.0),
+                        std::invalid_argument);
 }
 
 TEST(Outlier, DefectiveLnaCaughtBeforePrediction) {
@@ -194,7 +196,7 @@ TEST(Diagnosis, RecoversDominantProcessParameters) {
                                  circuit::Lna900::param_names().end());
   sigtest::ParametricDiagnoser diag(cfg, stim, names);
   stats::Rng rng(13);
-  EXPECT_THROW(diag.diagnose(*devices[0].dut, rng), std::logic_error);
+  EXPECT_CONTRACT_THROW(diag.diagnose(*devices[0].dut, rng), std::logic_error);
   diag.calibrate(train, rng);
   ASSERT_TRUE(diag.calibrated());
 
@@ -218,7 +220,7 @@ TEST(Diagnosis, RecoversDominantProcessParameters) {
 TEST(Diagnosis, MisuseThrows) {
   const auto cfg = sigtest::SignatureTestConfig::simulation_study();
   const auto stim = dsp::PwlWaveform::uniform(cfg.capture_s, {0.0, 0.1});
-  EXPECT_THROW(
+  EXPECT_CONTRACT_THROW(
       sigtest::ParametricDiagnoser(cfg, stim, std::vector<std::string>{}),
       std::invalid_argument);
   std::vector<std::string> names = {"a", "b"};
@@ -226,7 +228,7 @@ TEST(Diagnosis, MisuseThrows) {
   const auto devices = rf::make_lna_population(3, 0.2, 9);
   stats::Rng rng(1);
   std::vector<rf::DeviceRecord> one(devices.begin(), devices.begin() + 1);
-  EXPECT_THROW(diag.calibrate(one, rng), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(diag.calibrate(one, rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
 #include "stats/rng.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -112,9 +113,9 @@ TEST_F(FullFlow, TestDeviceMatchesTrueSpecs) {
 TEST_F(FullFlow, UncalibratedRuntimeThrows) {
   sigtest::TestCell runtime(*cfg_, *stimulus_, circuit::LnaSpecs::names());
   stats::Rng rng(3);
-  EXPECT_THROW(runtime.predict_device(*devices_->front().dut, rng),
-               std::logic_error);
-  EXPECT_THROW(runtime.validate(*devices_, rng), std::logic_error);
+  EXPECT_CONTRACT_THROW(runtime.predict_device(*devices_->front().dut, rng),
+                        std::logic_error);
+  EXPECT_CONTRACT_THROW(runtime.validate(*devices_, rng), std::logic_error);
 }
 
 TEST_F(FullFlow, OptimizedBeatsConstantStimulus) {

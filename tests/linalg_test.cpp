@@ -18,6 +18,7 @@
 #include "linalg/pinv_lanes.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -76,7 +77,7 @@ TEST(Matrix, InitializerListAndAccess) {
 }
 
 TEST(Matrix, RaggedInitializerThrows) {
-  EXPECT_THROW((Matrix{{1.0, 2.0}, {3.0}}), std::invalid_argument);
+  EXPECT_CONTRACT_THROW((Matrix{{1.0, 2.0}, {3.0}}), std::invalid_argument);
 }
 
 TEST(Matrix, ArithmeticOps) {
@@ -104,7 +105,7 @@ TEST(Matrix, MatmulKnownResult) {
 TEST(Matrix, MatmulDimensionMismatchThrows) {
   Matrix a(2, 3);
   Matrix b(2, 3);
-  EXPECT_THROW(a * b, std::invalid_argument);
+  EXPECT_CONTRACT_THROW(a * b, std::invalid_argument);
 }
 
 TEST(Matrix, MatvecKnownResult) {
@@ -244,14 +245,14 @@ TEST(Qr, QHasOrthonormalColumns) {
 }
 
 TEST(Qr, WideMatrixThrows) {
-  EXPECT_THROW(stf::la::QrDecomposition{random_matrix(3, 5, 1)},
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(stf::la::QrDecomposition{random_matrix(3, 5, 1)},
+                        std::invalid_argument);
 }
 
 TEST(Qr, ExactSolveOnSquareSystem) {
   Matrix a{{2.0, 0.0}, {0.0, 4.0}};
   std::vector<double> b{2.0, 8.0};
-  auto x = stf::la::qr_lstsq(a, b);
+  auto x = stf::la::QrDecomposition(a).solve(b);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -259,7 +260,7 @@ TEST(Qr, ExactSolveOnSquareSystem) {
 TEST(Qr, LeastSquaresResidualIsOrthogonalToColumns) {
   Matrix a = random_matrix(12, 4, 31);
   auto b = random_vector(12, 37);
-  auto x = stf::la::qr_lstsq(a, b);
+  auto x = stf::la::QrDecomposition(a).solve(b);
   auto ax = a * x;
   std::vector<double> r = sub(b, ax);
   // Normal equations: A^T r == 0 at the least-squares optimum.
@@ -451,9 +452,10 @@ TEST(PinvLanes, MixedShapesAndWideInputFallBackToPinv) {
   expect_pinv_bits({random_matrix(4, 9, 103), random_matrix(4, 9, 107)},
                    "wide");
   std::vector<Matrix> out(1);
-  EXPECT_THROW(stf::la::pinv_lanes({}, out), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(stf::la::pinv_lanes({}, out), std::invalid_argument);
   std::vector<Matrix> in{random_matrix(5, 3, 109)};
-  EXPECT_THROW(stf::la::pinv_lanes(in, out, -1.0), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(stf::la::pinv_lanes(in, out, -1.0),
+                        std::invalid_argument);
 }
 
 TEST(PinvLanes, SimdOffTakesPinvPerMatrix) {
@@ -467,7 +469,7 @@ TEST(PinvLanes, SimdOffTakesPinvPerMatrix) {
 TEST(Svd, LstsqMatchesQrOnFullRank) {
   Matrix a = random_matrix(10, 4, 61);
   auto b = random_vector(10, 67);
-  auto x_qr = stf::la::qr_lstsq(a, b);
+  auto x_qr = stf::la::QrDecomposition(a).solve(b);
   auto x_svd = stf::la::svd_lstsq(a, b);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(x_qr[i], x_svd[i], 1e-9);
 }
@@ -505,8 +507,8 @@ TEST(Ridge, ShrinksSolutionNorm) {
 
 TEST(Ridge, NegativeLambdaThrows) {
   Matrix a = random_matrix(4, 2, 89);
-  EXPECT_THROW(stf::la::ridge(a, random_vector(4, 90), -1.0),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(stf::la::ridge(a, random_vector(4, 90), -1.0),
+                        std::invalid_argument);
 }
 
 TEST(Ridge, LargeLambdaDrivesSolutionTowardZero) {

@@ -9,6 +9,7 @@
 #include "circuit/rfmeasure.hpp"
 #include "stats/rng.hpp"
 #include "stats/sampling.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -56,8 +57,8 @@ TEST(Lna900, MeasureIsDeterministic) {
 }
 
 TEST(Lna900, WrongProcessVectorSizeThrows) {
-  EXPECT_THROW(Lna900::build(std::vector<double>(3, 1.0)),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(Lna900::build(std::vector<double>(3, 1.0)),
+                        std::invalid_argument);
   auto p = Lna900::nominal();
   p[0] = -1.0;
   EXPECT_THROW(Lna900::build(p), std::invalid_argument);

@@ -15,7 +15,6 @@
 namespace {
 
 using stf::core::parallel_for;
-using stf::core::parallel_map;
 using stf::core::parse_thread_count;
 using stf::core::set_thread_count;
 using stf::core::thread_count;
@@ -116,15 +115,6 @@ TEST(ParallelFor, NestedLoopsRunInlineWithoutDeadlock) {
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_FALSE(stf::core::in_parallel_region());
-}
-
-TEST(ParallelMap, ReturnsResultsInIndexOrder) {
-  ThreadCountGuard guard(4);
-  const auto out =
-      parallel_map(100, [](std::size_t i) { return 3 * static_cast<int>(i); });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    EXPECT_EQ(out[i], 3 * static_cast<int>(i));
 }
 
 TEST(ParallelConfig, SetThreadCountOverridesAndReports) {

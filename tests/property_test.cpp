@@ -10,10 +10,8 @@
 #include "circuit/ac.hpp"
 #include "circuit/dc.hpp"
 #include "circuit/netlist.hpp"
-#include "dsp/fir.hpp"
 #include "dsp/iir.hpp"
 #include "dsp/pwl.hpp"
-#include "dsp/spectrum.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/svd.hpp"
 #include "rf/dut.hpp"
@@ -121,53 +119,6 @@ INSTANTIATE_TEST_SUITE_P(
     OrdersAndCutoffs, ButterworthSweep,
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 5, 8),
                        ::testing::Values(0.05, 0.1, 0.2)));
-
-class FirLinearPhase : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FirLinearPhase, GroupDelayIsConstant) {
-  const std::size_t taps = GetParam();
-  const double fs = 1.0;
-  const auto h = dsp::design_fir_lowpass(0.2, fs, taps);
-  // Symmetric taps -> linear phase -> constant group delay (taps-1)/2.
-  const double expected_delay = static_cast<double>(taps - 1) / 2.0;
-  double prev_phase = 0.0;
-  bool first = true;
-  for (double freq = 0.01; freq <= 0.15; freq += 0.01) {
-    const auto resp = dsp::fir_response(h, freq, fs);
-    const double phase = std::arg(resp);
-    if (!first) {
-      double dphi = phase - prev_phase;
-      while (dphi > std::numbers::pi) dphi -= 2.0 * std::numbers::pi;
-      while (dphi < -std::numbers::pi) dphi += 2.0 * std::numbers::pi;
-      const double delay = -dphi / (2.0 * std::numbers::pi * 0.01);
-      EXPECT_NEAR(delay, expected_delay, 0.05);
-    }
-    prev_phase = phase;
-    first = false;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(TapCounts, FirLinearPhase,
-                         ::testing::Values<std::size_t>(11, 21, 31, 63));
-
-TEST(WelchParseval, IntegratedPsdEqualsMeanSquare) {
-  // Arbitrary multi-component signal: integral of the PSD recovers the
-  // mean-square value (within windowing bias).
-  stats::Rng rng(17);
-  const double fs = 1000.0;
-  std::vector<double> x(8192);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double t = static_cast<double>(i) / fs;
-    x[i] = 0.4 * std::sin(2.0 * std::numbers::pi * 37.0 * t) +
-           0.2 * std::sin(2.0 * std::numbers::pi * 181.0 * t + 0.9) +
-           0.05 * rng.normal();
-  }
-  const std::size_t segment = 512;
-  const auto psd = dsp::welch_psd(x, fs, segment);
-  double integral = 0.0;
-  for (double v : psd) integral += v * fs / static_cast<double>(segment);
-  EXPECT_NEAR(integral, dsp::signal_power(x), 0.05 * dsp::signal_power(x));
-}
 
 class PwlSampling : public ::testing::TestWithParam<int> {};
 

@@ -14,51 +14,13 @@
 #include "rf/population.hpp"
 #include "rf/specmeas.hpp"
 #include "stats/rng.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
 using namespace stf::rf;
 
 // ---------------------------------------------------------------- envelope --
-
-TEST(Envelope, FromRealRoundTrip) {
-  std::vector<double> samples{0.1, -0.2, 0.3};
-  auto env = EnvelopeSignal::from_real(samples, 1e6, 900e6);
-  ASSERT_EQ(env.size(), 3u);
-  EXPECT_DOUBLE_EQ(env.x[1].real(), -0.2);
-  EXPECT_DOUBLE_EQ(env.x[1].imag(), 0.0);
-  EXPECT_DOUBLE_EQ(env.duration(), 2e-6);
-}
-
-TEST(Envelope, ToRealAtZeroOffsetIsRealPart) {
-  EnvelopeSignal env;
-  env.fs = 1e6;
-  env.fc = 900e6;
-  env.x = {{1.0, 2.0}, {-0.5, 0.25}};
-  auto r = env.to_real(0.0, 0.0);
-  EXPECT_DOUBLE_EQ(r[0], 1.0);
-  EXPECT_DOUBLE_EQ(r[1], -0.5);
-}
-
-TEST(Envelope, ToRealPhaseRotation) {
-  EnvelopeSignal env;
-  env.fs = 1e6;
-  env.fc = 900e6;
-  env.x = {{1.0, 0.0}};
-  // At phase pi/2 the real projection of 1.0 is cos(pi/2) = 0.
-  auto r = env.to_real(0.0, std::numbers::pi / 2.0);
-  EXPECT_NEAR(r[0], 0.0, 1e-15);
-}
-
-TEST(Envelope, ToRealOffsetCreatesBeat) {
-  EnvelopeSignal env;
-  env.fs = 1e6;
-  env.fc = 900e6;
-  env.x.assign(1000, {1.0, 0.0});
-  // A constant envelope mixed with a 100 kHz offset becomes a 100 kHz tone.
-  auto r = env.to_real(100e3, 0.0);
-  EXPECT_NEAR(stf::dsp::tone_amplitude(r, 100e3, 1e6), 1.0, 0.01);
-}
 
 TEST(Envelope, PowerOfConstantEnvelope) {
   EnvelopeSignal env;
@@ -123,10 +85,10 @@ TEST(Dut, HigherNfMeansMoreNoise) {
 }
 
 TEST(Dut, InvalidConstructionThrows) {
-  EXPECT_THROW(BehavioralLna(Cplx(1.0, 0.0), 0.0, 3.0),
-               std::invalid_argument);
-  EXPECT_THROW(BehavioralLna(Cplx(1.0, 0.0), 0.5, 3.0, -50.0),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(BehavioralLna(Cplx(1.0, 0.0), 0.0, 3.0),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(BehavioralLna(Cplx(1.0, 0.0), 0.5, 3.0, -50.0),
+                        std::invalid_argument);
 }
 
 TEST(Dut, Iip3AmplitudeConversion) {
@@ -232,9 +194,11 @@ TEST(LoadBoard, InvalidRunArgumentsThrow) {
   LoadBoardConfig cfg;
   LoadBoard board(cfg);
   IdealGainDut dut(Cplx(1.0, 0.0));
-  EXPECT_THROW(board.run({}, 80e6, dut, nullptr), std::invalid_argument);
-  EXPECT_THROW(board.run(std::vector<double>(10, 0.1), 1e6, dut, nullptr),
-               std::invalid_argument);  // fs below 2x LPF cutoff
+  EXPECT_CONTRACT_THROW(board.run({}, 80e6, dut, nullptr),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(
+      board.run(std::vector<double>(10, 0.1), 1e6, dut, nullptr),
+      std::invalid_argument);  // fs below 2x LPF cutoff
 }
 
 // ---------------------------------------------------------------- digitizer --
@@ -391,8 +355,8 @@ TEST(Population, SplitSizesAndErrors) {
   auto split = split_population(devices, 28);
   EXPECT_EQ(split.calibration.size(), 28u);
   EXPECT_EQ(split.validation.size(), 27u);
-  EXPECT_THROW(split_population(devices, 0), std::invalid_argument);
-  EXPECT_THROW(split_population(devices, 55), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(split_population(devices, 0), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(split_population(devices, 55), std::invalid_argument);
 }
 
 }  // namespace

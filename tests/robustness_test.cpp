@@ -18,6 +18,7 @@
 #include "sigtest/optimizer.hpp"
 #include "sigtest/outlier.hpp"
 #include "stats/rng.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -323,9 +324,9 @@ TEST(GuardPolicyLimits, RejectsEscalationThatOverflowsTheCaptureCount) {
     p.escalation_averages = escalation;
     return sigtest::TestCell(cfg, stimulus, circuit::LnaSpecs::names(), p);
   };
-  EXPECT_THROW(make(17, 4), std::invalid_argument);
-  EXPECT_THROW(make(32, 2), std::invalid_argument);
-  EXPECT_THROW(make(1000, 3), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(make(17, 4), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(make(32, 2), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(make(1000, 3), std::invalid_argument);
   // The largest counts that fit are accepted: 4^15 = 2^30 and 2^30.
   EXPECT_NO_THROW(make(16, 4));
   EXPECT_NO_THROW(make(31, 2));
@@ -369,6 +370,26 @@ TEST(FaultParse, RoundTripAndErrors) {
                 .faults()
                 .size(),
             4u);
+}
+
+// Regression: parse read numbers with std::stod, which throws
+// std::out_of_range (not std::invalid_argument) on "1e999" and on the
+// subnormal "1e-320", and skips leading whitespace.
+TEST(FaultParse, NumbersAreFiniteAndWholeOrTheSpecIsRejected) {
+  for (const char* spec :
+       {"clip:1e999", "clip:-1e999", "clip:1e-400", "lo:2e3:1e999",
+        "clip: 0.1", "clip:0.1 ", "clip:+0.1", "clip:0.1x", "clip:"})
+    EXPECT_THROW(rf::FaultInjector::parse(spec), std::invalid_argument)
+        << spec;
+  const auto tiny = rf::FaultInjector::parse("clip:1e-320");
+  ASSERT_EQ(tiny.faults().size(), 1u);
+  EXPECT_GT(tiny.faults()[0].p1, 0.0);
+  try {
+    (void)rf::FaultInjector::parse("clip:0.1,lo:1e999");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("lo:1e999"), std::string::npos);
+  }
 }
 
 TEST(SeedRobustness2, HardwareStudyQualityHoldsAcrossPopulations) {

@@ -520,6 +520,36 @@ TEST_F(ServiceTest, BadRequestsAreTypedAndNeverKillTheServer) {
   server.stop();
 }
 
+// Regression: FaultInjector::parse read numbers with std::stod, which
+// throws std::out_of_range on "1e999" and on the subnormal "1e-320". The
+// request handler caught only std::invalid_argument and the reader thread
+// only transport errors, so one such request aborted the server process.
+TEST_F(ServiceTest, OutOfRangeFaultNumbersGetATypedAnswer) {
+  ThreadCountGuard guard(1);
+  service::SigtestServer server(world().runtime, fast_config());
+  server.start();
+  net::SigtestClient client(server.port(), quiet_client());
+
+  const auto huge = client.run_lot(request_for(1, 9001, "clip:1e999"));
+  ASSERT_EQ(huge.status, net::ClientStatus::kRejected) << huge.message;
+  EXPECT_EQ(huge.reject_code, net::RejectCode::kBadRequest);
+  EXPECT_NE(huge.message.find("1e999"), std::string::npos) << huge.message;
+
+  // A subnormal clip rail is a finite number, so the lot runs; a library
+  // whose from_chars reports the underflow makes it a typed bad request.
+  const auto tiny = client.run_lot(request_for(2, 9001, "clip:1e-320"));
+  if (tiny.status == net::ClientStatus::kRejected)
+    EXPECT_EQ(tiny.reject_code, net::RejectCode::kBadRequest);
+  else
+    EXPECT_EQ(tiny.status, net::ClientStatus::kOk) << tiny.message;
+
+  const auto clean = client.run_lot(request_for(3, 9001));
+  ASSERT_EQ(clean.status, net::ClientStatus::kOk) << clean.message;
+  expect_identical(serial_reference(9001, nullptr), clean.dispositions,
+                   "clean lot after the out-of-range specs");
+  server.stop();
+}
+
 TEST_F(ServiceTest, GracefulStopDrainsAdmittedLotsWithoutLossOrDuplication) {
   ThreadCountGuard guard(4);
   service::ServerConfig config = fast_config();
@@ -854,6 +884,11 @@ TEST(ScenarioTest, SpreadParsingIsLocaleIndependentAndRoundTripsCanonical) {
   EXPECT_EQ(service::parse_scenario("lna:spread=0.25").spread, 0.25);
   EXPECT_THROW(service::parse_scenario("lna:spread=0,25"),
                std::invalid_argument);
+  // Fault specs read their numbers through the same locale-free parse.
+  const auto faults = rf::FaultInjector::parse("clip:0.12,contact:0.02:0.05");
+  ASSERT_EQ(faults.faults().size(), 2u);
+  EXPECT_EQ(faults.faults()[0].p1, 0.12);
+  EXPECT_EQ(faults.faults()[1].p2, 0.05);
   std::setlocale(LC_ALL, "C");
 }
 

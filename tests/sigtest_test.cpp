@@ -15,6 +15,7 @@
 #include "sigtest/optimizer.hpp"
 #include "sigtest/sensitivity.hpp"
 #include "stats/rng.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -296,11 +297,13 @@ TEST(Objective, StrongerSignatureSensitivityLowersNoiseTerm) {
 TEST(Objective, DimensionMismatchThrows) {
   stf::la::Matrix a_p(2, 3);
   stf::la::Matrix a_s(4, 2);
-  EXPECT_THROW(signature_objective(a_p, a_s, 0.0), std::invalid_argument);
-  EXPECT_THROW(signature_objective(stf::la::Matrix{}, a_s, 0.0),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(signature_objective(a_p, a_s, 0.0),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(signature_objective(stf::la::Matrix{}, a_s, 0.0),
+                        std::invalid_argument);
   stf::la::Matrix ok(4, 3);
-  EXPECT_THROW(signature_objective(a_p, ok, -1.0), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(signature_objective(a_p, ok, -1.0),
+                        std::invalid_argument);
 }
 
 TEST(Objective, MappingMatrixShape) {
@@ -355,13 +358,14 @@ TEST(Sensitivity, SignatureSensitivityScalesWithGainDependence) {
 }
 
 TEST(Sensitivity, InvalidConstructionThrows) {
-  EXPECT_THROW(PerturbationSet(nullptr, {1.0}, 0.05), std::invalid_argument);
-  EXPECT_THROW(PerturbationSet(synthetic_factory(), {}, 0.05),
-               std::invalid_argument);
-  EXPECT_THROW(PerturbationSet(synthetic_factory(), {1.0}, 0.0),
-               std::invalid_argument);
-  EXPECT_THROW(PerturbationSet(synthetic_factory(), {1.0}, 1.5),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(PerturbationSet(nullptr, {1.0}, 0.05),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(PerturbationSet(synthetic_factory(), {}, 0.05),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(PerturbationSet(synthetic_factory(), {1.0}, 0.0),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(PerturbationSet(synthetic_factory(), {1.0}, 1.5),
+                        std::invalid_argument);
 }
 
 // ------------------------------------------------------------- calibration --
@@ -440,15 +444,15 @@ TEST(Calibration, MultipleSpecsIndependent) {
 
 TEST(Calibration, ErrorsOnMisuse) {
   CalibrationModel model;
-  EXPECT_THROW(model.predict({1.0}), std::logic_error);
+  EXPECT_CONTRACT_THROW(model.predict({1.0}), std::logic_error);
   stf::la::Matrix sig(1, 2), specs(1, 1);
-  EXPECT_THROW(model.fit(sig, specs), std::invalid_argument);  // n < 2
+  EXPECT_CONTRACT_THROW(model.fit(sig, specs), std::invalid_argument);  // n < 2
   stf::la::Matrix sig2(4, 2), specs2(3, 1);
-  EXPECT_THROW(model.fit(sig2, specs2), std::invalid_argument);
-  EXPECT_THROW(CalibrationModel(CalibrationOptions{0, 1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(CalibrationModel(CalibrationOptions{2, -1.0}),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(model.fit(sig2, specs2), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(CalibrationModel(CalibrationOptions{0, 1.0}),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(CalibrationModel(CalibrationOptions{2, -1.0}),
+                        std::invalid_argument);
 }
 
 TEST(Calibration, PredictRejectsWrongLength) {
@@ -460,7 +464,7 @@ TEST(Calibration, PredictRejectsWrongLength) {
   }
   CalibrationModel model;
   model.fit(sig, specs);
-  EXPECT_THROW(model.predict({1.0}), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(model.predict({1.0}), std::invalid_argument);
 }
 
 TEST(Calibration, ConstantBinHandledGracefully) {
@@ -516,8 +520,8 @@ TEST(Calibration, PredictBatchMatchesPredictExactly) {
 
 TEST(Calibration, PredictBatchRejectsMisuse) {
   CalibrationModel unfitted;
-  EXPECT_THROW(unfitted.predict_batch(stf::la::Matrix(2, 2)),
-               std::logic_error);
+  EXPECT_CONTRACT_THROW(unfitted.predict_batch(stf::la::Matrix(2, 2)),
+                        std::logic_error);
   stf::stats::Rng rng(25);
   stf::la::Matrix sig(10, 3), specs(10, 1);
   for (std::size_t i = 0; i < 10; ++i) {
@@ -526,8 +530,8 @@ TEST(Calibration, PredictBatchRejectsMisuse) {
   }
   CalibrationModel model;
   model.fit(sig, specs);
-  EXPECT_THROW(model.predict_batch(stf::la::Matrix(4, 2)),
-               std::invalid_argument);
+  EXPECT_CONTRACT_THROW(model.predict_batch(stf::la::Matrix(4, 2)),
+                        std::invalid_argument);
   const auto empty = model.predict_batch(stf::la::Matrix(0, 3));
   EXPECT_EQ(empty.rows(), 0u);
 }

@@ -40,6 +40,7 @@
 #include "sigtest/sensitivity.hpp"
 #include "simd_lane_ops_checks.hpp"
 #include "stats/rng.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -108,23 +109,6 @@ TEST(SimdPrimitives, ComplexMulMatchesScalarComplexProduct) {
     const double im = x[i + 1] * w[i] + x[i] * w[i + 1];
     EXPECT_EQ(p[i], re);
     EXPECT_EQ(p[i + 1], im);
-  }
-}
-
-TEST(SimdPrimitives, DeinterleaveSplitsEvenOddLanes) {
-  if (simd::kLanes < 2) GTEST_SKIP() << "scalar backend has no pairs";
-  alignas(64) double a[2 * simd::kLanes];
-  alignas(64) double ev_out[simd::kLanes];
-  alignas(64) double od_out[simd::kLanes];
-  for (std::size_t i = 0; i < 2 * simd::kLanes; ++i)
-    a[i] = static_cast<double>(i) + 0.25;
-  simd::VecD ev, od;
-  simd::deinterleave(simd::load(a), simd::load(a + simd::kLanes), ev, od);
-  simd::store(ev_out, ev);
-  simd::store(od_out, od);
-  for (std::size_t i = 0; i < simd::kLanes; ++i) {
-    EXPECT_EQ(ev_out[i], a[2 * i]);
-    EXPECT_EQ(od_out[i], a[2 * i + 1]);
   }
 }
 
@@ -212,15 +196,22 @@ TEST(SimdPrimitives, KillSwitchDisablesDispatch) {
   }
 }
 
-// --- FFT: SIMD on/off bit-identity, pow2 + Bluestein, adversarial sizes ---
+// --- FFT: SIMD on/off bit-identity of the forward radix-2 kernel ---
+
+// fft_pow2_inplace on a copy of x zero-padded to the next power of two, as
+// the signature stage pads a capture.
+std::vector<dsp::cplx> fft_padded(std::vector<dsp::cplx> x) {
+  x.resize(dsp::next_pow2(x.size()), dsp::cplx{});
+  dsp::fft_pow2_inplace(x);
+  return x;
+}
 
 TEST(SimdFft, OnOffBitIdenticalAcrossSizes) {
   SimdGuard guard;
   stats::Rng rng(7);
-  // Pow2 (radix-2 kernel), non-pow2 (Bluestein chirp/convolution), and
-  // remainder-tail sizes around every lane count.
-  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 15u, 16u, 17u, 31u, 64u,
-                        100u, 101u, 128u, 255u, 1000u}) {
+  // Every power of two up to 1024: the first stages have fewer butterflies
+  // per block than a vector holds, so the kernel's scalar tail runs too.
+  for (std::size_t n = 1; n <= 1024; n *= 2) {
     std::vector<dsp::cplx> x(n);
     for (auto& v : x) {
       const double re = rng.normal(0.0, 1.0);
@@ -228,46 +219,24 @@ TEST(SimdFft, OnOffBitIdenticalAcrossSizes) {
       v = dsp::cplx(re, im);
     }
     simd::set_enabled(true);
-    const auto on = dsp::fft(x);
-    const auto on_inv = dsp::ifft(on);
+    const auto on = fft_padded(x);
     simd::set_enabled(false);
-    const auto off = dsp::fft(x);
-    const auto off_inv = dsp::ifft(off);
+    const auto off = fft_padded(x);
     EXPECT_TRUE(bits_equal(on, off)) << "fft n=" << n;
-    EXPECT_TRUE(bits_equal(on_inv, off_inv)) << "ifft n=" << n;
-  }
-}
-
-TEST(SimdFft, InplacePow2MatchesAllocatingFft) {
-  SimdGuard guard;
-  stats::Rng rng(21);
-  for (std::size_t n : {1u, 2u, 8u, 64u, 256u}) {
-    std::vector<dsp::cplx> x(n);
-    for (auto& v : x) {
-      const double re = rng.normal(0.0, 1.0);
-      const double im = rng.normal(0.0, 1.0);
-      v = dsp::cplx(re, im);
-    }
-    for (bool on : {true, false}) {
-      simd::set_enabled(on);
-      auto inplace = x;
-      dsp::fft_pow2_inplace(inplace);
-      EXPECT_TRUE(bits_equal(inplace, dsp::fft(x))) << "n=" << n;
-    }
   }
 }
 
 TEST(SimdFft, DenormalInputsStayBitIdentical) {
   SimdGuard guard;
-  std::vector<dsp::cplx> x(37);  // Bluestein path
+  std::vector<dsp::cplx> x(37);  // zero-padded to 64, like a capture
   const double tiny = std::numeric_limits<double>::denorm_min();
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] = dsp::cplx(tiny * static_cast<double>(i + 1),
                      -tiny * static_cast<double>(i));
   simd::set_enabled(true);
-  const auto on = dsp::fft(x);
+  const auto on = fft_padded(x);
   simd::set_enabled(false);
-  const auto off = dsp::fft(x);
+  const auto off = fft_padded(x);
   EXPECT_TRUE(bits_equal(on, off));
 }
 
@@ -281,7 +250,7 @@ TEST(SimdFft, NanPropagatesToEveryBinInBothModes) {
   x[5] = dsp::cplx(std::numeric_limits<double>::quiet_NaN(), 0.0);
   for (bool on : {true, false}) {
     simd::set_enabled(on);
-    const auto spec = dsp::fft(x);
+    const auto spec = fft_padded(x);
     for (const auto& v : spec)
       EXPECT_TRUE(std::isnan(v.real()) || std::isnan(v.imag()));
   }
@@ -289,7 +258,7 @@ TEST(SimdFft, NanPropagatesToEveryBinInBothModes) {
 
 TEST(SimdFft, PlanTablesAreLaneAligned) {
   EXPECT_GE(dsp::fft_plan_table_alignment(), simd::kAlignment);
-  for (std::size_t n : {8u, 64u, 1024u, 37u, 101u, 1000u})
+  for (std::size_t n : {2u, 8u, 64u, 1024u, 4096u})
     EXPECT_TRUE(dsp::fft_plan_tables_aligned(n)) << "n=" << n;
 }
 
@@ -457,11 +426,14 @@ TEST(LaneSignatures, MismatchedShapesThrow) {
       sigtest::SignatureTestConfig::simulation_study(), 16);
   std::vector<double> captures(2 * acq.capture_length() + 1);
   std::vector<double> out(2 * acq.signature_length());
-  EXPECT_THROW(acq.signatures_into(captures, 2, out), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(acq.signatures_into(captures, 2, out),
+                        std::invalid_argument);
   captures.pop_back();
   out.pop_back();
-  EXPECT_THROW(acq.signatures_into(captures, 2, out), std::invalid_argument);
-  EXPECT_THROW(acq.signatures_into(captures, 0, out), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(acq.signatures_into(captures, 2, out),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(acq.signatures_into(captures, 0, out),
+                        std::invalid_argument);
 }
 
 TEST(LanePinv, RealSensitivityMatricesMatchPinv) {

@@ -280,6 +280,28 @@ TEST(CalibrationStoreTest, KeysListsAndPruneDeletesOldVersions) {
   EXPECT_EQ(cal_store.versions(key_b), (std::vector<std::uint64_t>{1}));
 }
 
+// Regression: prune(key, keep_from) with keep_from past the newest version
+// deleted every version of the key (sigtest_cli store-evict --keep-from -1
+// wrapped to UINT64_MAX and emptied it).
+TEST(CalibrationStoreTest, PrunePastTheNewestVersionThrowsAndKeepsEveryVersion) {
+  TempRoot root("prune_past");
+  store::CalibrationStore cal_store(root.path());
+  const auto cal = make_small_calibration();
+  const store::StoreKey key = small_key();
+  for (std::uint64_t v = 1; v <= 3; ++v)
+    ASSERT_EQ(cal_store.put(key, cal.model, cal.screen), v);
+  for (const std::uint64_t keep_from :
+       {std::uint64_t{4}, std::numeric_limits<std::uint64_t>::max()}) {
+    EXPECT_THROW(cal_store.prune(key, keep_from), store::StoreError)
+        << keep_from;
+    EXPECT_EQ(cal_store.versions(key), (std::vector<std::uint64_t>{1, 2, 3}))
+        << keep_from;
+  }
+  // Keeping only the newest version is still allowed.
+  EXPECT_EQ(cal_store.prune(key, 3), 2u);
+  EXPECT_EQ(cal_store.versions(key), (std::vector<std::uint64_t>{3}));
+}
+
 TEST(CalibrationStoreTest, MissingKeysAndVersionsAreTypedErrors) {
   TempRoot root("missing");
   store::CalibrationStore cal_store(root.path());

@@ -6,6 +6,7 @@
 
 #include "testgen/ga.hpp"
 #include "testgen/pwl_encoding.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -119,17 +120,20 @@ TEST(Ga, EvaluationBudgetAccounting) {
 TEST(Ga, InvalidArgumentsThrow) {
   const auto obj = [](const std::vector<double>& x) { return x[0]; };
   GaOptions opts;
-  EXPECT_THROW(ga_minimize(Objective{}, {0.0}, {1.0}, opts),
-               std::invalid_argument);
-  EXPECT_THROW(ga_minimize(BatchObjective{}, {0.0}, {1.0}, opts),
-               std::invalid_argument);
-  EXPECT_THROW(ga_minimize(obj, {}, {}, opts), std::invalid_argument);
-  EXPECT_THROW(ga_minimize(obj, {1.0}, {0.0}, opts), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(ga_minimize(Objective{}, {0.0}, {1.0}, opts),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(ga_minimize(BatchObjective{}, {0.0}, {1.0}, opts),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(ga_minimize(obj, {}, {}, opts), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(ga_minimize(obj, {1.0}, {0.0}, opts),
+                        std::invalid_argument);
   opts.population = 1;
-  EXPECT_THROW(ga_minimize(obj, {0.0}, {1.0}, opts), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(ga_minimize(obj, {0.0}, {1.0}, opts),
+                        std::invalid_argument);
   opts.population = 10;
   opts.elite = 10;
-  EXPECT_THROW(ga_minimize(obj, {0.0}, {1.0}, opts), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(ga_minimize(obj, {0.0}, {1.0}, opts),
+                        std::invalid_argument);
 }
 
 // ------------------------------------------------------------ PwlEncoding --
@@ -168,7 +172,7 @@ TEST(PwlEncoding, BoundsVectors) {
 TEST(PwlEncoding, WrongGenomeLengthThrows) {
   PwlEncoding enc;
   enc.n_breakpoints = 4;
-  EXPECT_THROW(enc.decode({0.1, 0.2}), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(enc.decode({0.1, 0.2}), std::invalid_argument);
 }
 
 TEST(PwlEncoding, GaOptimizesPwlTowardTarget) {

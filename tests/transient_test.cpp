@@ -7,6 +7,7 @@
 #include "circuit/ac.hpp"
 #include "circuit/transient.hpp"
 #include "dsp/spectrum.hpp"
+#include "test_contracts.hpp"
 
 namespace {
 
@@ -190,10 +191,10 @@ TEST(Transient, InvalidArgumentsThrow) {
   nl.add_resistor("R", "a", "0", 100.0);
   TransientOptions opts;
   opts.dt = 0.0;
-  EXPECT_THROW(simulate_transient(nl, opts), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(simulate_transient(nl, opts), std::invalid_argument);
   opts.dt = 1e-6;
   opts.t_stop = 0.5e-6;  // t_stop <= dt
-  EXPECT_THROW(simulate_transient(nl, opts), std::invalid_argument);
+  EXPECT_CONTRACT_THROW(simulate_transient(nl, opts), std::invalid_argument);
   opts.t_stop = 1e-3;
   SourceWaveforms wf;
   wf["NOPE"] = [](double) { return 0.0; };

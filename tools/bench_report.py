@@ -137,8 +137,6 @@ def summarize(path: Path) -> None:
     derived = [
         ratio_line(times, "fft plan cache, n=1024 (uncached/cached)",
                    "BM_Fft1024Uncached", "BM_Fft1024"),
-        ratio_line(times, "fft plan cache, n=1000 Bluestein (uncached/cached)",
-                   "BM_FftBluestein1000Uncached", "BM_FftBluestein1000"),
         ratio_line(times, "optimize_stimulus 8-thread speedup (1T/8T)",
                    "BM_OptimizeStimulusThreads/1/real_time",
                    "BM_OptimizeStimulusThreads/8/real_time"),

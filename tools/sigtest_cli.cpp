@@ -9,6 +9,7 @@
 //   analog                                        baseband lineage demo
 //   store-inspect DIR [--scenario S ...]          calibration store browser
 //   store-evict   DIR --scenario S [--keep-from N]  prune old versions
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "circuit/parser.hpp"
 #include "circuit/sparams.hpp"
 #include "common.hpp"
+#include "core/env.hpp"
 #include "core/telemetry.hpp"
 #include "rf/faults.hpp"
 #include "sigtest/analog.hpp"
@@ -336,7 +339,8 @@ int cmd_analog(const std::vector<std::string>&) {
 }
 
 /// Shared flag grammar of the store subcommands: DIR first, then the key
-/// fields. Returns false (after printing usage) on malformed input.
+/// fields. Returns false on malformed input, naming a malformed number on
+/// stderr; the caller prints usage.
 bool parse_store_args(const std::vector<std::string>& args, std::string* root,
                       stf::store::StoreKey* key, bool* key_given,
                       std::uint64_t* keep_from) {
@@ -351,10 +355,25 @@ bool parse_store_args(const std::vector<std::string>& args, std::string* root,
     } else if (a == "--device-type" && i + 1 < args.size()) {
       key->device_type = args[++i];
     } else if (a == "--temp" && i + 1 < args.size()) {
-      key->temp_bin_c = std::atoi(args[++i].c_str());
+      const std::string& text = args[++i];
+      const char* last = text.data() + text.size();
+      const auto [ptr, ec] =
+          std::from_chars(text.data(), last, key->temp_bin_c);
+      if (ec != std::errc() || ptr != last) {
+        std::fprintf(stderr, "--temp: expected an integer, got \"%s\"\n",
+                     text.c_str());
+        return false;
+      }
     } else if (keep_from != nullptr && a == "--keep-from" &&
                i + 1 < args.size()) {
-      *keep_from = std::strtoull(args[++i].c_str(), nullptr, 10);
+      try {
+        *keep_from = stf::core::env::parse_u64(
+            "--keep-from", args[++i], 0,
+            std::numeric_limits<std::uint64_t>::max());
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return false;
+      }
     } else {
       return false;
     }

@@ -452,8 +452,7 @@ def check_raw_threads(ctx: Context):
                 yield Finding(
                     "raw-thread", f.rel, idx + 1,
                     f"{m.group(0).strip()} outside src/core/ and "
-                    "src/service/; use stf::core::parallel_for or "
-                    "parallel_map")
+                    "src/service/; use stf::core::parallel_for")
 
 
 # Raw socket/poll syscalls and the headers that provide them. `send`/`recv`
