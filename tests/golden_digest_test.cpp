@@ -1,12 +1,15 @@
-// Golden digests of the lot engine, the GA's sensitivity matrix and the
-// GA's search results, and the exact work one golden search does.
+// Golden digests of the lot engine, the validation report, the unguarded
+// baseline, the GA's sensitivity matrix and the GA's search results, and
+// the exact work one golden search does.
 //
 // The lot checks elsewhere compare test_lot with the serial test_device
 // loop of the same build, so a drift that moves both together passes them.
 // These constants pin the outputs themselves: an FNV-1a hash over every
 // disposition field of a 64-device clean lot and a 64-device faulted lot,
-// over the bit patterns of signature_sensitivity for two stimuli, and the
-// evaluation count and best objective bits of three stimulus searches.
+// over validate()'s scatter and metrics on the same 64 devices, over the
+// unguarded baseline's predictions on the faulted lot, over the bit
+// patterns of signature_sensitivity for two stimuli, and the evaluation
+// count and best objective bits of three stimulus searches.
 // Every lot entry point must land on the same constant, at any batch size
 // and STF_THREADS, with SIMD on or off and in every SIMD backend -- and so
 // must the same lots served by a SigtestServer over loopback and decoded by
@@ -94,6 +97,8 @@ constexpr const char* kScenario = "lna:spread=0.2:pop=4242";
 
 constexpr std::uint64_t kCleanLotDigest = 0xC08D960D59328B63ULL;
 constexpr std::uint64_t kFaultedLotDigest = 0xBEEDFBFFD3FAE43BULL;
+constexpr std::uint64_t kValidationDigest = 0xE962D863888D434EULL;
+constexpr std::uint64_t kUnguardedFaultedDigest = 0x16B3701DA4E26FE9ULL;
 constexpr std::uint64_t kSensitivityDigestA = 0x55CE7C3B579F855FULL;
 constexpr std::uint64_t kSensitivityDigestB = 0x6F03C4941178E471ULL;
 
@@ -196,6 +201,60 @@ void expect_wire_digest(const std::string& fault_spec, std::uint64_t want) {
     }
     server.stop();
   }
+}
+
+/// Runs `check` with SIMD on and off, at STF_THREADS 1 and 4.
+template <typename Check>
+void in_every_configuration(const Check& check) {
+  SimdGuard simd_guard;
+  for (const bool simd_on : {true, false}) {
+    core::simd::set_enabled(simd_on);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ThreadCountGuard guard(threads);
+      check("threads " + std::to_string(threads) + ", simd " +
+            std::to_string(simd_on));
+    }
+  }
+}
+
+// validate() on Cell's 64 devices, in order on one shared stream: every
+// spec's truth and predicted bits and its four metrics.
+TEST(GoldenValidationDigest, ReportOnOneSharedStream) {
+  const Cell& c = cell();
+  in_every_configuration([&](const std::string& where) {
+    stats::Rng rng(kLotSeed);
+    const sigtest::ValidationReport report = c.runtime.validate(c.devices, rng);
+    Fnv1a h;
+    h.add(static_cast<std::uint64_t>(report.specs.size()));
+    for (const sigtest::SpecScatter& s : report.specs) {
+      h.add(static_cast<std::uint64_t>(s.truth.size()));
+      for (const double v : s.truth) h.add(v);
+      for (const double v : s.predicted) h.add(v);
+      h.add(s.rms_error);
+      h.add(s.std_error);
+      h.add(s.max_abs_error);
+      h.add(s.r_squared);
+    }
+    EXPECT_EQ(h.value(), kValidationDigest) << where;
+  });
+}
+
+// The unguarded baseline on the faulted lot: device i at fault sequence i,
+// all devices on one shared stream, every prediction's length and bits.
+TEST(GoldenValidationDigest, UnguardedBaselineOnTheFaultedLot) {
+  const Cell& c = cell();
+  const rf::FaultInjector faults = rf::FaultInjector::parse(kFaultSpec);
+  in_every_configuration([&](const std::string& where) {
+    stats::Rng rng(kLotSeed);
+    Fnv1a h;
+    for (std::size_t i = 0; i < c.lot.size(); ++i) {
+      const std::vector<double> p =
+          c.runtime.predict_device(*c.lot[i], rng, &faults, i);
+      h.add(static_cast<std::uint64_t>(p.size()));
+      for (const double v : p) h.add(v);
+    }
+    EXPECT_EQ(h.value(), kUnguardedFaultedDigest) << where;
+  });
 }
 
 TEST(GoldenWireDigest, CleanLot) { expect_wire_digest("", kCleanLotDigest); }
