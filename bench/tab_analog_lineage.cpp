@@ -35,13 +35,14 @@ int main() {
               train.size(), val.size());
   std::printf("# %-12s %12s %10s\n", "spec", "rms_err", "R^2");
   const char* units[] = {"dB", "Hz", "dB"};
-  for (std::size_t s = 0; s < rep.names.size(); ++s)
-    std::printf("  %-12s %9.4f %-3s %8.4f\n", rep.names[s].c_str(),
-                rep.rms_error[s], units[s], rep.r_squared[s]);
+  for (std::size_t s = 0; s < rep.specs.size(); ++s)
+    std::printf("  %-12s %9.4f %-3s %8.4f\n", rep.specs[s].name.c_str(),
+                rep.specs[s].rms_error, units[s], rep.specs[s].r_squared);
 
   std::printf("\n# cutoff-frequency scatter (the headline spec)\n");
   std::printf("# %-14s %14s\n", "true f3db (Hz)", "predicted (Hz)");
-  for (std::size_t i = 0; i < rep.truth[1].size(); ++i)
-    std::printf("%12.1f %16.1f\n", rep.truth[1][i], rep.predicted[1][i]);
+  const sigtest::SpecScatter& f3db = rep.specs[1];
+  for (std::size_t i = 0; i < f3db.truth.size(); ++i)
+    std::printf("%12.1f %16.1f\n", f3db.truth[i], f3db.predicted[i]);
   return 0;
 }

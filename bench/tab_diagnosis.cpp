@@ -4,6 +4,7 @@
 // process parameters -- the table reports per-parameter estimation
 // accuracy, separating observable parameters (bias and gain determining)
 // from the ones the signature cannot see.
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -35,13 +36,16 @@ int main() {
   sigtest::ParametricDiagnoser diag(cfg, study.stimulus, names, co);
   stats::Rng rng(13);
   diag.calibrate(train, rng);
-  const auto report = diag.validate(val, circuit::Lna900::nominal(), rng);
+  const auto report = diag.validate(val, rng);
+  const auto nominal = circuit::Lna900::nominal();
 
   std::printf("# %-8s %14s %12s   (uniform +/-20%% prior: rms 11.5%%)\n",
               "param", "rms (% nom)", "R^2");
-  for (std::size_t j = 0; j < report.names.size(); ++j)
-    std::printf("  %-8s %13.2f%% %12.4f\n", report.names[j].c_str(),
-                report.rms_percent[j], report.r_squared[j]);
+  for (std::size_t j = 0; j < report.specs.size(); ++j) {
+    const sigtest::SpecScatter& p = report.specs[j];
+    std::printf("  %-8s %13.2f%% %12.4f\n", p.name.c_str(),
+                100.0 * p.rms_error / std::abs(nominal[j]), p.r_squared);
+  }
   std::printf(
       "# expected shape: parameters with a distinct signature fingerprint"
       " (RB, CT, BF) recover\n"

@@ -2,14 +2,15 @@
 // test cell's guard, under each measurement-chain fault class
 // (rf/faults.hpp).
 //
-// The headline robustness number of the repo: the unguarded path
-// (TestCell::predict_device) regresses corrupted captures into confidently
-// wrong spec predictions and ships bad parts; the guarded test
-// (TestCell::test_device) validates every capture, retries suspects with
-// escalating averaging, and routes persistent outliers to conventional
-// test. For every fault class the guarded escape rate must be strictly
-// below the unguarded one, and on a clean chain the guard must be
-// invisible: bit-identical predictions, zero retries.
+// The headline robustness number of the repo. Both flows run the one test
+// engine (TestCell::test_device) on the same calibration: the unguarded
+// flow under GuardPolicy::unguarded() regresses corrupted captures into
+// confidently wrong spec predictions and ships bad parts; the guarded flow
+// validates every capture, retries suspects with escalating averaging, and
+// routes persistent outliers to conventional test. For every fault class
+// the guarded escape rate must be strictly below the unguarded one, and on
+// a clean chain the guard must be invisible: bit-identical predictions,
+// zero retries.
 //
 // Exit status is non-zero if any of those checks fails, so the CI fault-
 // injection stress job can gate on this binary.
@@ -114,15 +115,18 @@ int main() {
   // past 1.0 while the drift-induced bias is still inside the range where
   // escapes happen, so the monitor fires early enough to matter.
   policy.drift_alarm_score = 1.0;
-  // One cell serves both flows: the unguarded one predicts with the same
-  // regression model the guard screens for, so any clean-path divergence
-  // is the guard's fault (and a bug).
   sigtest::TestCell cell(cfg, study.stimulus, circuit::LnaSpecs::names(),
                          policy);
   {
     stats::Rng rng(7);
     cell.calibrate(cal, rng);
   }
+  // The unguarded flow's cell takes the guarded cell's calibration: it
+  // predicts with the same regression model the guard screens for, so any
+  // clean-path divergence is the guard's fault (and a bug).
+  sigtest::TestCell unguarded(cfg, study.stimulus, circuit::LnaSpecs::names(),
+                              sigtest::GuardPolicy::unguarded());
+  unguarded.swap_calibration(cell.model(), cell.screen());
 
   std::vector<std::vector<double>> truth;
   truth.reserve(lot.size());
@@ -165,14 +169,14 @@ int main() {
     const rf::FaultInjector* faults = clean ? nullptr : &sc.faults;
 
     // (a) Unguarded: every corrupted capture is regressed and trusted.
-    std::vector<std::vector<double>> pred_off;
+    std::vector<sigtest::TestDisposition> off;
     {
       stats::Rng rng(kLotRngSeed);
       for (std::size_t i = 0; i < lot.size(); ++i)
-        pred_off.push_back(cell.predict_device(*lot[i].dut, rng, faults, i));
+        off.push_back(unguarded.test_device(*lot[i].dut, rng, faults, i));
     }
     const auto flow_off =
-        ate::run_production_flow(truth, pred_off, limits, kGuardBand);
+        ate::run_production_flow(truth, off, limits, kGuardBand);
 
     // (b) Guarded: validate, retry, escalate, route, monitor.
     const auto on = run_guarded_lot(cell, lot, golden.dut.get(),
@@ -189,7 +193,7 @@ int main() {
         check = "FAIL: guard not invisible on clean chain";
       } else {
         for (std::size_t i = 0; i < lot.size(); ++i)
-          if (on.dispositions[i].predicted != pred_off[i]) {
+          if (on.dispositions[i].predicted != off[i].predicted) {
             ok = false;
             check = "FAIL: clean path not bit-identical";
             break;

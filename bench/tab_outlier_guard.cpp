@@ -26,10 +26,12 @@ int main() {
   const auto cfg = sigtest::SignatureTestConfig::simulation_study();
   sigtest::SignatureAcquirer acq(cfg, 16);
 
-  // Calibrate the runtime and fit the screen on the same training lot.
+  // Calibrate the unguarded runtime (predictions without the screen) and
+  // fit the screen on the same training lot.
   const auto devices = rf::make_lna_population(125, 0.2, 42);
   const auto split = rf::split_population(devices, 100);
-  sigtest::TestCell runtime(cfg, study.stimulus, circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(cfg, study.stimulus, circuit::LnaSpecs::names(),
+                            sigtest::GuardPolicy::unguarded());
   stats::Rng rng(7);
   runtime.calibrate(split.calibration, rng);
 
@@ -67,7 +69,7 @@ int main() {
     process[d.param] *= d.factor;
     const auto ch = rf::extract_lna_dut(process);
     const auto sig = acq.acquire(*ch.dut, study.stimulus, &rng);
-    const auto pred = runtime.predict_device(*ch.dut, rng);
+    const auto pred = runtime.test_device(*ch.dut, rng).predicted;
     const double score = screen.score(sig);
     const bool out = screen.is_outlier(sig, 2.5);
 

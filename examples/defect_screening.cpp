@@ -35,8 +35,11 @@ int main() {
   const auto optimized = sigtest::optimize_stimulus(perturb, acquirer, oc);
 
   const auto devices = rf::make_lna_population(60, 0.2, 11);
+  // The spec predictor alone: the unguarded preset, with the screen below
+  // as the separate guard this example demonstrates.
   sigtest::TestCell runtime(config, optimized.waveform,
-                            circuit::LnaSpecs::names());
+                            circuit::LnaSpecs::names(),
+                            sigtest::GuardPolicy::unguarded());
   stats::Rng rng(5);
   runtime.calibrate(devices, rng);
 
@@ -59,7 +62,7 @@ int main() {
                   truth.gain_db);
       return;
     }
-    const auto pred = runtime.predict_device(dut, rng);
+    const auto pred = runtime.test_device(dut, rng).predicted;
     std::printf("predicted gain %.2f dB (true %.2f), NF %.2f (true %.2f)\n",
                 pred[0], truth.gain_db, pred[1], truth.nf_db);
   };

@@ -1,11 +1,12 @@
 // Fault-injection walkthrough: what a degraded measurement chain does to
 // signature testing, and what the guarded runtime does about it.
 //
-// A small LNA lot is tested three ways:
-//   (a) clean chain, unguarded predict_device -- the baseline,
+// A small LNA lot is tested three ways, each through TestCell::test_device
+// on the same calibration:
+//   (a) clean chain, GuardPolicy::unguarded() -- the baseline,
 //   (b) faulted chain, unguarded              -- corrupted captures are
 //       regressed into confidently wrong spec predictions,
-//   (c) faulted chain, guarded test_device    -- captures are validated,
+//   (c) faulted chain, guarded policy         -- captures are validated,
 //       suspects retried with escalating averaging, persistent outliers
 //       routed to conventional test.
 // Then the golden-device drift monitor is demonstrated on a slowly
@@ -19,20 +20,33 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "circuit/lna900.hpp"
+#include "core/env.hpp"
 #include "rf/faults.hpp"
 #include "rf/population.hpp"
 #include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
 #include "stats/rng.hpp"
 
+namespace {
+
+int usage() {
+  std::fprintf(stderr, "usage: fault_injection [--fault SPEC] [--seed N]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace stf;
 
   std::string fault_spec = "clip:0.12,contact:0.02:0.05";
+  std::string seed_text;
   std::uint64_t seed = 1234;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -41,13 +55,11 @@ int main(int argc, char** argv) {
     else if (a == "--fault" && i + 1 < argc)
       fault_spec = argv[++i];
     else if (a.rfind("--seed=", 0) == 0)
-      seed = std::stoull(a.substr(std::strlen("--seed=")));
+      seed_text = a.substr(std::strlen("--seed="));
     else if (a == "--seed" && i + 1 < argc)
-      seed = std::stoull(argv[++i]);
-    else {
-      std::fprintf(stderr, "usage: fault_injection [--fault SPEC] [--seed N]\n");
-      return 2;
-    }
+      seed_text = argv[++i];
+    else
+      return usage();
   }
 
   rf::FaultInjector faults;
@@ -56,6 +68,15 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fault_injection: bad --fault spec: %s\n", e.what());
     return 2;
+  }
+  if (!seed_text.empty()) {
+    try {
+      seed = core::env::parse_u64("--seed", seed_text, 0,
+                                  std::numeric_limits<std::uint64_t>::max());
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "fault_injection: %s\n", e.what());
+      return usage();
+    }
   }
   std::printf("=== Fault scenario: %s (seed %llu) ===\n",
               faults.describe().c_str(),
@@ -84,9 +105,20 @@ int main(int argc, char** argv) {
     stats::Rng rng(5);
     cell.calibrate(cal_devices, rng);
   }
+  // The baseline runs under the unguarded preset on the same calibration.
+  sigtest::TestCell baseline(config, optimized.waveform,
+                             circuit::LnaSpecs::names(),
+                             sigtest::GuardPolicy::unguarded());
+  baseline.swap_calibration(cell.model(), cell.screen());
 
-  // A small lot, tested three ways with identical noise seeds.
+  // A small lot, tested three ways with identical noise seeds. Even the
+  // unguarded preset routes a capture with a non-finite sample; its gain
+  // column then reads nan.
   const auto lot = rf::make_lna_population(12, 0.2, 99);
+  const auto gain_of = [](const sigtest::TestDisposition& d) {
+    return d.has_prediction() ? d.predicted[0]
+                              : std::numeric_limits<double>::quiet_NaN();
+  };
   std::printf("\n%-3s %8s | %8s | %8s %7s | %-22s\n", "dev", "true",
               "clean", "faulted", "", "guarded");
   std::printf("%-3s %8s | %8s | %8s %7s | %-22s\n", "", "gain", "pred",
@@ -94,8 +126,9 @@ int main(int argc, char** argv) {
   int routed = 0, retried = 0;
   for (std::size_t i = 0; i < lot.size(); ++i) {
     stats::Rng r_clean(seed), r_fault(seed), r_guard(seed);
-    const auto clean = cell.predict_device(*lot[i].dut, r_clean);
-    const auto bad = cell.predict_device(*lot[i].dut, r_fault, &faults, i);
+    const double clean = gain_of(baseline.test_device(*lot[i].dut, r_clean));
+    const double bad =
+        gain_of(baseline.test_device(*lot[i].dut, r_fault, &faults, i));
     const auto d = cell.test_device(*lot[i].dut, r_guard, &faults, i);
 
     const char* kind = "routed to conventional";
@@ -107,8 +140,8 @@ int main(int argc, char** argv) {
     if (d.kind == sigtest::DispositionKind::kRoutedToConventional) ++routed;
     std::printf("%-3zu %8.2f | %8.2f | %8.2f %7.2f | %-22s (%d attempts,"
                 " %d captures)\n",
-                i, lot[i].specs.gain_db, clean[0], bad[0],
-                bad[0] - lot[i].specs.gain_db, kind, d.attempts, d.captures);
+                i, lot[i].specs.gain_db, clean, bad,
+                bad - lot[i].specs.gain_db, kind, d.attempts, d.captures);
   }
   std::printf("\n# unguarded: every faulted prediction above would be"
               " trusted as-is.\n");

@@ -11,10 +11,10 @@
 // match the serial guarded reference device for device.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,11 +22,23 @@
 #include "ate/flow.hpp"
 #include "ate/timing.hpp"
 #include "circuit/lna900.hpp"
+#include "core/env.hpp"
 #include "core/telemetry.hpp"
 #include "rf/population.hpp"
 #include "sigtest/cell.hpp"
 #include "sigtest/optimizer.hpp"
 #include "stats/rng.hpp"
+
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: production_flow [--trace-out FILE] [--stats]"
+               " [--batch N]\n");
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace stf;
@@ -37,6 +49,7 @@ int main(int argc, char** argv) {
   // optimize-calibrate-screen flow. CI uploads the trace as an artifact.
   std::string trace_path;
   bool stats = false;
+  std::string batch_text;
   std::size_t batch_size = 16;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -46,18 +59,21 @@ int main(int argc, char** argv) {
     else if (a == "--trace-out" && i + 1 < argc)
       trace_path = argv[++i];
     else if (a.rfind("--batch=", 0) == 0)
-      batch_size = static_cast<std::size_t>(
-          std::strtoul(a.c_str() + std::strlen("--batch="), nullptr, 10));
+      batch_text = a.substr(std::strlen("--batch="));
     else if (a == "--batch" && i + 1 < argc)
-      batch_size = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    else {
-      std::fprintf(stderr,
-                   "usage: production_flow [--trace-out FILE] [--stats]"
-                   " [--batch N]\n");
-      return 2;
+      batch_text = argv[++i];
+    else
+      return usage();
+  }
+  if (!batch_text.empty()) {
+    try {
+      batch_size = core::env::parse_u64(
+          "--batch", batch_text, 1, std::numeric_limits<std::size_t>::max());
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "production_flow: %s\n", e.what());
+      return usage();
     }
   }
-  if (batch_size == 0) batch_size = 16;
   if (stats || !trace_path.empty()) core::telemetry::set_enabled(true);
 
   // Datasheet limits sized so the +/-20% process lot has imperfect yield.
@@ -83,23 +99,25 @@ int main(int argc, char** argv) {
 
   const auto cal_devices = rf::make_lna_population(100, 0.2, 11);
   sigtest::TestCell runtime(config, optimized.waveform,
-                            circuit::LnaSpecs::names());
+                            circuit::LnaSpecs::names(),
+                            sigtest::GuardPolicy::unguarded());
   stats::Rng noise(5);
   runtime.calibrate(cal_devices, noise);
 
-  // --- the production lot. ---
+  // --- the production lot: every device predicted, on one noise stream. ---
   const auto lot = rf::make_lna_population(200, 0.2, 77);
-  std::vector<std::vector<double>> truth, predicted;
+  std::vector<std::vector<double>> truth;
+  std::vector<sigtest::TestDisposition> tested;
   for (const auto& dev : lot) {
     truth.push_back(dev.specs.to_vector());
-    predicted.push_back(runtime.predict_device(*dev.dut, noise));
+    tested.push_back(runtime.test_device(*dev.dut, noise));
   }
 
   std::printf("=== Lot of %zu devices, 3 datasheet limits ===\n", lot.size());
   std::printf("%-12s %10s %10s %10s %10s %12s %12s\n", "guard band", "pass",
               "fail", "escapes", "yld loss", "escape rate", "yldloss rate");
   for (double guard : {0.0, 0.1, 0.2, 0.4}) {
-    const auto r = ate::run_production_flow(truth, predicted, limits, guard);
+    const auto r = ate::run_production_flow(truth, tested, limits, guard);
     std::printf("%-12.2f %10d %10d %10d %10d %12.4f %12.4f\n", guard,
                 r.true_pass, r.true_fail, r.test_escape, r.yield_loss,
                 r.escape_rate(), r.yield_loss_rate());

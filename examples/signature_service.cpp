@@ -13,15 +13,16 @@
 //     ./build/examples/signature_service [--clients N] [--no-faults]
 //                                        [--trace-out FILE] [--stats]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "circuit/lna900.hpp"
+#include "core/env.hpp"
 #include "core/telemetry.hpp"
 #include "dsp/pwl.hpp"
 #include "net/client.hpp"
@@ -31,10 +32,25 @@
 #include "sigtest/cell.hpp"
 #include "stats/rng.hpp"
 
+namespace {
+
+// Each client is a thread of this process.
+constexpr std::uint64_t kMaxClients = 256;
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: signature_service [--clients N] [--no-faults]"
+               " [--trace-out FILE] [--stats]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace stf;
 
   std::size_t n_clients = 8;
+  std::string clients_text;
   bool with_faults = true;
   std::string trace_path;
   bool stats = false;
@@ -43,23 +59,25 @@ int main(int argc, char** argv) {
     if (a == "--no-faults") with_faults = false;
     else if (a == "--stats") stats = true;
     else if (a.rfind("--clients=", 0) == 0)
-      n_clients = static_cast<std::size_t>(
-          std::strtoul(a.c_str() + std::strlen("--clients="), nullptr, 10));
+      clients_text = a.substr(std::strlen("--clients="));
     else if (a == "--clients" && i + 1 < argc)
-      n_clients = static_cast<std::size_t>(
-          std::strtoul(argv[++i], nullptr, 10));
+      clients_text = argv[++i];
     else if (a.rfind("--trace-out=", 0) == 0)
       trace_path = a.substr(std::strlen("--trace-out="));
     else if (a == "--trace-out" && i + 1 < argc)
       trace_path = argv[++i];
-    else {
-      std::fprintf(stderr,
-                   "usage: signature_service [--clients N] [--no-faults]"
-                   " [--trace-out FILE] [--stats]\n");
-      return 2;
+    else
+      return usage();
+  }
+  if (!clients_text.empty()) {
+    try {
+      n_clients =
+          core::env::parse_u64("--clients", clients_text, 1, kMaxClients);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "signature_service: %s\n", e.what());
+      return usage();
     }
   }
-  if (n_clients == 0) n_clients = 1;
   if (stats || !trace_path.empty()) core::telemetry::set_enabled(true);
 
   // --- the shared tester: one calibrated TestCell behind the server.

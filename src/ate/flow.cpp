@@ -18,18 +18,6 @@ double FlowResult::yield_loss_rate() const {
 
 FlowResult run_production_flow(
     const std::vector<std::vector<double>>& truth,
-    const std::vector<std::vector<double>>& predicted,
-    const std::vector<SpecLimit>& limits, double guard_band) {
-  std::vector<stf::sigtest::TestDisposition> lot(predicted.size());
-  for (std::size_t i = 0; i < lot.size(); ++i) {
-    lot[i].kind = stf::sigtest::DispositionKind::kPredicted;
-    lot[i].predicted = predicted[i];
-  }
-  return run_production_flow(truth, lot, limits, guard_band);
-}
-
-FlowResult run_production_flow(
-    const std::vector<std::vector<double>>& truth,
     const std::vector<stf::sigtest::TestDisposition>& lot,
     const std::vector<SpecLimit>& limits, double guard_band) {
   using stf::sigtest::DispositionKind;

@@ -38,24 +38,17 @@ struct FlowResult {
   double yield_loss_rate() const;
 };
 
-/// Evaluate the flow: truth[i] and predicted[i] are per-device spec
-/// vectors aligned with limits, every device decided on its prediction.
-/// guard_band_db tightens every limit applied to predictions by that margin
-/// (the standard defense against prediction error at the cost of extra
-/// yield loss).
-FlowResult run_production_flow(
-    const std::vector<std::vector<double>>& truth,
-    const std::vector<std::vector<double>>& predicted,
-    const std::vector<SpecLimit>& limits, double guard_band = 0.0);
-
-/// Disposition-aware flow over what sigtest::TestCell::test_device and
-/// test_lot produce. A guarded signature tester does not predict every
-/// part: suspect captures are retried, and parts whose captures never
-/// validate are measured conventionally instead. Routed devices
-/// (kRoutedToConventional) carry no prediction; their decision comes from
-/// truth[i], so they can be neither an escape nor a yield loss. Devices
-/// predicted after retry are decided like predictions and counted in
-/// `retested`.
+/// Evaluate the flow over what sigtest::TestCell::test_device and
+/// test_lot produce: truth[i] is device i's spec vector, aligned with
+/// limits, and lot[i] its disposition. A guarded signature tester does not
+/// predict every part: suspect captures are retried, and parts whose
+/// captures never validate are measured conventionally instead. Routed
+/// devices (kRoutedToConventional) carry no prediction; their decision
+/// comes from truth[i], so they can be neither an escape nor a yield loss.
+/// Devices predicted after retry are decided like predictions and counted
+/// in `retested`. guard_band tightens every limit applied to predictions
+/// by that margin (the standard defense against prediction error at the
+/// cost of extra yield loss).
 FlowResult run_production_flow(
     const std::vector<std::vector<double>>& truth,
     const std::vector<stf::sigtest::TestDisposition>& lot,

@@ -4,7 +4,6 @@
 #include <new>
 
 #include "core/contracts.hpp"
-#include "core/env.hpp"
 #include "core/telemetry.hpp"
 
 namespace stf::core {
@@ -22,17 +21,10 @@ telemetry::Counter& heap_fallback_counter() {
   return c;
 }
 
-std::size_t default_capture_arena_bytes() {
-  // STF_ARENA_BYTES only sizes the buffer; requests that do not fit fall
-  // back to the heap, so this cannot change any numeric result. Garbage or
-  // out-of-range values throw (core/env policy) instead of being silently
-  // reinterpreted as the default, surfacing at the first capture.
-  constexpr std::size_t kDefault = std::size_t{1} << 20;  // 1 MiB
-  constexpr std::uint64_t kMin = 4096;                    // one small capture
-  constexpr std::uint64_t kMax = std::uint64_t{1} << 40;  // 1 TiB sanity cap
-  return static_cast<std::size_t>(
-      env::read_u64("STF_ARENA_BYTES", kDefault, kMin, kMax));
-}
+// The capture arena's size. It only sizes the buffer: requests that do not
+// fit fall back to the heap (counted in mem.heap_fallbacks), so it cannot
+// change any numeric result.
+constexpr std::size_t kCaptureArenaBytes = std::size_t{1} << 20;  // 1 MiB
 
 }  // namespace
 
@@ -69,8 +61,7 @@ void Arena::deallocate(void* p, std::size_t) noexcept {
 }
 
 Arena& capture_arena() {
-  static const std::size_t bytes = default_capture_arena_bytes();
-  thread_local Arena arena(bytes);
+  thread_local Arena arena(kCaptureArenaBytes);
   return arena;
 }
 

@@ -158,8 +158,8 @@ class ArenaAllocator {
 template <class T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
 
-/// Per-thread arena for capture scratch. Sized by the STF_ARENA_BYTES
-/// environment variable (default 1 MiB), created on first use per thread.
+/// Per-thread 1 MiB arena for capture scratch, created on first use per
+/// thread. Requests that do not fit fall back to the heap.
 Arena& capture_arena();
 
 }  // namespace stf::core

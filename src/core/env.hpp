@@ -1,6 +1,6 @@
 // Unified STF_* environment-variable parsing: one overflow-safe reader for
-// every runtime knob the framework honors (STF_THREADS, STF_ARENA_BYTES,
-// STF_SIMD, STF_TELEMETRY, STF_PORT, STF_MAX_CLIENTS, ...).
+// every runtime knob the framework honors (STF_THREADS, STF_SIMD,
+// STF_TELEMETRY, STF_PORT, STF_MAX_CLIENTS, ...).
 //
 // Before this helper each subsystem parsed its own variable with its own
 // failure mode -- the thread pool rejected garbage, the arena silently fell

@@ -1,8 +1,11 @@
 #include "rf/faults.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/contracts.hpp"
 #include "core/env.hpp"
@@ -45,6 +48,24 @@ const char* kind_name(FaultKind kind) {
   }
   return "?";
 }
+
+// The terms parse() knows: a name, its fault, and how many numbers it
+// takes (a second one left out is 0).
+struct FaultForm {
+  const char* name;
+  FaultKind kind;
+  std::size_t takes;
+};
+
+constexpr FaultForm kFaultForms[] = {
+    {"lo", FaultKind::kLoDrift, 2},
+    {"clip", FaultKind::kClip, 1},
+    {"stuck", FaultKind::kStuckSample, 1},
+    {"drop", FaultKind::kDroppedSample, 1},
+    {"contact", FaultKind::kContactNoise, 2},
+    {"wander", FaultKind::kBaselineWander, 2},
+    {"gain", FaultKind::kGainDrift, 1},
+};
 
 // The one check every fault passes before an injector holds it (parse, add
 // and the vector constructor all come here): apply() feeds these
@@ -159,27 +180,28 @@ FaultInjector FaultInjector::parse(const std::string& spec) {
     std::istringstream fields(term);
     std::string name;
     std::getline(fields, name, ':');
-    double p[2] = {0.0, 0.0};
-    int n_params = 0;
+    std::vector<double> p;
     std::string value;
-    while (n_params < 2 && std::getline(fields, value, ':'))
-      p[n_params++] = stf::core::env::parse_double(
-          "FaultInjector::parse: '" + term + "'", value);
-    if (n_params == 0)
+    while (std::getline(fields, value, ':'))
+      p.push_back(stf::core::env::parse_double(
+          "FaultInjector::parse: '" + term + "'", value));
+    if (p.empty())
       throw std::invalid_argument("FaultInjector::parse: '" + term +
                                   "' has no parameter (want name:p1[:p2])");
-    if (name == "lo") inj.add(FaultSpec::lo_drift(p[0], p[1]));
-    else if (name == "clip") inj.add(FaultSpec::clip(p[0]));
-    else if (name == "stuck") inj.add(FaultSpec::stuck_sample(p[0]));
-    else if (name == "drop") inj.add(FaultSpec::dropped_sample(p[0]));
-    else if (name == "contact") inj.add(FaultSpec::contact_noise(p[0], p[1]));
-    else if (name == "wander")
-      inj.add(FaultSpec::baseline_wander(p[0], p[1]));
-    else if (name == "gain") inj.add(FaultSpec::gain_drift(p[0]));
-    else
+    const FaultForm* form = nullptr;
+    for (const FaultForm& f : kFaultForms)
+      if (name == f.name) form = &f;
+    if (form == nullptr)
       throw std::invalid_argument(
           "FaultInjector::parse: unknown fault '" + name +
           "' (known: lo, clip, stuck, drop, contact, wander, gain)");
+    if (p.size() > form->takes)
+      throw std::invalid_argument(
+          "FaultInjector::parse: '" + term + "' has " +
+          std::to_string(p.size()) + " parameters; " + name + " takes " +
+          std::to_string(form->takes));
+    p.resize(2, 0.0);
+    inj.add(FaultSpec{form->kind, p[0], p[1]});
   }
   return inj;
 }

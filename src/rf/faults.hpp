@@ -98,9 +98,11 @@ class FaultInjector {
              stf::stats::Rng& rng) const;
 
   /// Parse a CLI scenario: comma-separated `name:p1[:p2]` terms, e.g.
-  /// "clip:0.1,lo:2e3:0.8,contact:0.02:0.5". Names: lo, clip, stuck, drop,
-  /// contact, wander, gain. Throws std::invalid_argument on a malformed
-  /// spec, an unknown name or a parameter outside its domain.
+  /// "clip:0.1,lo:2e3:0.8,contact:0.02:0.5". Names: lo, contact and wander
+  /// take one or two numbers (a second one left out is 0); clip, stuck,
+  /// drop and gain take one. Throws std::invalid_argument on a malformed
+  /// spec, an unknown name, more numbers than the fault takes, or a
+  /// parameter outside its domain.
   static FaultInjector parse(const std::string& spec);
 
   /// Human-readable scenario summary, e.g. "clip(rail=0.1) + gain(2e-3)".

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/arena.hpp"
@@ -289,28 +290,6 @@ std::size_t SignatureAcquirer::kept_bins(std::size_t n_fft) const {
   const auto n_keep = static_cast<std::size_t>(
       band / config_.digitizer.fs_hz * static_cast<double>(n_fft));
   return std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
-}
-
-Signature SignatureAcquirer::acquire(const stf::rf::RfDut& dut,
-                                     const stf::dsp::PwlWaveform& stimulus,
-                                     stf::stats::Rng* rng,
-                                     const stf::rf::FaultInjector& faults,
-                                     std::uint64_t sequence) const {
-  STF_TRACE_SPAN("acq.acquire");
-  STF_COUNT("acq.signatures");
-  STF_COUNT("acq.faulted_signatures");
-  STF_REQUIRE(rng != nullptr,
-              "SignatureAcquirer::acquire: fault injection draws from rng");
-  stf::core::Arena& arena = stf::core::capture_arena();
-  const stf::core::ArenaScope scope(arena);
-  stf::core::ArenaVector<double> capture(
-      capture_length(), 0.0, stf::core::ArenaAllocator<double>(&arena));
-  const std::span<double> cap_span(capture.data(), capture.size());
-  raw_capture_into(dut, stimulus, rng, cap_span);
-  faults.apply(cap_span, config_.digitizer.fs_hz, sequence, *rng);
-  Signature s(signature_length_for(capture.size()));
-  signature_into(cap_span, s);
-  return s;
 }
 
 void SignatureAcquirer::signature_into(std::span<const double> capture,

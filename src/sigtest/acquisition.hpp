@@ -3,13 +3,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "dsp/pwl.hpp"
 #include "rf/dut.hpp"
-#include "rf/faults.hpp"
 #include "rf/loadboard.hpp"
 #include "sigtest/config.hpp"
 #include "stats/rng.hpp"
@@ -54,16 +52,6 @@ class SignatureAcquirer {
   Signature acquire(const stf::rf::RfDut& dut,
                     const stf::dsp::PwlWaveform& stimulus,
                     stf::stats::Rng* rng) const;
-
-  /// Acquire through a degraded measurement chain: the injector corrupts
-  /// the digitized capture (at `sequence` in the lot) before the signature
-  /// stage. Unlike the clean acquire(), no finiteness firewall runs -- a
-  /// corrupted signature is exactly what the guarded runtime must see and
-  /// classify, not an internal contract violation.
-  Signature acquire(const stf::rf::RfDut& dut,
-                    const stf::dsp::PwlWaveform& stimulus,
-                    stf::stats::Rng* rng, const stf::rf::FaultInjector& faults,
-                    std::uint64_t sequence) const;
 
   /// The digitized time-domain capture (before the FFT stage).
   std::vector<double> raw_capture(const stf::rf::RfDut& dut,

@@ -5,7 +5,6 @@
 #include "circuit/transient.hpp"
 #include "core/contracts.hpp"
 #include "dsp/resample.hpp"
-#include "stats/metrics.hpp"
 #include "stats/sampling.hpp"
 
 namespace stf::sigtest {
@@ -87,32 +86,17 @@ std::vector<double> AnalogSignatureRuntime::test_device(
       acquire_analog_signature(nl, stimulus_, config_, &rng));
 }
 
-AnalogValidationReport AnalogSignatureRuntime::validate(
+ValidationReport AnalogSignatureRuntime::validate(
     const std::vector<AnalogDeviceRecord>& devices,
     stf::stats::Rng& rng) const {
   STF_REQUIRE(!devices.empty(), "AnalogSignatureRuntime: no devices");
-  AnalogValidationReport report;
-  report.names = stf::circuit::FilterSpecs::names();
-  const std::size_t n_specs = report.names.size();
-  report.truth.assign(n_specs, {});
-  report.predicted.assign(n_specs, {});
+  std::vector<std::vector<double>> truth, predicted;
   for (const auto& dev : devices) {
-    const auto pred = test_device(dev.process, rng);
-    const auto truth = dev.specs.to_vector();
-    for (std::size_t s = 0; s < n_specs; ++s) {
-      report.truth[s].push_back(truth[s]);
-      report.predicted[s].push_back(pred[s]);
-    }
+    predicted.push_back(test_device(dev.process, rng));
+    truth.push_back(dev.specs.to_vector());
   }
-  report.rms_error.resize(n_specs);
-  report.r_squared.resize(n_specs);
-  for (std::size_t s = 0; s < n_specs; ++s) {
-    report.rms_error[s] =
-        stf::stats::rms_error(report.truth[s], report.predicted[s]);
-    report.r_squared[s] =
-        stf::stats::r_squared(report.truth[s], report.predicted[s]);
-  }
-  return report;
+  return make_validation_report(stf::circuit::FilterSpecs::names(), truth,
+                                predicted);
 }
 
 }  // namespace stf::sigtest

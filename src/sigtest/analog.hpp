@@ -49,15 +49,6 @@ std::vector<AnalogDeviceRecord> make_filter_population(std::size_t n,
                                                        double spread,
                                                        std::uint64_t seed);
 
-/// Per-spec validation scatter (same shape as the RF runtime's report).
-struct AnalogValidationReport {
-  std::vector<std::string> names;
-  std::vector<std::vector<double>> truth;      ///< [spec][device]
-  std::vector<std::vector<double>> predicted;  ///< [spec][device]
-  std::vector<double> rms_error;
-  std::vector<double> r_squared;
-};
-
 /// Calibrate-then-validate runtime for the analog flow.
 class AnalogSignatureRuntime {
  public:
@@ -71,9 +62,10 @@ class AnalogSignatureRuntime {
   std::vector<double> test_device(const std::vector<double>& process,
                                   stf::stats::Rng& rng) const;
 
-  AnalogValidationReport validate(
-      const std::vector<AnalogDeviceRecord>& devices,
-      stf::stats::Rng& rng) const;
+  /// test_device() on every validation device, in order on one shared
+  /// stream, compared against their reference specs.
+  ValidationReport validate(const std::vector<AnalogDeviceRecord>& devices,
+                            stf::stats::Rng& rng) const;
 
   bool calibrated() const { return model_.fitted(); }
 

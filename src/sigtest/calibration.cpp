@@ -8,6 +8,7 @@
 #include "core/parallel.hpp"
 #include "core/telemetry.hpp"
 #include "linalg/lstsq.hpp"
+#include "stats/metrics.hpp"
 
 namespace stf::sigtest {
 
@@ -425,6 +426,36 @@ double normalized_rms_error(const CalibrationModel& model,
     }
   }
   return std::sqrt(score / static_cast<double>(n * n_specs));
+}
+
+ValidationReport make_validation_report(
+    const std::vector<std::string>& names,
+    const std::vector<std::vector<double>>& truth,
+    const std::vector<std::vector<double>>& predicted) {
+  STF_REQUIRE(!names.empty(), "make_validation_report: no targets");
+  STF_REQUIRE(!truth.empty() && truth.size() == predicted.size(),
+              "make_validation_report: need one truth and one prediction row "
+              "per device");
+  const std::size_t n_targets = names.size();
+  ValidationReport report;
+  report.specs.resize(n_targets);
+  for (std::size_t s = 0; s < n_targets; ++s) report.specs[s].name = names[s];
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    STF_REQUIRE(truth[i].size() == n_targets &&
+                    predicted[i].size() == n_targets,
+                "make_validation_report: row length differs from the names");
+    for (std::size_t s = 0; s < n_targets; ++s) {
+      report.specs[s].truth.push_back(truth[i][s]);
+      report.specs[s].predicted.push_back(predicted[i][s]);
+    }
+  }
+  for (SpecScatter& spec : report.specs) {
+    spec.rms_error = stf::stats::rms_error(spec.truth, spec.predicted);
+    spec.std_error = stf::stats::std_error(spec.truth, spec.predicted);
+    spec.max_abs_error = stf::stats::max_abs_error(spec.truth, spec.predicted);
+    spec.r_squared = stf::stats::r_squared(spec.truth, spec.predicted);
+  }
+  return report;
 }
 
 }  // namespace stf::sigtest

@@ -143,4 +143,29 @@ double normalized_rms_error(const CalibrationModel& model,
                             const stf::la::Matrix& signatures,
                             const stf::la::Matrix& specs);
 
+/// Per-target scatter data and error metrics (what Figs. 8-10/12-13 plot).
+struct SpecScatter {
+  std::string name;
+  std::vector<double> truth;      ///< Direct-simulation / measured value.
+  std::vector<double> predicted;  ///< Signature-test prediction.
+  double rms_error = 0.0;
+  double std_error = 0.0;  ///< The paper's "std(err)".
+  double max_abs_error = 0.0;
+  double r_squared = 0.0;
+};
+
+/// How well a calibrated runtime predicts its targets on held-out devices:
+/// one scatter per target (a spec, or a process parameter in diagnosis).
+struct ValidationReport {
+  std::vector<SpecScatter> specs;
+};
+
+/// The report of every calibrate/validate runtime: truth[i] and
+/// predicted[i] are device i's rows, one value per entry of `names`.
+/// Needs at least two devices (R^2) and truth that varies per target.
+ValidationReport make_validation_report(
+    const std::vector<std::string>& names,
+    const std::vector<std::vector<double>>& truth,
+    const std::vector<std::vector<double>>& predicted);
+
 }  // namespace stf::sigtest

@@ -30,6 +30,45 @@ std::vector<const stf::rf::RfDut*> duts_of(
   return duts;
 }
 
+// Time-domain validation under `policy`: finiteness + railing.
+CaptureFlaw capture_flaw(const GuardPolicy& policy,
+                         std::span<const double> capture) {
+  STF_REQUIRE(!capture.empty(), "TestCell: empty capture");
+  double peak = 0.0;
+  for (double v : capture) {
+    if (!std::isfinite(v)) return CaptureFlaw::kNonFinite;
+    peak = std::max(peak, std::abs(v));
+  }
+  // All-zero captures carry no railing evidence; the outlier screen decides.
+  if (peak <= 0.0) return CaptureFlaw::kNone;
+  // Railing: a clipped front-end pins samples to the same extreme code, so
+  // the capture's maximum is attained many times *exactly*. A clean noisy
+  // capture attains its maximum essentially once (additive noise breaks
+  // ties), so exact-equality counting separates the two without knowing the
+  // rail voltage.
+  const double rail = peak * (1.0 - 1e-9);
+  std::size_t at_rail = 0;
+  for (double v : capture)
+    if (std::abs(v) >= rail) ++at_rail;
+  if (static_cast<double>(at_rail) >
+      policy.rail_fraction_limit * static_cast<double>(capture.size()))
+    return CaptureFlaw::kRailed;
+  return CaptureFlaw::kNone;
+}
+
+// Signature-space validation under `policy` against a pinned screen.
+CaptureFlaw signature_flaw(const GuardPolicy& policy,
+                           const OutlierScreen& screen,
+                           std::span<const double> signature, double* score) {
+  // Finiteness, then the calibration envelope. score() maps non-finite bins
+  // to +inf, so the order only affects the reported flaw label.
+  const double s = screen.score(signature);
+  if (score != nullptr) *score = s;
+  if (!std::isfinite(s)) return CaptureFlaw::kNonFinite;
+  if (s > policy.outlier_threshold) return CaptureFlaw::kOutlier;
+  return CaptureFlaw::kNone;
+}
+
 }  // namespace
 
 TestCell::TestCell(const SignatureTestConfig& config,
@@ -158,48 +197,6 @@ std::shared_ptr<const OutlierScreen> TestCell::screen() const {
   return cal_.screen;
 }
 
-std::vector<double> TestCell::predict_device(
-    const stf::rf::RfDut& dut, stf::stats::Rng& rng,
-    const stf::rf::FaultInjector* faults, std::uint64_t sequence) const {
-  STF_TRACE_SPAN("runtime.test_device");
-  STF_COUNT("runtime.devices_tested");
-  const auto model = this->model();
-  STF_REQUIRE(model != nullptr, "TestCell::predict_device: not calibrated");
-  return model->predict(
-      faults == nullptr
-          ? acquirer_.acquire(dut, stimulus_, &rng)
-          : acquirer_.acquire(dut, stimulus_, &rng, *faults, sequence));
-}
-
-ValidationReport TestCell::validate(
-    const std::vector<stf::rf::DeviceRecord>& devices,
-    stf::stats::Rng& rng) const {
-  STF_TRACE_SPAN("runtime.validate");
-  STF_REQUIRE(!devices.empty(), "TestCell::validate: no devices");
-  const std::size_t n_specs = spec_names_.size();
-
-  ValidationReport report;
-  report.specs.resize(n_specs);
-  for (std::size_t s = 0; s < n_specs; ++s)
-    report.specs[s].name = spec_names_[s];
-
-  for (const auto& device : devices) {
-    const std::vector<double> predicted = predict_device(*device.dut, rng);
-    const std::vector<double> truth = device.specs.to_vector();
-    for (std::size_t s = 0; s < n_specs; ++s) {
-      report.specs[s].truth.push_back(truth[s]);
-      report.specs[s].predicted.push_back(predicted[s]);
-    }
-  }
-  for (auto& spec : report.specs) {
-    spec.rms_error = stf::stats::rms_error(spec.truth, spec.predicted);
-    spec.std_error = stf::stats::std_error(spec.truth, spec.predicted);
-    spec.max_abs_error = stf::stats::max_abs_error(spec.truth, spec.predicted);
-    spec.r_squared = stf::stats::r_squared(spec.truth, spec.predicted);
-  }
-  return report;
-}
-
 TestDisposition TestCell::test_device(const stf::rf::RfDut& dut,
                                       stf::stats::Rng& rng,
                                       const stf::rf::FaultInjector* faults,
@@ -209,8 +206,8 @@ TestDisposition TestCell::test_device(const stf::rf::RfDut& dut,
   // hot-swap must never mix versions inside one device's screen + predict.
   TestDisposition d;
   const stf::rf::RfDut* const device = &dut;
-  test_devices(calibration(), {&device, 1}, {&rng, 1}, faults, sequence,
-               {&d, 1});
+  test_devices(policy_, calibration(), {&device, 1}, {&rng, 1}, faults,
+               sequence, {&d, 1});
   return d;
 }
 
@@ -260,8 +257,8 @@ LotResult TestCell::test_lot(const std::vector<const stf::rf::RfDut*>& lot,
           children.reserve(n);
           for (std::size_t i = lo; i < lo + n; ++i)
             children.push_back(rng.derive(first_sequence + i));
-          test_devices(cal, {lot.data() + lo, n}, {children.data(), n}, faults,
-                       first_sequence + lo,
+          test_devices(policy_, cal, {lot.data() + lo, n},
+                       {children.data(), n}, faults, first_sequence + lo,
                        {result.dispositions.data() + lo, n});
         }
       },
@@ -282,6 +279,30 @@ LotResult TestCell::test_lot(const std::vector<stf::rf::DeviceRecord>& lot,
                              const stf::rf::FaultInjector* faults,
                              std::uint64_t first_sequence) const {
   return test_lot(duts_of(lot), rng, faults, first_sequence);
+}
+
+ValidationReport TestCell::validate(
+    const std::vector<stf::rf::DeviceRecord>& devices,
+    stf::stats::Rng& rng) const {
+  STF_TRACE_SPAN("runtime.validate");
+  STF_REQUIRE(!devices.empty(), "TestCell::validate: no devices");
+  // One version for the whole report, and every device through the engine
+  // under the unguarded preset, in order on the caller's one stream: the
+  // paper's Figs. 8-13 read exactly this stream shape.
+  const CalibrationVersion cal = calibration();
+  const GuardPolicy unguarded = GuardPolicy::unguarded();
+  std::vector<std::vector<double>> truth, predicted;
+  for (const stf::rf::DeviceRecord& device : devices) {
+    TestDisposition d;
+    const stf::rf::RfDut* const dut = device.dut.get();
+    test_devices(unguarded, cal, {&dut, 1}, {&rng, 1}, nullptr, 0, {&d, 1});
+    STF_ENSURE(d.has_prediction(),
+               "TestCell::validate: non-finite capture or signature (NaN/Inf "
+               "leaked through the stimulus/envelope/FFT chain)");
+    truth.push_back(device.specs.to_vector());
+    predicted.push_back(std::move(d.predicted));
+  }
+  return make_validation_report(spec_names_, truth, predicted);
 }
 
 std::vector<TestDisposition> serial_reference(
@@ -305,30 +326,11 @@ std::vector<TestDisposition> serial_reference(
 }
 
 CaptureFlaw TestCell::inspect_capture(std::span<const double> capture) const {
-  STF_REQUIRE(!capture.empty(), "TestCell::inspect_capture: empty capture");
-  double peak = 0.0;
-  for (double v : capture) {
-    if (!std::isfinite(v)) return CaptureFlaw::kNonFinite;
-    peak = std::max(peak, std::abs(v));
-  }
-  // All-zero captures carry no railing evidence; the outlier screen decides.
-  if (peak <= 0.0) return CaptureFlaw::kNone;
-  // Railing: a clipped front-end pins samples to the same extreme code, so
-  // the capture's maximum is attained many times *exactly*. A clean noisy
-  // capture attains its maximum essentially once (additive noise breaks
-  // ties), so exact-equality counting separates the two without knowing the
-  // rail voltage.
-  const double rail = peak * (1.0 - 1e-9);
-  std::size_t at_rail = 0;
-  for (double v : capture)
-    if (std::abs(v) >= rail) ++at_rail;
-  if (static_cast<double>(at_rail) >
-      policy_.rail_fraction_limit * static_cast<double>(capture.size()))
-    return CaptureFlaw::kRailed;
-  return CaptureFlaw::kNone;
+  return capture_flaw(policy_, capture);
 }
 
-CaptureFlaw TestCell::take_capture(std::span<double> capture,
+CaptureFlaw TestCell::take_capture(const GuardPolicy& policy,
+                                   std::span<double> capture,
                                    const stf::rf::FaultInjector* faults,
                                    std::uint64_t sequence,
                                    stf::stats::Rng& rng,
@@ -338,7 +340,7 @@ CaptureFlaw TestCell::take_capture(std::span<double> capture,
               "TestCell: signature length mismatch");
   if (faults != nullptr)
     faults->apply(capture, acquirer_.config().digitizer.fs_hz, sequence, rng);
-  const CaptureFlaw flaw = inspect_capture(capture);
+  const CaptureFlaw flaw = capture_flaw(policy, capture);
   if (flaw != CaptureFlaw::kNone) return flaw;
   acquirer_.signature_into(capture, scratch);
   for (std::size_t j = 0; j < sum.size(); ++j) sum[j] += scratch[j];
@@ -372,7 +374,7 @@ CaptureAttempt TestCell::capture_attempt(const stf::rf::RfDut& dut,
   for (int c = 0; c < n_avg; ++c) {
     acquirer_.raw_capture_into(dut, stimulus_, &rng, cap_span);
     ++a.captures;
-    a.flaw = take_capture(cap_span, faults, sequence, rng,
+    a.flaw = take_capture(policy_, cap_span, faults, sequence, rng,
                           {sig.data(), sig.size()}, a.signature);
     if (a.flaw != CaptureFlaw::kNone) return a;
   }
@@ -384,22 +386,11 @@ CaptureFlaw TestCell::screen_signature(std::span<const double> signature,
                                        double* score) const {
   const auto screen = this->screen();
   STF_REQUIRE(screen != nullptr, "TestCell::screen_signature: not calibrated");
-  return screen_signature(*screen, signature, score);
+  return signature_flaw(policy_, *screen, signature, score);
 }
 
-CaptureFlaw TestCell::screen_signature(const OutlierScreen& screen,
-                                       std::span<const double> signature,
-                                       double* score) const {
-  // Finiteness, then the calibration envelope. score() maps non-finite bins
-  // to +inf, so the order only affects the reported flaw label.
-  const double s = screen.score(signature);
-  if (score != nullptr) *score = s;
-  if (!std::isfinite(s)) return CaptureFlaw::kNonFinite;
-  if (s > policy_.outlier_threshold) return CaptureFlaw::kOutlier;
-  return CaptureFlaw::kNone;
-}
-
-void TestCell::test_devices(const CalibrationVersion& cal,
+void TestCell::test_devices(const GuardPolicy& policy,
+                            const CalibrationVersion& cal,
                             std::span<const stf::rf::RfDut* const> duts,
                             std::span<stf::stats::Rng> rngs,
                             const stf::rf::FaultInjector* faults,
@@ -458,11 +449,11 @@ void TestCell::test_devices(const CalibrationVersion& cal,
   };
 
   int n_avg = 1;
-  for (int attempt = 1; attempt <= policy_.max_attempts && !live.empty();
+  for (int attempt = 1; attempt <= policy.max_attempts && !live.empty();
        ++attempt) {
     if (attempt > 1) {
       STF_COUNT("guard.retries", live.size());
-      n_avg *= policy_.escalation_averages;
+      n_avg *= policy.escalation_averages;
       if (n_avg > 1) STF_COUNT("guard.escalations", live.size());
     }
     capturing.assign(live.begin(), live.end());
@@ -487,8 +478,8 @@ void TestCell::test_devices(const CalibrationVersion& cal,
       for (std::size_t j = 0; j < k; ++j) {
         const std::size_t i = capturing[j];
         ++out[i].captures;
-        flaws[i] = take_capture({captures.data() + j * n_cap, n_cap}, faults,
-                                first_sequence + i, rngs[i],
+        flaws[i] = take_capture(policy, {captures.data() + j * n_cap, n_cap},
+                                faults, first_sequence + i, rngs[i],
                                 {scratch.data(), m}, sum_of(i));
         if (flaws[i] == CaptureFlaw::kNone) next.push_back(i);
       }
@@ -503,7 +494,8 @@ void TestCell::test_devices(const CalibrationVersion& cal,
       if (flaws[i] == CaptureFlaw::kNone) {
         const std::span<double> signature = sum_of(i);
         for (double& v : signature) v /= static_cast<double>(n_avg);
-        flaws[i] = screen_signature(*cal.screen, signature, &d.outlier_score);
+        flaws[i] =
+            signature_flaw(policy, *cal.screen, signature, &d.outlier_score);
         if (flaws[i] == CaptureFlaw::kNone) {
           d.last_flaw = CaptureFlaw::kNone;
           d.kind = attempt == 1 ? DispositionKind::kPredicted

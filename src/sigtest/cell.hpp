@@ -7,17 +7,11 @@
 // device and a regression evaluation yield every specification -- no RF
 // ATE involved.
 //
-// Two production paths share the acquirer, the stimulus and the published
-// calibration:
+// One engine tests every device. Its GuardPolicy decides how much of the
+// guard runs:
 //
-//   predict_device()          the unguarded baseline: acquire and regress.
-//                             A corrupted signature is predicted without
-//                             validation; validate() and the escape-rate
-//                             benches use it.
-//   test_device(), test_lot() the guarded test:
-//
-//       capture -> finiteness firewall -> railing detector -> signature
-//               -> OutlierScreen envelope check -> predict
+//   capture -> finiteness firewall -> railing detector -> signature
+//           -> OutlierScreen envelope check -> predict
 //
 // On a real tester the measurement chain degrades (LO drift, digitizer
 // railing, dropped samples, intermittent contact -- see rf/faults.hpp). A
@@ -27,11 +21,19 @@
 // conventional per-spec test instead of being predicted. Every outcome is a
 // typed TestDisposition; the hot path never throws on bad data. Telemetry
 // counters (guard.retries, guard.escalations, guard.routed,
-// guard.drift_alarms) expose the guard's activity. With no faults and a
-// capture that validates first try, test_device() consumes exactly the rng
-// draws of predict_device() and predicts the same bits.
+// guard.drift_alarms) expose the guard's activity.
 //
-// test_lot() runs the guarded test as one core::parallel_for over the lot,
+// The unguarded baseline is the preset GuardPolicy::unguarded(): one
+// attempt, no railing or outlier rejection, so the paper's
+// acquire-and-regress step predicts every capture as acquired. validate()
+// runs its devices under that preset whatever the cell's own policy, and
+// the escape-rate benches build a preset cell for their guard-off flow.
+// Under every policy a capture or signature with a non-finite value is
+// routed (kNonFinite): there is no prediction to make from it. With no
+// faults and a capture that validates first try, any policy consumes the
+// same rng draws and predicts the same bits.
+//
+// test_lot() runs the engine as one core::parallel_for over the lot,
 // a pool thread claiming BatchOptions::batch_size devices per chunk. The
 // thread tests its chunk attempt by attempt: for each capture of an
 // attempt, every device of the chunk still in play captures together, so
@@ -83,21 +85,6 @@
 #include "stats/rng.hpp"
 
 namespace stf::sigtest {
-
-/// Per-spec scatter data and error metrics (what Figs. 8-10/12-13 plot).
-struct SpecScatter {
-  std::string name;
-  std::vector<double> truth;      ///< Direct-simulation / measured spec.
-  std::vector<double> predicted;  ///< Signature-test prediction.
-  double rms_error = 0.0;
-  double std_error = 0.0;  ///< The paper's "std(err)".
-  double max_abs_error = 0.0;
-  double r_squared = 0.0;
-};
-
-struct ValidationReport {
-  std::vector<SpecScatter> specs;
-};
 
 /// Knobs of the lot engine.
 struct BatchOptions {
@@ -166,28 +153,13 @@ class TestCell {
   std::shared_ptr<const OutlierScreen> screen() const;
   bool calibrated() const { return model() != nullptr; }
 
-  // --- Unguarded path ------------------------------------------------------
+  // --- Production test -----------------------------------------------------
 
-  /// Acquire one device's signature and map it to specs. `faults`
-  /// (optional) corrupts the digitized capture before the signature stage,
-  /// with `sequence` the device's lot position (it drives the slow-drift
-  /// faults); the corrupted signature is predicted without validation.
-  std::vector<double> predict_device(
-      const stf::rf::RfDut& dut, stf::stats::Rng& rng,
-      const stf::rf::FaultInjector* faults = nullptr,
-      std::uint64_t sequence = 0) const;
-
-  /// predict_device() on every validation device, in order on one shared
-  /// stream, compared against their reference specs.
-  ValidationReport validate(const std::vector<stf::rf::DeviceRecord>& devices,
-                            stf::stats::Rng& rng) const;
-
-  // --- Guarded path --------------------------------------------------------
-
-  /// Guarded production test of one device on the version published at
-  /// entry. `faults` (optional) simulates a degraded measurement chain;
-  /// `sequence` is the device's lot position. Deterministic: same seed,
-  /// same scenario, same disposition, at any STF_THREADS.
+  /// Production test of one device under the cell's policy, on the version
+  /// published at entry. `faults` (optional) simulates a degraded
+  /// measurement chain; `sequence` is the device's lot position.
+  /// Deterministic: same seed, same scenario, same disposition, at any
+  /// STF_THREADS.
   TestDisposition test_device(const stf::rf::RfDut& dut, stf::stats::Rng& rng,
                               const stf::rf::FaultInjector* faults = nullptr,
                               std::uint64_t sequence = 0) const;
@@ -209,6 +181,14 @@ class TestCell {
                      const stf::stats::Rng& rng,
                      const stf::rf::FaultInjector* faults = nullptr,
                      std::uint64_t first_sequence = 0) const;
+
+  /// Test every validation device under GuardPolicy::unguarded(), whatever
+  /// this cell's policy, in order on one shared stream and on the version
+  /// published at entry, and compare the predictions against their
+  /// reference specs. A device the engine cannot predict (a non-finite
+  /// capture) is a contract failure.
+  ValidationReport validate(const std::vector<stf::rf::DeviceRecord>& devices,
+                            stf::stats::Rng& rng) const;
 
   // --- Drift monitor -------------------------------------------------------
 
@@ -233,7 +213,7 @@ class TestCell {
   /// latched alarm, smoothed EWMA, and sample count all reset together.
   void reset_drift_monitor();
 
-  // --- Building blocks of the guarded test ---------------------------------
+  // --- Building blocks of the test, under the cell's policy --------------
   // Public so the benchmark probes can time each validation step on its
   // own.
 
@@ -283,30 +263,27 @@ class TestCell {
   std::uint64_t publish(std::shared_ptr<const CalibrationModel> model,
                         std::shared_ptr<const OutlierScreen> screen);
 
-  /// The guarded test of a set of devices on `cal`, attempt by attempt: for
-  /// each capture of an attempt, every device still in play captures
-  /// together (SignatureAcquirer::raw_capture_lanes), and faults,
+  /// The test of a set of devices under `policy` on `cal`, attempt by
+  /// attempt: for each capture of an attempt, every device still in play
+  /// captures together (SignatureAcquirer::raw_capture_lanes), and faults,
   /// inspection, the signature, screening and prediction then run per
   /// device. Device i draws from rngs[i] and has fault sequence
   /// first_sequence + i; out[i] is what testing it alone gives, and so is
   /// rngs[i]'s position afterwards. Scratch comes from the per-thread
   /// capture arena, proportional to the set size.
-  void test_devices(const CalibrationVersion& cal,
+  void test_devices(const GuardPolicy& policy, const CalibrationVersion& cal,
                     std::span<const stf::rf::RfDut* const> duts,
                     std::span<stf::stats::Rng> rngs,
                     const stf::rf::FaultInjector* faults,
                     std::uint64_t first_sequence,
                     std::span<TestDisposition> out) const;
 
-  /// screen_signature() against a pinned screen.
-  CaptureFlaw screen_signature(const OutlierScreen& screen,
-                               std::span<const double> signature,
-                               double* score) const;
-
   /// One capture's part of an attempt after the board: faults (sequence
-  /// and rng), the time-domain inspection, and -- if it validates -- its
-  /// signature (through `scratch`) added into `sum`. Returns the flaw.
-  CaptureFlaw take_capture(std::span<double> capture,
+  /// and rng), the time-domain inspection under `policy`, and -- if it
+  /// validates -- its signature (through `scratch`) added into `sum`.
+  /// Returns the flaw.
+  CaptureFlaw take_capture(const GuardPolicy& policy,
+                           std::span<double> capture,
                            const stf::rf::FaultInjector* faults,
                            std::uint64_t sequence, stf::stats::Rng& rng,
                            std::span<double> scratch,

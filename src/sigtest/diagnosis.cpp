@@ -1,10 +1,8 @@
 #include "sigtest/diagnosis.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
-#include "stats/metrics.hpp"
 
 namespace stf::sigtest {
 
@@ -45,35 +43,16 @@ std::vector<double> ParametricDiagnoser::diagnose(
   return model_.predict(acquirer_.acquire(dut, stimulus_, &rng));
 }
 
-DiagnosisReport ParametricDiagnoser::validate(
+ValidationReport ParametricDiagnoser::validate(
     const std::vector<stf::rf::DeviceRecord>& devices,
-    const std::vector<double>& nominal, stf::stats::Rng& rng) const {
+    stf::stats::Rng& rng) const {
   STF_REQUIRE(!devices.empty(), "ParametricDiagnoser: no devices");
-  const std::size_t k = param_names_.size();
-  STF_REQUIRE(nominal.size() == k,
-              "ParametricDiagnoser: nominal size mismatch");
-
-  std::vector<std::vector<double>> truth(k), predicted(k);
+  std::vector<std::vector<double>> truth, predicted;
   for (const auto& dev : devices) {
-    const auto est = diagnose(*dev.dut, rng);
-    for (std::size_t j = 0; j < k; ++j) {
-      truth[j].push_back(dev.process[j]);
-      predicted[j].push_back(est[j]);
-    }
+    predicted.push_back(diagnose(*dev.dut, rng));
+    truth.push_back(dev.process);
   }
-
-  DiagnosisReport report;
-  report.names = param_names_;
-  report.rms_error.resize(k);
-  report.rms_percent.resize(k);
-  report.r_squared.resize(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    report.rms_error[j] = stf::stats::rms_error(truth[j], predicted[j]);
-    report.rms_percent[j] =
-        100.0 * report.rms_error[j] / std::abs(nominal[j]);
-    report.r_squared[j] = stf::stats::r_squared(truth[j], predicted[j]);
-  }
-  return report;
+  return make_validation_report(param_names_, truth, predicted);
 }
 
 }  // namespace stf::sigtest

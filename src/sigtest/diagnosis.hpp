@@ -21,14 +21,6 @@
 
 namespace stf::sigtest {
 
-/// Per-parameter estimation quality.
-struct DiagnosisReport {
-  std::vector<std::string> names;
-  std::vector<double> rms_error;    ///< In the parameter's own units.
-  std::vector<double> rms_percent;  ///< RMS error as % of nominal.
-  std::vector<double> r_squared;
-};
-
 /// Signature -> process-parameter estimator.
 class ParametricDiagnoser {
  public:
@@ -47,10 +39,11 @@ class ParametricDiagnoser {
   std::vector<double> diagnose(const stf::rf::RfDut& dut,
                                stf::stats::Rng& rng) const;
 
-  /// Evaluate estimation quality over a validation population.
-  DiagnosisReport validate(const std::vector<stf::rf::DeviceRecord>& devices,
-                           const std::vector<double>& nominal,
-                           stf::stats::Rng& rng) const;
+  /// Evaluate estimation quality over a validation population: diagnose()
+  /// on every device, in order on one shared stream, against its process
+  /// vector. Errors are in each parameter's own units.
+  ValidationReport validate(const std::vector<stf::rf::DeviceRecord>& devices,
+                            stf::stats::Rng& rng) const;
 
   bool calibrated() const { return model_.fitted(); }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -36,6 +37,21 @@ struct GuardPolicy {
   double drift_ewma_alpha = 0.25;
   /// EWMA outlier-score level that raises the recalibration flag.
   double drift_alarm_score = 2.0;
+
+  /// The unguarded baseline: one attempt, no railing detector and no
+  /// outlier screen (both limits +inf), so the engine predicts every
+  /// capture as acquired -- the paper's acquire-and-regress step. A capture
+  /// or signature with a non-finite value is still routed (kNonFinite),
+  /// since nothing can be predicted from it. TestCell::validate() runs
+  /// under this preset; the escape-rate benches test their guard-off flow
+  /// on a cell built with it.
+  static constexpr GuardPolicy unguarded() {
+    GuardPolicy p;
+    p.max_attempts = 1;
+    p.outlier_threshold = std::numeric_limits<double>::infinity();
+    p.rail_fraction_limit = std::numeric_limits<double>::infinity();
+    return p;
+  }
 };
 
 /// What the guard concluded about a device.

@@ -160,11 +160,13 @@ TEST(AnalogSignature, RuntimePredictsFilterSpecs) {
   rt.calibrate(train, rng);
   ASSERT_TRUE(rt.calibrated());
   const auto rep = rt.validate(val, rng);
+  ASSERT_EQ(rep.specs.size(), circuit::FilterSpecs::names().size());
+  EXPECT_EQ(rep.specs[1].truth.size(), val.size());
   // Cutoff frequency: R^2 > 0.99 over a ~5 kHz spread.
-  EXPECT_GT(rep.r_squared[1], 0.99);
-  EXPECT_LT(rep.rms_error[1], 100.0);  // Hz
+  EXPECT_GT(rep.specs[1].r_squared, 0.99);
+  EXPECT_LT(rep.specs[1].rms_error, 100.0);  // Hz
   // Peaking also tracks well.
-  EXPECT_GT(rep.r_squared[2], 0.9);
+  EXPECT_GT(rep.specs[2].r_squared, 0.9);
 }
 
 }  // namespace

@@ -81,10 +81,31 @@ TEST(Cost, SignatureFlowCheaperPerPart) {
 
 // ------------------------------------------------------------------ flow --
 
+/// A guarded-test disposition of `kind` with prediction `predicted`.
+stf::sigtest::TestDisposition disposition(stf::sigtest::DispositionKind kind,
+                                          std::vector<double> predicted) {
+  stf::sigtest::TestDisposition d;
+  d.kind = kind;
+  d.predicted = std::move(predicted);
+  return d;
+}
+
+using Kind = stf::sigtest::DispositionKind;
+
+/// Every row a first-attempt prediction: the lot of a tester that predicts
+/// every part.
+std::vector<stf::sigtest::TestDisposition> all_predicted(
+    const std::vector<std::vector<double>>& rows) {
+  std::vector<stf::sigtest::TestDisposition> lot;
+  for (const auto& row : rows)
+    lot.push_back(disposition(Kind::kPredicted, row));
+  return lot;
+}
+
 TEST(Flow, PerfectPredictionsGiveNoErrors) {
   std::vector<std::vector<double>> specs = {{15.0}, {12.0}, {16.0}};
   std::vector<SpecLimit> limits = {{"gain", 14.0, kInf}};
-  auto r = run_production_flow(specs, specs, limits);
+  auto r = run_production_flow(specs, all_predicted(specs), limits);
   EXPECT_EQ(r.true_pass, 2);
   EXPECT_EQ(r.true_fail, 1);
   EXPECT_EQ(r.test_escape, 0);
@@ -99,7 +120,7 @@ TEST(Flow, MispredictionsClassified) {
   std::vector<std::vector<double>> truth = {{13.0}, {15.0}};
   std::vector<std::vector<double>> pred = {{14.5}, {13.5}};
   std::vector<SpecLimit> limits = {{"gain", 14.0, kInf}};
-  auto r = run_production_flow(truth, pred, limits);
+  auto r = run_production_flow(truth, all_predicted(pred), limits);
   EXPECT_EQ(r.test_escape, 1);
   EXPECT_EQ(r.yield_loss, 1);
   EXPECT_DOUBLE_EQ(r.escape_rate(), 1.0);
@@ -112,9 +133,9 @@ TEST(Flow, GuardBandTradesEscapesForYieldLoss) {
   std::vector<std::vector<double>> truth = {{14.05}};
   std::vector<std::vector<double>> pred = {{14.15}};
   std::vector<SpecLimit> limits = {{"gain", 14.0, kInf}};
-  auto loose = run_production_flow(truth, pred, limits, 0.0);
+  auto loose = run_production_flow(truth, all_predicted(pred), limits, 0.0);
   EXPECT_EQ(loose.true_pass, 1);
-  auto tight = run_production_flow(truth, pred, limits, 0.2);
+  auto tight = run_production_flow(truth, all_predicted(pred), limits, 0.2);
   EXPECT_EQ(tight.yield_loss, 1);
 }
 
@@ -123,21 +144,10 @@ TEST(Flow, TwoSidedAndMultipleLimits) {
                                    {"nf", -kInf, 3.0}};
   std::vector<std::vector<double>> truth = {{15.0, 2.5}, {15.0, 3.5},
                                             {19.0, 2.0}};
-  auto r = run_production_flow(truth, truth, limits);
+  auto r = run_production_flow(truth, all_predicted(truth), limits);
   EXPECT_EQ(r.true_pass, 1);
   EXPECT_EQ(r.true_fail, 2);
 }
-
-/// A guarded-test disposition of `kind` with prediction `predicted`.
-stf::sigtest::TestDisposition disposition(stf::sigtest::DispositionKind kind,
-                                          std::vector<double> predicted) {
-  stf::sigtest::TestDisposition d;
-  d.kind = kind;
-  d.predicted = std::move(predicted);
-  return d;
-}
-
-using Kind = stf::sigtest::DispositionKind;
 
 TEST(Flow, DispositionOverloadAccountsRoutedAndRetested) {
   // Device 0: good, predicted -> true pass.
@@ -168,22 +178,6 @@ TEST(Flow, DispositionOverloadAccountsRoutedAndRetested) {
   EXPECT_EQ(r2.routed_conventional, 3);
 }
 
-TEST(Flow, DispositionOverloadMatchesLegacyWhenAllPredicted) {
-  std::vector<std::vector<double>> truth = {{13.0}, {15.0}, {14.5}};
-  std::vector<std::vector<double>> pred = {{14.5}, {13.5}, {14.6}};
-  std::vector<SpecLimit> limits = {{"gain", 14.0, kInf}};
-  std::vector<stf::sigtest::TestDisposition> lot;
-  for (const auto& p : pred) lot.push_back(disposition(Kind::kPredicted, p));
-  const auto legacy = run_production_flow(truth, pred, limits, 0.1);
-  const auto typed = run_production_flow(truth, lot, limits, 0.1);
-  EXPECT_EQ(typed.true_pass, legacy.true_pass);
-  EXPECT_EQ(typed.true_fail, legacy.true_fail);
-  EXPECT_EQ(typed.test_escape, legacy.test_escape);
-  EXPECT_EQ(typed.yield_loss, legacy.yield_loss);
-  EXPECT_EQ(typed.retested, 0);
-  EXPECT_EQ(typed.routed_conventional, 0);
-}
-
 TEST(Flow, DispositionOverloadValidatesSizes) {
   std::vector<std::vector<double>> truth = {{15.0}, {15.0}};
   std::vector<SpecLimit> limits = {{"gain", 14.0, kInf}};
@@ -202,14 +196,16 @@ TEST(Flow, InvalidInputsThrow) {
   std::vector<std::vector<double>> a = {{1.0}};
   std::vector<std::vector<double>> b = {{1.0}, {2.0}};
   std::vector<SpecLimit> limits = {{"x", 0.0, 2.0}};
-  EXPECT_CONTRACT_THROW(run_production_flow(a, b, limits),
+  EXPECT_CONTRACT_THROW(run_production_flow(a, all_predicted(b), limits),
                         std::invalid_argument);
-  EXPECT_CONTRACT_THROW(run_production_flow(a, a, {}), std::invalid_argument);
-  EXPECT_CONTRACT_THROW(run_production_flow(a, a, limits, -0.1),
+  EXPECT_CONTRACT_THROW(run_production_flow(a, all_predicted(a), {}),
+                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(run_production_flow(a, all_predicted(a), limits, -0.1),
                         std::invalid_argument);
   std::vector<std::vector<double>> wrong = {{1.0, 2.0}};
-  EXPECT_CONTRACT_THROW(run_production_flow(wrong, wrong, limits),
-                        std::invalid_argument);
+  EXPECT_CONTRACT_THROW(
+      run_production_flow(wrong, all_predicted(wrong), limits),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -258,22 +258,31 @@ TEST_F(BatchRuntimeTest, AteFlowConsumesLotDispositions) {
       ate::run_production_flow(truth, lot.dispositions, limits, 0.1);
 
   // Predicted devices are decided on their predictions and routed ones on
-  // their truth: the plain flow over the predicted devices plus the exact
-  // decisions of the routed ones.
-  std::vector<std::vector<double>> truth_predicted, predicted, truth_routed;
+  // their truth: the flow over the predicted devices alone, plus the routed
+  // ones decided exactly -- first-attempt predictions of their truth, with
+  // no guard band.
+  const auto predicted_as = [](std::vector<double> specs) {
+    sigtest::TestDisposition d;
+    d.kind = sigtest::DispositionKind::kPredicted;
+    d.predicted = std::move(specs);
+    return d;
+  };
+  std::vector<std::vector<double>> truth_predicted, truth_routed;
+  std::vector<sigtest::TestDisposition> predicted, routed_exact;
   for (std::size_t i = 0; i < lot.dispositions.size(); ++i) {
     const auto& d = lot.dispositions[i];
     if (d.has_prediction()) {
       truth_predicted.push_back(truth[i]);
-      predicted.push_back(d.predicted);
+      predicted.push_back(predicted_as(d.predicted));
     } else {
       truth_routed.push_back(truth[i]);
+      routed_exact.push_back(predicted_as(truth[i]));
     }
   }
   const auto decided =
       ate::run_production_flow(truth_predicted, predicted, limits, 0.1);
   const auto exact =
-      ate::run_production_flow(truth_routed, truth_routed, limits, 0.0);
+      ate::run_production_flow(truth_routed, routed_exact, limits, 0.0);
   EXPECT_EQ(flow.true_pass, decided.true_pass + exact.true_pass);
   EXPECT_EQ(flow.true_fail, decided.true_fail + exact.true_fail);
   EXPECT_EQ(flow.test_escape, decided.test_escape);

@@ -200,20 +200,23 @@ TEST(Diagnosis, RecoversDominantProcessParameters) {
   diag.calibrate(train, rng);
   ASSERT_TRUE(diag.calibrated());
 
-  const auto report =
-      diag.validate(val, circuit::Lna900::nominal(), rng);
-  ASSERT_EQ(report.names.size(), circuit::Lna900::kNumParams);
+  const auto report = diag.validate(val, rng);
+  ASSERT_EQ(report.specs.size(), circuit::Lna900::kNumParams);
 
   // The bias resistor RB1 and gain beta_f dominate gain/IIP3 variation, so
   // they must be recoverable; parameters with little observable effect
   // (e.g. VAF) are allowed to stay poorly identified.
   double best_r2 = -1e9;
-  for (double r2 : report.r_squared) best_r2 = std::max(best_r2, r2);
+  for (const auto& p : report.specs) best_r2 = std::max(best_r2, p.r_squared);
   EXPECT_GT(best_r2, 0.45);
-  // Errors are finite and reported in percent of nominal.
-  for (std::size_t j = 0; j < report.names.size(); ++j) {
-    EXPECT_TRUE(std::isfinite(report.rms_percent[j]));
-    EXPECT_GT(report.rms_percent[j], 0.0);
+  // Errors are finite, positive, in each parameter's own units, and against
+  // each parameter's own process values.
+  for (std::size_t j = 0; j < report.specs.size(); ++j) {
+    EXPECT_EQ(report.specs[j].name, names[j]);
+    EXPECT_EQ(report.specs[j].truth.size(), val.size());
+    EXPECT_EQ(report.specs[j].truth[0], val[0].process[j]);
+    EXPECT_TRUE(std::isfinite(report.specs[j].rms_error));
+    EXPECT_GT(report.specs[j].rms_error, 0.0);
   }
 }
 

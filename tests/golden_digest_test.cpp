@@ -106,6 +106,8 @@ struct Cell {
   // Shared so a SigtestServer can serve lots from the same calibration.
   std::shared_ptr<sigtest::TestCell> shared;
   sigtest::TestCell& runtime;
+  // The unguarded baseline on runtime's calibration.
+  sigtest::TestCell unguarded;
   std::vector<const rf::RfDut*> lot;
   std::vector<rf::DeviceRecord> devices;
 
@@ -114,10 +116,14 @@ struct Cell {
             sigtest::SignatureTestConfig::simulation_study(), stimulus(),
             circuit::LnaSpecs::names())),
         runtime(*shared),
+        unguarded(sigtest::SignatureTestConfig::simulation_study(),
+                  stimulus(), circuit::LnaSpecs::names(),
+                  sigtest::GuardPolicy::unguarded()),
         devices(rf::make_lna_population(64, 0.2, 4242)) {
     const auto cal = rf::make_lna_population(40, 0.2, 4141);
     stats::Rng cal_rng(11);
     runtime.calibrate(cal, cal_rng);
+    unguarded.swap_calibration(runtime.model(), runtime.screen());
     for (const rf::DeviceRecord& d : devices) lot.push_back(d.dut.get());
   }
 
@@ -249,7 +255,7 @@ TEST(GoldenValidationDigest, UnguardedBaselineOnTheFaultedLot) {
     Fnv1a h;
     for (std::size_t i = 0; i < c.lot.size(); ++i) {
       const std::vector<double> p =
-          c.runtime.predict_device(*c.lot[i], rng, &faults, i);
+          c.unguarded.test_device(*c.lot[i], rng, &faults, i).predicted;
       h.add(static_cast<std::uint64_t>(p.size()));
       for (const double v : p) h.add(v);
     }

@@ -97,11 +97,12 @@ TEST_F(FullFlow, CalibrateAndValidatePredictsSpecs) {
 
 TEST_F(FullFlow, TestDeviceMatchesTrueSpecs) {
   auto split = rf::split_population(*devices_, 45);
-  sigtest::TestCell runtime(*cfg_, *stimulus_, circuit::LnaSpecs::names());
+  sigtest::TestCell runtime(*cfg_, *stimulus_, circuit::LnaSpecs::names(),
+                            sigtest::GuardPolicy::unguarded());
   stats::Rng rng(11);
   runtime.calibrate(split.calibration, rng);
   const auto& dev = split.validation.front();
-  const auto predicted = runtime.predict_device(*dev.dut, rng);
+  const auto predicted = runtime.test_device(*dev.dut, rng).predicted;
   ASSERT_EQ(predicted.size(), 3u);
   // Single-device spot check (statistical quality is asserted in
   // CalibrateAndValidatePredictsSpecs); tolerances sized for one draw from
@@ -113,7 +114,7 @@ TEST_F(FullFlow, TestDeviceMatchesTrueSpecs) {
 TEST_F(FullFlow, UncalibratedRuntimeThrows) {
   sigtest::TestCell runtime(*cfg_, *stimulus_, circuit::LnaSpecs::names());
   stats::Rng rng(3);
-  EXPECT_CONTRACT_THROW(runtime.predict_device(*devices_->front().dut, rng),
+  EXPECT_CONTRACT_THROW(runtime.test_device(*devices_->front().dut, rng),
                         std::logic_error);
   EXPECT_CONTRACT_THROW(runtime.validate(*devices_, rng), std::logic_error);
 }

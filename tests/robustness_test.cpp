@@ -78,9 +78,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedRobustness,
 // ---------------------------------------------------------------------------
 // The test cell under tester faults. The fixture shares one optimized
 // stimulus + calibrated cell across all fault tests (calibration is the
-// expensive part); every test below must leave the cell unchanged
-// (test_device and predict_device are const; monitor tests copy the cell
-// first).
+// expensive part), plus a cell under GuardPolicy::unguarded() that carries
+// the same calibration; every test below must leave both unchanged
+// (test_device is const; monitor tests copy the cell first).
 class GuardedFaults : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -107,9 +107,14 @@ class GuardedFaults : public ::testing::Test {
     const auto cal = rf::make_lna_population(60, 0.2, 42);
     stats::Rng rng(7);
     cell_->calibrate(cal, rng);
+    unguarded_ = new sigtest::TestCell(cfg, stimulus,
+                                       circuit::LnaSpecs::names(),
+                                       sigtest::GuardPolicy::unguarded());
+    unguarded_->swap_calibration(cell_->model(), cell_->screen());
   }
   static void TearDownTestSuite() {
     delete cell_;
+    delete unguarded_;
     delete lot_;
   }
 
@@ -140,24 +145,46 @@ class GuardedFaults : public ::testing::Test {
   }
 
   static sigtest::TestCell* cell_;
+  static sigtest::TestCell* unguarded_;
   static std::vector<rf::DeviceRecord>* lot_;
 };
 
 sigtest::TestCell* GuardedFaults::cell_ = nullptr;
+sigtest::TestCell* GuardedFaults::unguarded_ = nullptr;
 std::vector<rf::DeviceRecord>* GuardedFaults::lot_ = nullptr;
 
 // With no faults, the guard must be invisible: every device predicted on
-// the first attempt with the exact bits of the unguarded predict_device.
+// the first attempt with the exact bits of the unguarded preset on the
+// same calibration.
 TEST_F(GuardedFaults, CleanPathIsBitIdenticalToUnguardedRuntime) {
   stats::Rng rng_off(123);
   const auto on = run_lot(nullptr, 123);
   for (std::size_t i = 0; i < lot_->size(); ++i) {
-    const auto off = cell_->predict_device(*(*lot_)[i].dut, rng_off);
+    const auto off = unguarded_->test_device(*(*lot_)[i].dut, rng_off);
     ASSERT_EQ(on[i].kind, sigtest::DispositionKind::kPredicted)
         << "device " << i;
+    ASSERT_EQ(off.kind, sigtest::DispositionKind::kPredicted)
+        << "device " << i;
     EXPECT_EQ(on[i].attempts, 1) << "device " << i;
-    EXPECT_EQ(on[i].predicted, off) << "device " << i;  // bitwise
+    EXPECT_EQ(on[i].predicted, off.predicted) << "device " << i;  // bitwise
   }
+}
+
+// The one thing the unguarded preset still refuses: a capture with a
+// non-finite sample has no prediction to make, so it is routed. A board
+// gain of 1 + 1e308 * sequence overflows to infinity from sequence 2 on.
+TEST_F(GuardedFaults, UnguardedPresetRoutesANonFiniteCapture) {
+  const rf::FaultInjector overflow = rf::FaultInjector::parse("gain:1e308");
+  const rf::RfDut& dut = *(*lot_)[0].dut;
+  stats::Rng rng(5);
+  const auto finite = unguarded_->test_device(dut, rng, &overflow, 0);
+  EXPECT_EQ(finite.kind, sigtest::DispositionKind::kPredicted);
+  const auto routed = unguarded_->test_device(dut, rng, &overflow, 2);
+  EXPECT_EQ(routed.kind, sigtest::DispositionKind::kRoutedToConventional);
+  EXPECT_EQ(routed.last_flaw, sigtest::CaptureFlaw::kNonFinite);
+  EXPECT_TRUE(routed.predicted.empty());
+  EXPECT_EQ(routed.attempts, 1);
+  EXPECT_EQ(routed.captures, 1);
 }
 
 // Every fault scenario must replay bit-identically from its seed, alone
@@ -243,16 +270,11 @@ TEST_F(GuardedFaults, GuardNeverAddsEscapes) {
     const auto on = run_lot(&scenarios[s], 77 + s);
     int esc_off = 0, esc_on = 0;
     for (std::size_t i = 0; i < lot_->size(); ++i) {
-      const bool truly_good = passes((*lot_)[i].specs.to_vector(), 0.0);
-      if (truly_good) {
-        // Still consume the unguarded draws to stay aligned.
-        (void)cell_->predict_device(*(*lot_)[i].dut, rng_off, &scenarios[s],
-                                    i);
-        continue;
-      }
+      // Every device takes its unguarded draws, to keep the stream aligned.
       const auto off =
-          cell_->predict_device(*(*lot_)[i].dut, rng_off, &scenarios[s], i);
-      if (passes(off, band)) ++esc_off;
+          unguarded_->test_device(*(*lot_)[i].dut, rng_off, &scenarios[s], i);
+      if (passes((*lot_)[i].specs.to_vector(), 0.0)) continue;
+      if (off.has_prediction() && passes(off.predicted, band)) ++esc_off;
       if (on[i].has_prediction() && passes(on[i].predicted, band)) ++esc_on;
     }
     EXPECT_LE(esc_on, esc_off) << "scenario " << s;
@@ -390,6 +412,22 @@ TEST(FaultParse, NumbersAreFiniteAndWholeOrTheSpecIsRejected) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("lo:1e999"), std::string::npos);
   }
+}
+
+// A term with more numbers than its fault takes names a different fault
+// than it runs, so parse rejects it instead of dropping the extra numbers.
+TEST(FaultParse, ExtraNumbersAreRejected) {
+  for (const char* spec :
+       {"clip:0.1:999", "clip:0.1:2:3:4", "gain:1e-3:7", "stuck:0.05:1",
+        "drop:0.02:1", "lo:2e3:0.8:1", "contact:0.02:0.5:1",
+        "wander:0.05:200e3:1", "clip:0.1,gain:1e-3:7"})
+    EXPECT_THROW(rf::FaultInjector::parse(spec), std::invalid_argument)
+        << spec;
+  // Up to the fault's own count still parses; a second number left out of
+  // a two-number fault is 0.
+  const auto inj = rf::FaultInjector::parse("lo:2e3,contact:0.02,wander:0.05");
+  ASSERT_EQ(inj.faults().size(), 3u);
+  for (const rf::FaultSpec& f : inj.faults()) EXPECT_EQ(f.p2, 0.0);
 }
 
 TEST(SeedRobustness2, HardwareStudyQualityHoldsAcrossPopulations) {

@@ -543,7 +543,12 @@ TEST_F(ServiceTest, OutOfRangeFaultNumbersGetATypedAnswer) {
   else
     EXPECT_EQ(tiny.status, net::ClientStatus::kOk) << tiny.message;
 
-  const auto clean = client.run_lot(request_for(3, 9001));
+  // A number past the fault's own count is refused, not dropped.
+  const auto extra = client.run_lot(request_for(3, 9001, "clip:0.1:999"));
+  ASSERT_EQ(extra.status, net::ClientStatus::kRejected) << extra.message;
+  EXPECT_EQ(extra.reject_code, net::RejectCode::kBadRequest);
+
+  const auto clean = client.run_lot(request_for(4, 9001));
   ASSERT_EQ(clean.status, net::ClientStatus::kOk) << clean.message;
   expect_identical(serial_reference(9001, nullptr), clean.dispositions,
                    "clean lot after the out-of-range specs");

@@ -120,20 +120,51 @@ int write_telemetry_outputs(const TelemetryFlags& flags) {
   return 0;
 }
 
-// --key value option lookup; returns fallback when absent.
-double opt_num(const std::vector<std::string>& args, const std::string& key,
-               double fallback) {
+// A malformed command line: main prints the message, then the usage text.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+// The value after `key`, or null when the option is absent.
+const std::string* opt_value(const std::vector<std::string>& args,
+                             const std::string& key) {
   for (std::size_t i = 0; i + 1 < args.size(); ++i)
-    if (args[i] == key) return std::stod(args[i + 1]);
-  return fallback;
+    if (args[i] == key) return &args[i + 1];
+  return nullptr;
 }
 
 // --key value string option lookup; returns fallback when absent.
 std::string opt_str(const std::vector<std::string>& args,
                     const std::string& key, const std::string& fallback) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i)
-    if (args[i] == key) return args[i + 1];
-  return fallback;
+  const std::string* value = opt_value(args, key);
+  return value != nullptr ? *value : fallback;
+}
+
+// --key value integer option in [min_value, max_value]; returns fallback
+// when absent. The whole value must be a decimal integer in range.
+std::uint64_t opt_u64(const std::vector<std::string>& args,
+                      const std::string& key, std::uint64_t fallback,
+                      std::uint64_t min_value, std::uint64_t max_value) {
+  const std::string* value = opt_value(args, key);
+  if (value == nullptr) return fallback;
+  try {
+    return stf::core::env::parse_u64(key, *value, min_value, max_value);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
+}
+
+// --key value number option; returns fallback when absent. The whole value
+// must be a finite decimal number.
+double opt_double(const std::vector<std::string>& args, const std::string& key,
+                  double fallback) {
+  const std::string* value = opt_value(args, key);
+  if (value == nullptr) return fallback;
+  try {
+    return stf::core::env::parse_double(key, *value);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
 }
 
 bool has_flag(const std::vector<std::string>& args, const std::string& key) {
@@ -143,8 +174,9 @@ bool has_flag(const std::vector<std::string>& args, const std::string& key) {
 }
 
 // Production-lot pass under an optional fault scenario: every device of a
-// 200-part lot is tested against datasheet limits, unguarded (trust every
-// prediction) or guarded (validate / retry / escalate / route).
+// 200-part lot is tested against datasheet limits on one cell, under
+// GuardPolicy::unguarded() (trust every prediction) or, with --guard, the
+// guarded policy (validate / retry / escalate / route).
 int run_faulted_lot(const bench::SimStudyResult& study,
                     const rf::FaultInjector& faults, bool guard, int batch) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -164,14 +196,15 @@ int run_faulted_lot(const bench::SimStudyResult& study,
   std::vector<std::vector<double>> truth;
   for (const auto& dev : lot) truth.push_back(dev.specs.to_vector());
 
-  // One cell serves all three passes: the guard policy only matters to the
-  // guarded ones, and the calibration is the same.
-  sigtest::GuardPolicy policy;
-  policy.outlier_threshold = 2.5;
+  // --guard selects the cell's policy; the calibration does not depend on
+  // it.
+  sigtest::GuardPolicy guarded;
+  guarded.outlier_threshold = 2.5;
   sigtest::BatchOptions bopts;
   if (batch > 0) bopts.batch_size = static_cast<std::size_t>(batch);
   sigtest::TestCell cell(cfg, study.stimulus, circuit::LnaSpecs::names(),
-                         policy, bopts);
+                         guard ? guarded : sigtest::GuardPolicy::unguarded(),
+                         bopts);
   stats::Rng cal_rng(7);
   cell.calibrate(cal, cal_rng);
   const rf::FaultInjector* injected = faults.empty() ? nullptr : &faults;
@@ -194,7 +227,7 @@ int run_faulted_lot(const bench::SimStudyResult& study,
     std::printf("  guard activity: %d retries, %zu routed to conventional,"
                 " %d retested\n",
                 retries, result.routed, flow.retested);
-  } else if (guard) {
+  } else {
     stats::Rng rng(9001);
     std::vector<sigtest::TestDisposition> dispositions;
     int retries = 0;
@@ -203,15 +236,10 @@ int run_faulted_lot(const bench::SimStudyResult& study,
       retries += dispositions.back().attempts - 1;
     }
     flow = ate::run_production_flow(truth, dispositions, limits, 0.25);
-    std::printf("  guard activity: %d retries, %d routed to conventional,"
-                " %d retested\n",
-                retries, flow.routed_conventional, flow.retested);
-  } else {
-    stats::Rng rng(9001);
-    std::vector<std::vector<double>> predicted;
-    for (std::size_t i = 0; i < lot.size(); ++i)
-      predicted.push_back(cell.predict_device(*lot[i].dut, rng, injected, i));
-    flow = ate::run_production_flow(truth, predicted, limits, 0.25);
+    if (guard)
+      std::printf("  guard activity: %d retries, %d routed to conventional,"
+                  " %d retested\n",
+                  retries, flow.routed_conventional, flow.retested);
   }
   std::printf("  pass %d, fail %d, escapes %d, yield loss %d"
               " (escape rate %.4f, yield-loss rate %.4f)\n",
@@ -220,15 +248,20 @@ int run_faulted_lot(const bench::SimStudyResult& study,
   return 0;
 }
 
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+// Largest --train / --val population a study accepts.
+constexpr std::uint64_t kMaxDevices = 1000000;
+
 int cmd_sim_study(const std::vector<std::string>& args) {
   bench::SimStudyOptions opts;
-  opts.population_seed =
-      static_cast<std::uint64_t>(opt_num(args, "--seed", 42));
-  opts.n_train = static_cast<std::size_t>(opt_num(args, "--train", 100));
-  opts.n_val = static_cast<std::size_t>(opt_num(args, "--val", 25));
+  opts.population_seed = opt_u64(args, "--seed", 42, 0, kMaxU64);
+  // Calibration and R^2 each need two devices.
+  opts.n_train = opt_u64(args, "--train", 100, 2, kMaxDevices);
+  opts.n_val = opt_u64(args, "--val", 25, 2, kMaxDevices);
   const std::string fault_spec = opt_str(args, "--fault", "");
   const bool guard = has_flag(args, "--guard");
-  const int batch = static_cast<int>(opt_num(args, "--batch", 0));
+  const int batch = static_cast<int>(
+      opt_u64(args, "--batch", 0, 0, std::numeric_limits<int>::max()));
   const auto result = bench::run_simulation_study(opts);
   std::printf("simulation study: %zu train / %zu validate, GA objective"
               " %.4e\n",
@@ -246,8 +279,7 @@ int cmd_sim_study(const std::vector<std::string>& args) {
 
 int cmd_hw_study(const std::vector<std::string>& args) {
   bench::HwStudyOptions opts;
-  opts.population_seed =
-      static_cast<std::uint64_t>(opt_num(args, "--seed", 17));
+  opts.population_seed = opt_u64(args, "--seed", 17, 0, kMaxU64);
   const auto result = bench::run_hardware_study(opts);
   std::printf("hardware study: 55 devices (28 cal / 27 val)\n");
   for (const auto& spec : result.report.specs)
@@ -256,7 +288,7 @@ int cmd_hw_study(const std::vector<std::string>& args) {
 }
 
 int cmd_characterize(const std::vector<std::string>& args) {
-  const double kelvin = opt_num(args, "--temp", 290.0);
+  const double kelvin = opt_double(args, "--temp", 290.0);
   auto nl = circuit::Lna900::build(circuit::Lna900::nominal());
   nl.set_temperature(kelvin);
   const auto dc = circuit::solve_dc(nl);
@@ -332,9 +364,9 @@ int cmd_analog(const std::vector<std::string>&) {
   runtime.calibrate(train, rng);
   const auto rep = runtime.validate(val, rng);
   std::printf("baseband lineage (Sallen-Key filter, transient signature):\n");
-  for (std::size_t s = 0; s < rep.names.size(); ++s)
-    std::printf("  %-12s rms %.4g, R^2 %.4f\n", rep.names[s].c_str(),
-                rep.rms_error[s], rep.r_squared[s]);
+  for (const sigtest::SpecScatter& spec : rep.specs)
+    std::printf("  %-12s rms %.4g, R^2 %.4f\n", spec.name.c_str(),
+                spec.rms_error, spec.r_squared);
   return 0;
 }
 
@@ -470,6 +502,9 @@ int main(int argc, char** argv) {
     else if (cmd == "store-inspect") rc = cmd_store_inspect(args);
     else if (cmd == "store-evict") rc = cmd_store_evict(args);
     else return usage();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "sigtest_cli: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sigtest_cli: %s\n", e.what());
     rc = 1;
