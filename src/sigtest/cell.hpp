@@ -213,7 +213,7 @@ class TestCell {
   /// latched alarm, smoothed EWMA, and sample count all reset together.
   void reset_drift_monitor();
 
-  // --- Building blocks of the test, under the cell's policy --------------
+  // --- Building blocks of the test, under the cell's policy ----------------
   // Public so the benchmark probes can time each validation step on its
   // own.
 

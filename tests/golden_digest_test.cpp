@@ -270,7 +270,6 @@ TEST(GoldenWireDigest, FaultedLot) {
 }
 
 TEST(GoldenSensitivity, SignatureSensitivityBitsForTwoStimuli) {
-  SimdGuard simd_guard;
   const auto config = sigtest::SignatureTestConfig::simulation_study();
   const sigtest::SignatureAcquirer acquirer(config, 16);
   const sigtest::PerturbationSet perturb(sigtest::lna900_factory(),
@@ -279,24 +278,17 @@ TEST(GoldenSensitivity, SignatureSensitivityBitsForTwoStimuli) {
       config.capture_s, {0.0, 0.3, -0.3, 0.15, -0.15, 0.25, -0.25, 0.0});
   const auto b = dsp::PwlWaveform::uniform(
       config.capture_s, {0.1, -0.4, 0.35, 0.0, 0.2, -0.1, 0.3, -0.3, 0.05});
-  for (const bool simd_on : {true, false}) {
-    core::simd::set_enabled(simd_on);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ThreadCountGuard guard(threads);
-      for (const auto& [stimulus, want] :
-           {std::pair{&a, kSensitivityDigestA},
-            std::pair{&b, kSensitivityDigestB}}) {
-        const la::Matrix a_s =
-            perturb.signature_sensitivity(acquirer, *stimulus);
-        Fnv1a h;
-        h.add(static_cast<std::uint64_t>(a_s.rows()));
-        h.add(static_cast<std::uint64_t>(a_s.cols()));
-        for (std::size_t i = 0; i < a_s.size(); ++i) h.add(a_s.data()[i]);
-        EXPECT_EQ(h.value(), want)
-            << "threads " << threads << ", simd " << simd_on;
-      }
+  in_every_configuration([&](const std::string& where) {
+    for (const auto& [stimulus, want] : {std::pair{&a, kSensitivityDigestA},
+                                         std::pair{&b, kSensitivityDigestB}}) {
+      const la::Matrix a_s = perturb.signature_sensitivity(acquirer, *stimulus);
+      Fnv1a h;
+      h.add(static_cast<std::uint64_t>(a_s.rows()));
+      h.add(static_cast<std::uint64_t>(a_s.cols()));
+      for (std::size_t i = 0; i < a_s.size(); ++i) h.add(a_s.data()[i]);
+      EXPECT_EQ(h.value(), want) << where;
     }
-  }
+  });
 }
 
 // The benchmark's stimulus search cell (perfbench/golden_ga.txt): the
@@ -339,20 +331,14 @@ void expect_golden(const sigtest::OptimizedStimulus& r, const GoldenSearch& g,
 }
 
 TEST(GoldenGa, SearchesMatchTheBenchmarkGoldens) {
-  SimdGuard simd_guard;
   const SearchCell cell;
   for (const GoldenSearch& g : kGoldenSearches)
     expect_golden(cell.search(g.seed), g,
                   "seed " + std::to_string(g.seed));
-  for (const bool simd_on : {true, false}) {
-    core::simd::set_enabled(simd_on);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ThreadCountGuard guard(threads);
-      expect_golden(cell.search(kGoldenSearches[0].seed), kGoldenSearches[0],
-                    "seed 1, threads " + std::to_string(threads) +
-                        ", simd " + std::to_string(simd_on));
-    }
-  }
+  in_every_configuration([&](const std::string& where) {
+    expect_golden(cell.search(kGoldenSearches[0].seed), kGoldenSearches[0],
+                  "seed 1, " + where);
+  });
 }
 
 // The work one golden search does, counted exactly. A change that splits a

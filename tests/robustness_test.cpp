@@ -172,7 +172,8 @@ TEST_F(GuardedFaults, CleanPathIsBitIdenticalToUnguardedRuntime) {
 
 // The one thing the unguarded preset still refuses: a capture with a
 // non-finite sample has no prediction to make, so it is routed. A board
-// gain of 1 + 1e308 * sequence overflows to infinity from sequence 2 on.
+// gain of 1 + 1e308 * sequence overflows the capture from sequence 1 on and
+// is itself infinite from sequence 2 on.
 TEST_F(GuardedFaults, UnguardedPresetRoutesANonFiniteCapture) {
   const rf::FaultInjector overflow = rf::FaultInjector::parse("gain:1e308");
   const rf::RfDut& dut = *(*lot_)[0].dut;

@@ -262,18 +262,18 @@ int cmd_sim_study(const std::vector<std::string>& args) {
   const bool guard = has_flag(args, "--guard");
   const int batch = static_cast<int>(
       opt_u64(args, "--batch", 0, 0, std::numeric_limits<int>::max()));
+  // Parsed before the study, so a malformed spec costs no GA run.
+  const auto faults = fault_spec.empty()
+                          ? rf::FaultInjector{}
+                          : rf::FaultInjector::parse(fault_spec);
   const auto result = bench::run_simulation_study(opts);
   std::printf("simulation study: %zu train / %zu validate, GA objective"
               " %.4e\n",
               opts.n_train, opts.n_val, result.ga_objective);
   for (const auto& spec : result.report.specs)
     bench::print_error_summary(spec, "");
-  if (!fault_spec.empty() || guard) {
-    const auto faults = fault_spec.empty()
-                            ? rf::FaultInjector{}
-                            : rf::FaultInjector::parse(fault_spec);
+  if (!fault_spec.empty() || guard)
     return run_faulted_lot(result, faults, guard, batch);
-  }
   return 0;
 }
 
